@@ -15,7 +15,7 @@ from . import dsl
 from . import series as se
 from .eliminator import express_pm
 from .identities import load_registry
-from .verifier import max_neg_shift, reports_to_json, verify_all
+from .verifier import reports_to_json, verify_all
 
 
 def _parse_params(text):
@@ -27,7 +27,10 @@ def _parse_params(text):
         name = name.strip()
         if not eq or len(name) != 1 or not name.islower():
             raise QThetaError("bad parameter assignment %r (want name=p/q)" % item)
-        binding[name] = Fraction(value.strip())
+        try:
+            binding[name] = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise QThetaError("bad parameter value %r (want name=p/q)" % item) from None
     return binding
 
 
@@ -99,13 +102,7 @@ def _cmd_verify(args, out):
 def _cmd_eval(args, out):
     ast = dsl.parse(args.expr)
     binding = _parse_params(args.params)
-
-    class _Probe:
-        lhs = ast
-        rhs = ast
-        derives = ()
-
-    wp = args.order + 2 * max_neg_shift(_Probe) + 8
+    wp = args.order + 2 * dsl.neg_shift(ast) + 8
     value = dsl.evaluate(ast, binding, wp)
     if value.prec > args.order:
         value = se.truncate(value, args.order)

@@ -24,6 +24,7 @@ precision, so a sound bound makes the evaluation sound by construction.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from .errors import (
     UnknownNameError,
 )
 from . import series as se
+from . import sums
 from .kernels import (
     QMonomial,
     bhs,
@@ -43,14 +45,15 @@ from .kernels import (
     qpoch_capped,
     qpoch_finite,
     qpoch_infinite,
+    theta_dip,
     theta_full,
     theta_partial,
+    _val_mul,
+    _val_neg,
 )
 from .series import LaurentSeries
-from . import sums
-from .sums import _val_mul, _val_neg
 
-__all__ = ["parse", "render", "evaluate", "evaluate_value", "free_params",
+__all__ = ["parse", "render", "evaluate", "evaluate_value", "free_params", "neg_shift",
            "Lit", "Ref", "BinOp", "Neg", "Pow", "Call", "Sum", "INF"]
 
 
@@ -114,24 +117,50 @@ class Sum:
     pos: int = field(default=-1, compare=False)
 
 
-# (arg sorts, variadic tail); sorts: "I" integer, "S" series
+# -- builtins -----------------------------------------------------------------
+
+_Builtin = namedtuple("_Builtin", "sort args kernel guard")
+
+
+def _neg_arg(o, n):
+    return max(0, -min(o))
+
+
+# The one table of builtins: result sort, argument sorts ("S" series, "I"
+# integer, "?" optional), kernel and guard.  A series kernel takes the
+# evaluated arguments, then the precision; it looks its function up in the
+# module globals at call time so that a wrapper installed there
+# (bench/tracer.py) sees the call.  An integer kernel takes integers only.  guard(o, n) bounds
+# the most negative q-power a call injects, from its arguments' q-orders o
+# and integer estimates n.  phi (argument groups) and poch (its cache) keep
+# their own branch in _Evaluator.call.
 _BUILTINS = {
-    "theta": ("S",),
-    "jtheta": ("S",),
-    "poch": ("S", "I", "?I"),
-    "pochinf": ("S",),
-    "Pm": ("I", "S", "S"),
-    "U": ("I", "S"),
-    "V": ("I", "I", "S", "S"),
-    "Q": ("I", "S"),
-    "lam": ("I", "I", "S"),
-    "S": ("S", "S"),
-    "Omega": ("S", "S"),
-    "ThetaK": ("I", "S", "S"),
-    "T": ("S",),
-    "binom2": ("I",),
+    "theta": _Builtin("S", ("S",), lambda x, p: theta_partial(x, p),
+                      lambda o, n: theta_dip(o[0])),
+    "jtheta": _Builtin("S", ("S",), lambda x, p: theta_full(x, p),
+                       lambda o, n: max(theta_dip(o[0]), theta_dip(1 - o[0]))),
+    "poch": _Builtin("S", ("S", "I", "?I"), None, _neg_arg),
+    "pochinf": _Builtin("S", ("S",), lambda x, p: qpoch_infinite(x, p), _neg_arg),
+    "phi": _Builtin("S", ("S", "S", "S"), lambda u, l, z, p: bhs(u, l, z, p),
+                    _neg_arg),
+    "Pm": _Builtin("S", ("I", "S", "S"), lambda m, a, b, p: sums.pmsum(m, a, b, p),
+                   _neg_arg),
+    "U": _Builtin("S", ("I", "S"), lambda m, b, p: sums.usum(m, b, p), _neg_arg),
+    "V": _Builtin("S", ("I", "I", "S", "S"),
+                  lambda m, n, a, b, p: sums.vsum(m, n, a, b, p), _neg_arg),
+    "Q": _Builtin("S", ("I", "S"), lambda m, b, p: sums.qcap(m, b, p), _neg_arg),
+    "lam": _Builtin("S", ("I", "I", "S"), lambda m, k, b, p: sums.lam(m, k, b, p),
+                    _neg_arg),
+    "S": _Builtin("S", ("S", "S"), lambda a, b, p: sums.ssum(a, b, p), _neg_arg),
+    "Omega": _Builtin("S", ("S", "S"), lambda a, b, p: sums.omega(a, b, p),
+                      lambda o, n: theta_dip(o[0])),
+    "ThetaK": _Builtin("S", ("I", "S", "S"), lambda k, a, b, p: sums.thetak(k, a, b, p),
+                       lambda o, n: n[0] + 1),
+    "T": _Builtin("S", ("S",), lambda a, p: sums.tsum(a, p),
+                  lambda o, n: theta_dip(o[0] - 1)),
+    "binom2": _Builtin("I", ("I",), lambda n: n * (n - 1) // 2, lambda o, n: 0),
 }
-_RESERVED = set(_BUILTINS) | {"q", "inf", "sum", "phi"}
+_RESERVED = set(_BUILTINS) | {"q", "inf", "sum"}
 
 
 # -- lexer --------------------------------------------------------------------
@@ -275,7 +304,7 @@ class _Parser:
         args = groups[0]
         if name not in _BUILTINS:
             raise UnknownNameError("unknown function %r" % name, pos, self.text)
-        sig = _BUILTINS[name]
+        sig = _BUILTINS[name].args
         req = [s for s in sig if not s.startswith("?")]
         if not (len(req) <= len(args) <= len(sig)):
             raise ParseError(
@@ -337,19 +366,15 @@ def _check(node, want, ivars, text):
         _check(node.exp, "I", ivars, text)
         return
     if isinstance(node, Call):
-        if node.name == "binom2":
-            _check(node.args[0], "I", ivars, text)
-            return
-        if want == "I":
+        b = _BUILTINS[node.name]
+        if want == "I" and b.sort != "I":
             raise SortError("series-valued %s(...) in an integer position" % node.name,
                             node.pos, text)
-        if node.name == "phi":
-            for group in node.groups:
-                for arg in group:
-                    _check(arg, "S", ivars, text)
-            return
-        sig = _BUILTINS[node.name]
-        for arg, sort in zip(node.args, sig):
+        if node.name == "phi":  # one sort per ';' group
+            pairs = [(arg, sort) for group, sort in zip(node.groups, b.args) for arg in group]
+        else:
+            pairs = zip(node.args, b.args)
+        for arg, sort in pairs:
             _check(arg, sort.lstrip("?"), ivars, text)
         return
     if isinstance(node, Sum):
@@ -426,6 +451,69 @@ def sum_indices(node):
                 out |= sum_indices(arg)
         return out
     raise TypeError("unknown node %r" % (node,))
+
+
+# -- static guard estimate ------------------------------------------------------
+
+
+def _int_est(node, ienv):
+    if isinstance(node, Lit):
+        return node.value
+    if isinstance(node, Ref):
+        return ienv.get(node.name, 0)
+    if isinstance(node, Neg):
+        return -_int_est(node.operand, ienv)
+    if isinstance(node, BinOp):
+        a, b = _int_est(node.left, ienv), _int_est(node.right, ienv)
+        return a + b if node.op == "+" else a - b if node.op == "-" else a * b
+    if isinstance(node, Call) and _BUILTINS[node.name].sort == "I":
+        return _BUILTINS[node.name].kernel(*(_int_est(a, ienv) for a in node.args))
+    return 0
+
+
+def _scan(node, ienv):
+    """(order estimate, worst injected negative shift) for a subtree."""
+    if isinstance(node, Lit):
+        return 0, 0
+    if isinstance(node, Ref):
+        return (1, 0) if node.name == "q" else (0, 0)
+    if isinstance(node, Neg):
+        return _scan(node.operand, ienv)
+    if isinstance(node, BinOp):
+        (lo, ld), (ro, rd) = _scan(node.left, ienv), _scan(node.right, ienv)
+        dip = max(ld, rd)
+        if node.op == "*":
+            o = lo + ro
+        elif node.op == "/":
+            o = lo - ro
+        else:
+            o = min(lo, ro)
+        return o, max(dip, -o)
+    if isinstance(node, Pow):
+        bo, bd = _scan(node.base, ienv)
+        e = _int_est(node.exp, ienv)
+        o = bo * e if bo else 0
+        return o, max(bd, -o)
+    if isinstance(node, Sum):
+        inner = dict(ienv)
+        inner[node.var] = _int_est(node.lo, ienv)
+        _, d = _scan(node.body, inner)
+        return 0, d
+    if isinstance(node, Call):
+        args = [arg for group in node.groups for arg in group]
+        ords, dips = zip(*(_scan(arg, ienv) for arg in args))
+        guard = _BUILTINS[node.name].guard(ords, [_int_est(arg, ienv) for arg in args])
+        return 0, max(max(dips), guard)
+    raise TypeError("unknown node %r" % (node,))
+
+
+def neg_shift(*trees):
+    """Most negative q-power injected by the given expression trees.
+
+    The verifier and ``qtheta eval`` evaluate at precision N + G with the
+    guard G = 2 * neg_shift(...) + 8.
+    """
+    return max(_scan(tree, {})[1] for tree in trees)
 
 
 # -- rendering ----------------------------------------------------------------
@@ -515,9 +603,8 @@ class _Evaluator:
             a = self.int_value(node.left, ienv)
             b = self.int_value(node.right, ienv)
             return a + b if node.op == "+" else a - b if node.op == "-" else a * b
-        if isinstance(node, Call) and node.name == "binom2":
-            n = self.int_value(node.args[0], ienv)
-            return n * (n - 1) // 2
+        if isinstance(node, Call) and _BUILTINS[node.name].sort == "I":
+            return _BUILTINS[node.name].kernel(*(self.int_value(a, ienv) for a in node.args))
         raise EvalError("not an integer expression", getattr(node, "pos", None))
 
     # series sort ---------------------------------------------------------------
@@ -599,57 +686,22 @@ class _Evaluator:
             raise EvalError(str(exc), pos) from exc
 
     def call(self, node, ienv):
-        name = node.name
-        prec = self.prec
+        b = _BUILTINS[node.name]
+        if b.sort == "I":
+            return QMonomial(Fraction(self.int_value(node, ienv)), 0)
         try:
-            if name == "phi":
-                upper = [self.value(x, ienv) for x in node.groups[0]]
-                lower = [self.value(x, ienv) for x in node.groups[1]]
-                z = self.value(node.groups[2][0], ienv)
-                return bhs(upper, lower, z, prec)
-            args = node.args
-            if name == "binom2":
-                return QMonomial(Fraction(self.int_value(args[0], ienv)), 0)
-            if name == "theta":
-                return theta_partial(self.value(args[0], ienv), prec)
-            if name == "jtheta":
-                return theta_full(self.value(args[0], ienv), prec)
-            if name == "poch":
-                x = self.value(args[0], ienv)
-                n = self.int_value(args[1], ienv)
-                step = self.int_value(args[2], ienv) if len(args) == 3 else 1
-                return self.poch_cached(node, x, n, step)
-            if name == "pochinf":
-                return qpoch_infinite(self.value(args[0], ienv), prec)
-            if name == "Pm":
-                return sums.pmsum(self.int_value(args[0], ienv),
-                                  self.value(args[1], ienv), self.value(args[2], ienv), prec)
-            if name == "U":
-                return sums.usum(self.int_value(args[0], ienv),
-                                 self.value(args[1], ienv), prec)
-            if name == "V":
-                return sums.vsum(self.int_value(args[0], ienv), self.int_value(args[1], ienv),
-                                 self.value(args[2], ienv), self.value(args[3], ienv), prec)
-            if name == "Q":
-                return sums.qcap(self.int_value(args[0], ienv),
-                                 self.value(args[1], ienv), prec)
-            if name == "lam":
-                return sums.lam(self.int_value(args[0], ienv), self.int_value(args[1], ienv),
-                                self.value(args[2], ienv), prec)
-            if name == "S":
-                return sums.ssum(self.value(args[0], ienv), self.value(args[1], ienv), prec)
-            if name == "Omega":
-                return sums.omega(self.value(args[0], ienv), self.value(args[1], ienv), prec)
-            if name == "ThetaK":
-                return sums.thetak(self.int_value(args[0], ienv),
-                                   self.value(args[1], ienv), self.value(args[2], ienv), prec)
-            if name == "T":
-                return sums.tsum(self.value(args[0], ienv), prec)
+            if node.name == "phi":
+                upper, lower, (z,) = ([self.value(x, ienv) for x in g] for g in node.groups)
+                return b.kernel(upper, lower, z, self.prec)
+            args = [self.int_value(a, ienv) if sort.endswith("I") else self.value(a, ienv)
+                    for a, sort in zip(node.args, b.args)]
+            if node.name == "poch":
+                return self.poch_cached(node, *args)
+            return b.kernel(*args, self.prec)
         except EvalError:
             raise
         except QThetaError as exc:
             raise EvalError(str(exc), node.pos) from exc
-        raise EvalError("unknown builtin %r" % name, node.pos)
 
     def inv_poch_cached(self, node, ienv, dividend):
         """Inverse of a poch(...) divisor, extended one factor at a time as
@@ -683,7 +735,7 @@ class _Evaluator:
         self._ipoch[id(node)] = (xv, step, n, val)
         return val
 
-    def poch_cached(self, node, xv, n, step):
+    def poch_cached(self, node, xv, n, step=1):
         """(x;q^step)_n at working precision, extended by trailing factors
         when a sum loop walks n upward instead of rebuilt from scratch."""
         w = self.prec + 16

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, EliminationError
 from . import series as se
-from .kernels import as_value, theta_partial
-from .sums import _val_shift, lam, pmsum
+from .kernels import _val_shift, as_value, theta_partial
+from .sums import lam, pmsum
 
 __all__ = ["SeriesLinearSystem", "ThetaCombination", "build_system", "gauss_solve", "express_pm"]
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import (
     DegenerateParameterError,
@@ -78,12 +77,52 @@ def ord_of(v):
     return v.order()
 
 
+def _val_shift(v, k):
+    if isinstance(v, QMonomial):
+        return QMonomial(v.coef, v.exp + k)
+    return se.shift(v, k)
+
+
+def _val_mul(x, y):
+    if isinstance(x, QMonomial) and isinstance(y, QMonomial):
+        return QMonomial(x.coef * y.coef, x.exp + y.exp)
+    if isinstance(x, QMonomial):
+        return se.mul_monomial(y, x.coef, x.exp) if x.coef else QMonomial(Fraction(0), 0)
+    if isinstance(y, QMonomial):
+        return se.mul_monomial(x, y.coef, y.exp) if y.coef else QMonomial(Fraction(0), 0)
+    return se.mul(x, y)
+
+
+def _val_neg(v):
+    if isinstance(v, QMonomial):
+        return QMonomial(-v.coef, v.exp)
+    return se.neg(v)
+
+
+def _mul_value(t, v):
+    """Series t times value v; exact monomials multiply without precision loss."""
+    if isinstance(v, QMonomial):
+        if v.coef == 0:
+            return se.zero(t.prec + v.exp)
+        return se.mul_monomial(t, v.coef, v.exp)
+    return se.mul(t, v)
+
+
 def negord(d, k):
     """sum_{i<k} min(0, d+i): the stored negative-order mass of (x;q)_k."""
     if d is None or d >= 0 or k <= 0:
         return 0
     t = min(k, -d)
     return t * d + t * (t - 1) // 2
+
+
+def theta_dip(d):
+    """-min_n (n(n-1)/2 + n*d): how far below q^0 theta(x) dips for ord(x) = d."""
+    return -negord(d, -d)
+
+
+def _m0(d, k):
+    return min(0, (d if d is not None else 0) + k)
 
 
 def one_minus(v, k, prec):
@@ -102,6 +141,11 @@ def one_minus(v, k, prec):
     num[0 - lo] = c.denominator
     num[e - lo] = -c.numerator
     return se._make(lo, num, c.denominator, p)
+
+
+def _factor(t, v, d, k):
+    """1 - v*q^k at a precision that never caps the running term t."""
+    return one_minus(v, k, t.prec - min(0, t._ord()) + 2 * abs(_m0(d, k)) + 4)
 
 
 def _check_poch_invertible(v, n, what):
@@ -269,20 +313,6 @@ def qpoch_multi(xs, prec, n=None):
 # -- theta functions ----------------------------------------------------------
 
 
-def _entries_to_series(entries, prec):
-    if not entries:
-        return se.zero(prec)
-    lo = min(entries)
-    hi = max(entries)
-    den = 1
-    for c in entries.values():
-        den = den // gcd(den, c.denominator) * c.denominator
-    num = [0] * (hi - lo + 1)
-    for e, c in entries.items():
-        num[e - lo] = c.numerator * (den // c.denominator)
-    return se._make(lo, num, den, prec)
-
-
 def theta_partial(x, prec):
     """sum_{n>=0} (-1)^n q^(n(n-1)/2) x^n, formally convergent for every x."""
     if prec < 1:
@@ -304,7 +334,7 @@ def theta_partial(x, prec):
                 entries[ex] = entries.get(ex, Fraction(0)) + (cp if n % 2 == 0 else -cp)
             n += 1
             cp *= c
-        return _entries_to_series(entries, prec)
+        return se._from_entries(entries, prec)
     d = v._ord()
     w = prec + 2 * max(0, -d) + 2
     xpow = se.one(w)
@@ -333,70 +363,17 @@ def theta_full(x, prec):
     if prec < 1:
         raise PrecisionError("theta_full needs precision >= 1")
     v = as_value(x)
-    d = ord_of(v)
-    if d is None:
+    if ord_of(v) is None:
         raise DomainError("theta_full needs an invertible (nonzero) argument")
+    # The terms n = -k < 0 sum to theta_partial(q/x) - 1.
     if isinstance(v, QMonomial):
-        c, e = v.coef, v.exp
-        entries = {}
-        n = 0
-        cp = Fraction(1)
-        while True:
-            ex = n * (n - 1) // 2 + n * e
-            if n >= max(0, 1 - e) and ex >= prec:
-                break
-            if ex < prec:
-                entries[ex] = entries.get(ex, Fraction(0)) + (cp if n % 2 == 0 else -cp)
-            n += 1
-            cp *= c
-        k = 1
-        ci = 1 / c
-        cp = ci
-        while True:
-            ex = k * (k + 1) // 2 - k * e
-            if k >= max(1, e) and ex >= prec:
-                break
-            if ex < prec:
-                entries[ex] = entries.get(ex, Fraction(0)) + (cp if k % 2 == 0 else -cp)
-            k += 1
-            cp *= ci
-        return _entries_to_series(entries, prec)
-    w = prec + 2 * max(0, -d, d) + 2
-    acc = se.zero(w)
-    xpow = se.one(w)
-    n = 0
-    while True:
-        bound = n * (n - 1) // 2 + n * d
-        if n >= max(0, 1 - d) and bound >= prec:
-            break
-        term = se.shift(xpow, n * (n - 1) // 2)
-        acc = se.add(acc, se.neg(term) if n % 2 else term)
-        xpow = se.mul(xpow, v)
-        n += 1
-    y = se.invert(v)
-    ypow = y
-    k = 1
-    while True:
-        bound = k * (k + 1) // 2 - k * d
-        if k >= max(1, d) and bound >= prec:
-            break
-        term = se.shift(ypow, k * (k + 1) // 2)
-        acc = se.add(acc, se.neg(term) if k % 2 else term)
-        ypow = se.mul(ypow, y)
-        k += 1
-    return se.cap(acc, prec)
+        qx = QMonomial(1 / v.coef, 1 - v.exp)
+    else:
+        qx = se.shift(se.invert(v), 1)
+    return se.sub(se.add(theta_partial(v, prec), theta_partial(qx, prec)), se.one(prec))
 
 
 # -- basic hypergeometric series ----------------------------------------------
-
-
-def _mul_value(t, v):
-    """t times a value; exact monomials multiply without precision loss."""
-    if isinstance(v, QMonomial):
-        if v.coef == 0:
-            return se.zero(t.prec + v.exp)
-        return se.mul_monomial(t, v.coef, v.exp)
-    return se.mul(t, v)
 
 
 def bhs(upper, lower, z, prec):
@@ -463,11 +440,6 @@ def bhs(upper, lower, z, prec):
             break
     w0 = prec - dip + 2
 
-    def _factor(vv, d, k):
-        # Precision chosen so an exact factor never caps the running term.
-        fo = min(0, (d if d is not None else 0) + k)
-        return one_minus(vv, k, t.prec - min(0, t._ord()) + 2 * abs(fo) + 4)
-
     t = se.one(w0)
     acc = t
     k = 0
@@ -479,13 +451,13 @@ def bhs(upper, lower, z, prec):
         elif nxt >= stab and bound(nxt) >= prec and sr * nxt + dz >= 0:
             break
         for u, d in zip(ups, dus):
-            t = se.mul(t, _factor(u, d, k))
+            t = se.mul(t, _factor(t, u, d, k))
         t = _mul_value(t, zv)
         if sr:
             t = se.mul_monomial(t, Fraction(-1) ** sr, sr * k)
-        t = se.divide(t, _factor(QMonomial(Fraction(1), 0), 0, nxt))
+        t = se.divide(t, _factor(t, QMonomial(Fraction(1), 0), 0, nxt))
         for l, d in zip(los, dls):
-            g = _factor(l, d, k)
+            g = _factor(t, l, d, k)
             if g.is_zero:
                 raise DegenerateParameterError(
                     "singular lower parameter: factor 1 - l*q^%d vanishes" % k

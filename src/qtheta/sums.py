@@ -22,59 +22,22 @@ from .kernels import (
     ord_of,
     qpoch_finite,
     qpoch_multi,
+    theta_dip,
     theta_partial,
     to_series,
     bhs,
     _check_poch_invertible,
+    _factor,
+    _m0,
+    _mul_value,
+    _val_mul,
+    _val_neg,
+    _val_shift,
 )
 
 __all__ = ["usum", "vsum", "qcap", "lam", "pmsum", "ssum", "omega", "thetak", "tsum"]
 
 _QMON = QMonomial(Fraction(1), 1)
-
-
-# -- value helpers -------------------------------------------------------------
-
-
-def _val_shift(v, k):
-    if isinstance(v, QMonomial):
-        return QMonomial(v.coef, v.exp + k)
-    return se.shift(v, k)
-
-
-def _val_mul(x, y):
-    if isinstance(x, QMonomial) and isinstance(y, QMonomial):
-        return QMonomial(x.coef * y.coef, x.exp + y.exp)
-    if isinstance(x, QMonomial):
-        return se.mul_monomial(y, x.coef, x.exp) if x.coef else QMonomial(Fraction(0), 0)
-    if isinstance(y, QMonomial):
-        return se.mul_monomial(x, y.coef, y.exp) if y.coef else QMonomial(Fraction(0), 0)
-    return se.mul(x, y)
-
-
-def _val_neg(v):
-    if isinstance(v, QMonomial):
-        return QMonomial(-v.coef, v.exp)
-    return se.neg(v)
-
-
-def _mul_term(t, v):
-    """Series t times value v, exact when v is a monomial."""
-    if isinstance(v, QMonomial):
-        if v.coef == 0:
-            return se.zero(t.prec + v.exp)
-        return se.mul_monomial(t, v.coef, v.exp)
-    return se.mul(t, v)
-
-
-def _m0(d, k):
-    return min(0, (d if d is not None else 0) + k)
-
-
-def _factor(t, v, d, k):
-    """1 - v*q^k at a precision that never caps the running term t."""
-    fo = _m0(d, k)
-    return one_minus(v, k, t.prec - min(0, t._ord()) + 2 * abs(fo) + 4)
 
 
 def _div_checked(t, g, what):
@@ -111,7 +74,7 @@ def usum(m, b, prec):
                 break
             sh = 2 * k * k - k
             f = one_minus(bv, 2 * k, prec + 2 * abs(_m0(db, 2 * k)) - min(0, sh + 2 * k * (db or 0)) + 4)
-            term = se.shift(_mul_term(f, bpow), sh)
+            term = se.shift(_mul_value(f, bpow), sh)
             acc = term if acc is None else se.add(acc, term)
             bpow = _val_mul(bpow, b2)
             k += 1
@@ -131,7 +94,7 @@ def usum(m, b, prec):
             bpow = QMonomial(bv.coef ** (2 * k), bv.exp * 2 * k)
         else:
             bpow = se.pow_int(bv, 2 * k) if k else se.one(w)
-        term = se.shift(_mul_term(num, bpow), sh)
+        term = se.shift(_mul_value(num, bpow), sh)
         term = _div_checked(term, qpoch_finite(_QMON, k, w), "U: (q;q)_k")
         term = _div_checked(term, qpoch_finite(_val_shift(bv, k), m, w + 2 * abs(dden)),
                             "U: (b*q^k;q)_m")
@@ -189,7 +152,7 @@ def lam(m, k, b, prec):
         bpow = QMonomial(bv.coef ** k, k * (bv.exp + k - m + 1))
     else:
         bpow = se.pow_int(se.shift(bv, k - m + 1), k) if k else se.one(w)
-    res = _mul_term(num, bpow)
+    res = _mul_value(num, bpow)
     res = _div_checked(res, qpoch_finite(_QMON, k, w), "lam: (q;q)_k")
     return se.divide(res, qm)
 
@@ -269,16 +232,8 @@ def omega(a, b, prec):
         return theta_partial(av, prec)
     da = ord_of(av)
 
-    def theta_dip(d):
-        if d is None or d >= 0:
-            return 0
-        lo = 0
-        for j in range(max(0, -d + 1) + 2):
-            lo = min(lo, j * (j - 1) // 2 + j * d)
-        return lo
-
     def bound(n):
-        return n * (n - 1) // 2 + n * db + theta_dip((da if da is not None else 0) + n)
+        return n * (n - 1) // 2 + n * db - theta_dip((da if da is not None else 0) + n)
 
     stab = max(0, -(da if da is not None else 0))
     acc = None
@@ -290,8 +245,8 @@ def omega(a, b, prec):
         sh = n * (n - 1) // 2
         dipn = theta_dip((da if da is not None else 0) + n)
         th = theta_partial(_val_shift(av, n),
-                           prec + 2 * abs(dipn) + abs(min(0, sh + n * db)) + 4)
-        term = se.shift(_mul_term(th, bpow), sh)
+                           prec + 2 * dipn + abs(min(0, sh + n * db)) + 4)
+        term = se.shift(_mul_value(th, bpow), sh)
         if n % 2:
             term = se.neg(term)
         acc = term if acc is None else se.add(acc, term)
@@ -322,8 +277,8 @@ def thetak(k, a, b, prec):
     th_b1 = theta_partial(_val_shift(bv, k + 1), p)
     th_a1 = theta_partial(_val_shift(av, k + 1), p)
 
-    c1 = se.divide(_mul_term(one_minus(_val_neg(av), k + 1, p), bv), se.mul(a_s, one_q))
-    c2 = se.divide(_mul_term(one_minus(_val_neg(bv), k + 1, p), av), se.mul(b_s, one_q))
+    c1 = se.divide(_mul_value(one_minus(_val_neg(av), k + 1, p), bv), se.mul(a_s, one_q))
+    c2 = se.divide(_mul_value(one_minus(_val_neg(bv), k + 1, p), av), se.mul(b_s, one_q))
     c3 = se.shift(se.divide(one_minus(_val_neg(av), k, p), apb), -(k + 1))
     c4 = se.shift(se.divide(one_minus(_val_neg(bv), k, p), apb), -(k + 1))
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import DomainError, QThetaError, SamplingError
 from . import dsl
 from . import series as se
-from .dsl import BinOp, Call, Lit, Neg, Pow, Ref, Sum
+from .dsl import Ref
 from .identities import load_registry
 from .kernels import QMonomial
 
@@ -101,91 +101,9 @@ def full_binding(ident, base, prec):
 # -- static guard estimate -----------------------------------------------------
 
 
-def _theta_dip(d):
-    lo = 0
-    for j in range(max(0, -d) + 2):
-        lo = min(lo, j * (j - 1) // 2 + j * d)
-    return -lo
-
-
-def _int_est(node, ienv):
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Ref):
-        return ienv.get(node.name, 0)
-    if isinstance(node, Neg):
-        return -_int_est(node.operand, ienv)
-    if isinstance(node, BinOp):
-        a, b = _int_est(node.left, ienv), _int_est(node.right, ienv)
-        return a + b if node.op == "+" else a - b if node.op == "-" else a * b
-    if isinstance(node, Call) and node.name == "binom2":
-        n = _int_est(node.args[0], ienv)
-        return n * (n - 1) // 2
-    return 0
-
-
-def _scan(node, ienv):
-    """(order estimate, worst injected negative shift) for a subtree."""
-    if isinstance(node, Lit):
-        return 0, 0
-    if isinstance(node, Ref):
-        return (1, 0) if node.name == "q" else (0, 0)
-    if isinstance(node, Neg):
-        return _scan(node.operand, ienv)
-    if isinstance(node, BinOp):
-        (lo, ld), (ro, rd) = _scan(node.left, ienv), _scan(node.right, ienv)
-        dip = max(ld, rd)
-        if node.op == "*":
-            o = lo + ro
-        elif node.op == "/":
-            o = lo - ro
-        else:
-            o = min(lo, ro)
-        return o, max(dip, -o)
-    if isinstance(node, Pow):
-        bo, bd = _scan(node.base, ienv)
-        e = _int_est(node.exp, ienv)
-        o = bo * e if bo else 0
-        return o, max(bd, -o)
-    if isinstance(node, Sum):
-        inner = dict(ienv)
-        inner[node.var] = _int_est(node.lo, ienv)
-        _, d = _scan(node.body, inner)
-        return 0, d
-    if isinstance(node, Call):
-        dips = []
-        ords = []
-        for group in node.groups:
-            for arg in group:
-                o, d = _scan(arg, ienv)
-                ords.append(o)
-                dips.append(d)
-        dip = max(dips, default=0)
-        name = node.name
-        if name in ("theta", "jtheta"):
-            dip = max(dip, _theta_dip(ords[0]))
-        elif name == "Omega":
-            dip = max(dip, _theta_dip(ords[0]))
-        elif name == "ThetaK":
-            k0 = _int_est(node.args[0], ienv)
-            dip = max(dip, k0 + 1)
-        elif name == "T":
-            dip = max(dip, _theta_dip(ords[0] - 1))
-        elif name in ("Pm", "S", "U", "V", "Q", "lam"):
-            dip = max(dip, max((max(0, -o) for o in ords), default=0))
-        elif name in ("poch", "pochinf", "phi"):
-            dip = max(dip, max((max(0, -o) for o in ords), default=0))
-        return 0, dip
-    raise TypeError("unknown node %r" % (node,))
-
-
 def max_neg_shift(ident):
     """Most negative q-power injected by the identity's expressions."""
-    worst = 0
-    for tree in (ident.lhs, ident.rhs) + tuple(ast for _, ast in ident.derives):
-        _, d = _scan(tree, {})
-        worst = max(worst, d)
-    return worst
+    return dsl.neg_shift(ident.lhs, ident.rhs, *(ast for _, ast in ident.derives))
 
 
 # -- verification ----------------------------------------------------------------

@@ -100,7 +100,15 @@ def test_usage_error_exit_code():
 
 
 def test_bad_params_syntax(capsys):
-    assert main(["eval", "theta(a)", "--params", "a2"]) == 2
+    for params in ("a2", "a=1/0", "a=abc", "a="):
+        assert main(["eval", "theta(a)", "--params", params]) == 2, params
+        assert capsys.readouterr().err.startswith("error:"), params
+
+
+def test_eval_guard_covers_jtheta(capsys):
+    argv = ["eval", "jtheta(a*q^5)*jtheta(b*q^5)", "--order", "10", "--params", "a=2,b=3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(" + O(q^10)\n")
 
 
 def test_missing_identity_file(capsys):

@@ -1,7 +1,9 @@
 """DSL: parsing, sorts, rendering round trips, evaluation, native agreement."""
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +287,41 @@ def test_agree_t():
 def test_agree_binom2():
     got = dsl.evaluate(parse("q^binom2(5)"), {}, 12)
     assert got.order() == 10
+    assert str(dsl.evaluate(parse("binom2(4)*q"), {}, 5)) == "6*q + O(q^5)"
+
+
+# -- static guard estimate and the builtin table ----------------------------------
+
+
+NEG_SHIFT = {
+    "theta(a/q^3)": 6,
+    "jtheta(a*q^5)": 10,
+    "jtheta(a/q^2)": 3,
+    "Omega(a/q^2,b)": 3,
+    "T(a)": 1,
+    "ThetaK(2,a,b)": 3,
+    "Pm(2,a/q,b)": 1,
+    "S(a/q^2,b)": 2,
+    "U(3,b/q^2)": 2,
+    "V(1,2,a/q^3,b)": 3,
+    "Q(3,b/q^2)": 2,
+    "lam(3,1,b/q)": 1,
+    "poch(a/q^2,3)": 2,
+    "pochinf(a/q^4)": 4,
+    "phi(a/q; b; q)": 1,
+    "q^(0-5)": 5,
+    "binom2(3)*q": 0,
+}
+
+
+def test_neg_shift_one_case_per_builtin():
+    got = {text: dsl.neg_shift(parse(text)) for text in NEG_SHIFT}
+    assert got == NEG_SHIFT
+    assert set(dsl._BUILTINS) <= {re.match(r"\w+", text).group() for text in NEG_SHIFT}
+
+
+def test_readme_builtins_block_mirrors_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Builtins", 1)[1].split("```")[1]
+    assert "q" in block.split()
+    assert set(re.findall(r"([A-Za-z]\w*)\(", block)) == set(dsl._BUILTINS) | {"sum"}

@@ -180,11 +180,20 @@ def test_theta_full_triple_product_example():
 
 
 def test_theta_full_jacobi_property_random():
+    # The triple product checks theta_full independently of its split into
+    # two partial theta sums, for exact and for series arguments.
     rng = random.Random(21)
     for _ in range(5):
         x = rand_fraction(rng, exclude=(0,))
-        lhs = theta_full(qmon(x), 12)
-        rhs = qpoch_multi([qmon(1, 1), qmon(x), qmon(1 / x, 1)], 12)
+        for e in range(-3, 4):
+            lhs = theta_full(qmon(x, e), 12)
+            rhs = qpoch_multi([qmon(1, 1), qmon(x, e), qmon(1 / x, 1 - e)], 12)
+            assert_eq_series(lhs, rhs, 12)
+    for text in ("2 - 1/3*q + q^3 + O(q^16)", "3*q^-1 + 1 + q^2 + O(q^16)",
+                 "1/2*q^2 - q^3 + O(q^16)"):
+        x = se.from_string(text)
+        lhs = theta_full(x, 12)
+        rhs = qpoch_multi([qmon(1, 1), x, se.shift(se.invert(x), 1)], 12)
         assert_eq_series(lhs, rhs, 12)
 
 

@@ -185,6 +185,15 @@ def test_verify_corrupted_identity_fails_with_first_bad():
         assert exp < 10 and coeff != 0
 
 
+def test_verify_jtheta_guard_covers_negative_half():
+    # jtheta(a*q^5) sums x^n over n < 0 too, which dips to q^-10.
+    text = ('identity jt-sq ; params a b ; lhs jtheta(a*q^5)*jtheta(b*q^5) ; '
+            'rhs jtheta(a*q^5)*jtheta(b*q^5) ; source "self"')
+    report = verify_identity(parse_identities(text)[0], 20, 1, 1)
+    assert report.passed
+    assert report.trials[0].effective_precision >= 20
+
+
 def test_verify_thm44_samples_a_only():
     report = verify_identity(BY_NAME["thm4.4"], 25, 3, 1)
     assert report.passed
