@@ -43,7 +43,6 @@ from .kernels import (
     bhs,
     one_minus,
     qpoch_capped,
-    qpoch_finite,
     qpoch_infinite,
     theta_dip,
     theta_full,
@@ -128,18 +127,19 @@ def _neg_arg(o, n):
 
 # The one table of builtins: result sort, argument sorts ("S" series, "I"
 # integer, "?" optional), kernel and guard.  A series kernel takes the
-# evaluated arguments, then the precision; it looks its function up in the
-# module globals at call time so that a wrapper installed there
-# (bench/tracer.py) sees the call.  An integer kernel takes integers only.  guard(o, n) bounds
-# the most negative q-power a call injects, from its arguments' q-orders o
-# and integer estimates n.  phi (argument groups) and poch (its cache) keep
-# their own branch in _Evaluator.call.
+# evaluated arguments and the precision as the keyword p; it looks its
+# function up in the module globals at call time so that a wrapper
+# installed there (bench/tracer.py) sees the call.  An integer kernel takes
+# integers only.  guard(o, n) bounds the most negative q-power a call
+# injects, from its arguments' q-orders o and integer estimates n.  Only
+# phi (argument groups) keeps its own branch in _Evaluator.call.
 _BUILTINS = {
     "theta": _Builtin("S", ("S",), lambda x, p: theta_partial(x, p),
                       lambda o, n: theta_dip(o[0])),
     "jtheta": _Builtin("S", ("S",), lambda x, p: theta_full(x, p),
                        lambda o, n: max(theta_dip(o[0]), theta_dip(1 - o[0]))),
-    "poch": _Builtin("S", ("S", "I", "?I"), None, _neg_arg),
+    "poch": _Builtin("S", ("S", "I", "?I"),
+                     lambda x, n, step=1, *, p: qpoch_capped(x, n, p + 16, step), _neg_arg),
     "pochinf": _Builtin("S", ("S",), lambda x, p: qpoch_infinite(x, p), _neg_arg),
     "phi": _Builtin("S", ("S", "S", "S"), lambda u, l, z, p: bhs(u, l, z, p),
                     _neg_arg),
@@ -584,7 +584,6 @@ class _Evaluator:
     def __init__(self, binding, prec):
         self.binding = binding
         self.prec = prec
-        self._poch = {}
         self._ipoch = {}
 
     def run(self, node):
@@ -692,30 +691,27 @@ class _Evaluator:
         try:
             if node.name == "phi":
                 upper, lower, (z,) = ([self.value(x, ienv) for x in g] for g in node.groups)
-                return b.kernel(upper, lower, z, self.prec)
-            args = [self.int_value(a, ienv) if sort.endswith("I") else self.value(a, ienv)
-                    for a, sort in zip(node.args, b.args)]
-            if node.name == "poch":
-                return self.poch_cached(node, *args)
-            return b.kernel(*args, self.prec)
+                return b.kernel(upper, lower, z, p=self.prec)
+            return b.kernel(*self.args(node, ienv), p=self.prec)
         except EvalError:
             raise
         except QThetaError as exc:
             raise EvalError(str(exc), node.pos) from exc
+
+    def args(self, node, ienv):
+        """The evaluated arguments of a single-group call, each in its sort."""
+        return [self.int_value(a, ienv) if sort.endswith("I") else self.value(a, ienv)
+                for a, sort in zip(node.args, _BUILTINS[node.name].args)]
 
     def inv_poch_cached(self, node, ienv, dividend):
         """Inverse of a poch(...) divisor, extended one factor at a time as
         a sum index climbs; returns None when the plain division is better."""
         if not (isinstance(node, Call) and node.name == "poch"):
             return None
-        args = node.args
-        xv = self.value(args[0], ienv)
+        xv, n, *rest = self.args(node, ienv)
+        step = rest[0] if rest else 1
         if not isinstance(xv, QMonomial):
             return None
-        n = self.int_value(args[1], ienv)
-        step = self.int_value(args[2], ienv) if len(args) == 3 else 1
-        if n < 0:
-            raise EvalError("negative Pochhammer length %d" % n, node.pos)
         p = self.prec + 8
         d_ord = dividend._ord() if isinstance(dividend, LaurentSeries) else dividend.exp
         if d_ord < -6:
@@ -726,30 +722,11 @@ class _Evaluator:
                 val = ent[3]
                 for i in range(ent[2], n):
                     val = se.divide(val, one_minus(xv, step * i, val.prec + 2))
-            elif n == 0:
-                val = se.one(p)
             else:
                 val = se.invert(qpoch_capped(xv, n, p + 2 * max(0, -xv.exp), step))
         except QThetaError as exc:
             raise EvalError(str(exc), node.pos) from exc
         self._ipoch[id(node)] = (xv, step, n, val)
-        return val
-
-    def poch_cached(self, node, xv, n, step=1):
-        """(x;q^step)_n at working precision, extended by trailing factors
-        when a sum loop walks n upward instead of rebuilt from scratch."""
-        w = self.prec + 16
-        if not isinstance(xv, QMonomial) or n < 1:
-            return se.cap(qpoch_finite(xv, n, w, step), w)
-        ent = self._poch.get(id(node))
-        if ent is not None and ent[0] == xv and ent[1] == step and ent[2] <= n <= ent[2] + 8:
-            val = ent[3]
-            for i in range(ent[2], n):
-                val = se.mul(val, one_minus(xv, step * i,
-                                            val.prec - min(0, val._ord()) + 4))
-        else:
-            val = qpoch_capped(xv, n, w, step)
-        self._poch[id(node)] = (xv, step, n, val)
         return val
 
     def sum(self, node, ienv):

@@ -172,34 +172,6 @@ def _check_poch_invertible(v, n, what):
 # -- q-shifted factorials -----------------------------------------------------
 
 
-def _binom_poly(c, f):
-    """Integer-scaled coefficients of 1 - c*q^f (times c.denominator)."""
-    if f == 0:
-        return [c.denominator - c.numerator], 0
-    fl = min(0, f)
-    fn = [0] * (abs(f) + 1)
-    fn[0 - fl] = c.denominator
-    fn[f - fl] = -c.numerator
-    return fn, fl
-
-
-def _poly_mul(num, lo, den, fnum, flo, fden, keep_below=None):
-    """Multiply dense integer polys (num, lo)/den * (fnum, flo)/fden."""
-    out = [0] * (len(num) + len(fnum) - 1)
-    for i, a in enumerate(num):
-        if not a:
-            continue
-        for j, b in enumerate(fnum):
-            if b:
-                out[i + j] += a * b
-    lo = lo + flo
-    if keep_below is not None:
-        top = keep_below - lo
-        if top < len(out):
-            del out[max(top, 0):]
-    return out, lo, den * fden
-
-
 def qpoch_finite(x, n, prec, step=1):
     """(x;q)_n = prod_{i<n} (1 - x*q^(step*i)); exact for exact x.
 
@@ -213,17 +185,9 @@ def qpoch_finite(x, n, prec, step=1):
     if n == 0:
         return se.one(max(prec, 1))
     if isinstance(v, QMonomial):
-        c = v.coef
-        if c == 0:
-            return se.one(max(prec, 1))
-        e = v.exp
-        if c == 1 and e <= 0 and (-e) % step == 0 and (-e) // step < n:
-            return se.zero(prec)
-        num, lo, den = [1], 0, 1
-        for i in range(n):
-            fn, fl = _binom_poly(c, e + step * i)
-            num, lo, den = _poly_mul(num, lo, den, fn, fl, c.denominator)
-        return se._make(lo, num, den, max(prec, lo + len(num)))
+        # The whole product lies below q^(top+1), so nothing is dropped.
+        top = sum(max(0, v.exp + step * i) for i in range(n))
+        return qpoch_capped(v, n, max(prec, top + 1), step)
     acc = se.one(v.prec)
     for i in range(n):
         acc = se.mul(acc, one_minus(v, step * i, v.prec + step * i))
@@ -233,29 +197,33 @@ def qpoch_finite(x, n, prec, step=1):
 def qpoch_capped(x, n, prec, step=1):
     """(x;q^step)_n truncated to ``prec`` while it is built.
 
-    Same value as qpoch_finite up to the stated precision, but the running
-    product never stores exponents that cannot influence coefficients
-    below prec; meant for long products inside summation loops.
+    The one exact product.  For exact x = c*q^e each factor 1 - c*q^f is a
+    two-term integer update num'[j] = cd*num[j] - cn*num[j-f] over the
+    shared denominator cd^n; before the next factor every exponent at or
+    above prec - suffix is dropped, where suffix <= 0 is the q-order the
+    remaining factors can still add.  Series arguments, empty products
+    and invalid lengths or steps go through qpoch_finite.
     """
     v = as_value(x)
-    if not isinstance(v, QMonomial) or n <= 0:
-        out = qpoch_finite(v, n, prec, step)
-        return se.cap(out, prec)
+    if not isinstance(v, QMonomial) or n <= 0 or step < 1:
+        return se.cap(qpoch_finite(v, n, prec, step), prec)
     c, e = v.coef, v.exp
     if c == 0:
         return se.one(max(prec, 1))
-    if c == 1 and e <= 0 and (-e) % step == 0 and (-e) // step < n:
-        return se.zero(prec)
-    suffix = 0
+    cn, cd = c.numerator, c.denominator
+    suffix = sum(min(0, e + step * i) for i in range(n))
+    num, lo = [1], 0
     for i in range(n):
-        suffix += min(0, e + step * i)
-    num, lo, den = [1], 0, 1
-    for i in range(n):
-        suffix -= min(0, e + step * i)
-        fn, fl = _binom_poly(c, e + step * i)
-        num, lo, den = _poly_mul(num, lo, den, fn, fl, c.denominator,
-                                 keep_below=prec - suffix)
-    return se._make(lo, num, den, prec)
+        f = e + step * i
+        suffix -= min(0, f)
+        z = [0] * abs(f)
+        if f >= 0:
+            num = [cd * a - cn * b for a, b in zip(num + z, z + num)]
+        else:
+            num = [cd * a - cn * b for a, b in zip(z + num, num + z)]
+            lo += f
+        del num[max(0, prec - suffix - lo):]
+    return se._make(lo, num, cd ** n, prec)
 
 
 def qpoch_infinite(x, prec):
@@ -264,21 +232,11 @@ def qpoch_infinite(x, prec):
         raise PrecisionError("qpoch_infinite needs precision >= 1")
     v = as_value(x)
     if isinstance(v, QMonomial):
-        c, e = v.coef, v.exp
-        if c == 0:
-            return se.one(prec)
-        if c == 1 and e <= 0:
-            return se.zero(prec)
-        neg_total = negord(e, max(0, -e))
-        stop = max(0, prec - e - neg_total)
-        num, lo, den = [1], 0, 1
-        future = neg_total
-        for i in range(stop):
-            future -= min(0, e + i)
-            fn, fl = _binom_poly(c, e + i)
-            num, lo, den = _poly_mul(num, lo, den, fn, fl, c.denominator,
-                                     keep_below=prec - future)
-        return se._make(lo, num, den, prec)
+        # From factor stop on, e + i clears prec by the most the earlier
+        # factors can dip below q^0, so later factors change nothing below
+        # q^prec; stop > -e takes in any vanishing factor 1 - q^0.
+        stop = max(0, prec - v.exp - negord(v.exp, max(0, -v.exp)))
+        return qpoch_capped(v, stop, prec)
     if v.is_zero:
         return se.one(min(prec, v.prec))
     d = v.min_exp

@@ -21,6 +21,15 @@ def test_eval_with_params(capsys):
 def test_eval_error_exit_code(capsys):
     assert main(["eval", "poch(a, -1)", "--params", "a=2"]) == 2
     assert "error" in capsys.readouterr().err
+    # A bad Pochhammer length or step fails at the call, also as a divisor.
+    for expr, msg in [("poch(2,0-1)", "negative Pochhammer length -1"),
+                      ("1/poch(2,0-1)", "negative Pochhammer length -1"),
+                      ("poch(2,3,0)", "Pochhammer step must be >= 1"),
+                      ("poch(q^(0-1),3,0)", "Pochhammer step must be >= 1"),
+                      ("1/poch(2,3,0)", "Pochhammer step must be >= 1")]:
+        assert main(["eval", expr, "--order", "5"]) == 2, expr
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s (at offset " % msg), err
 
 
 def test_eval_unbound_exit_code(capsys):

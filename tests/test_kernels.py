@@ -1,5 +1,6 @@
 """q-kernels: Pochhammer symbols, theta functions, hypergeometric series."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -78,11 +79,24 @@ def test_poch_step_two():
     # (q;q^2)_3 = (1-q)(1-q^3)(1-q^5)
     got = qpoch_finite(qmon(1, 1), 3, 12, step=2)
     assert_eq_series(got, brute_poch(qmon(1, 1), 3, 12, step=2), 12)
+    # Exact c*q^e, e in -6..6, steps 1..3, lengths 0..12: factors 1 - c*q^f
+    # with f < 0, f = 0 and f > 0 all occur, and c = 1 meets 1 - q^0.  The
+    # whole product is exact, up to its top exponent.
+    for c, e, step, n in itertools.product((Fraction(1), Fraction(-7, 3)), range(-6, 7),
+                                           (1, 2, 3), range(13)):
+        dip = sum(min(0, e + step * i) for i in range(n))
+        top = sum(max(0, e + step * i) for i in range(n))
+        got = qpoch_finite(qmon(c, e), n, 12, step)
+        want = brute_poch(qmon(c, e), n, top + 1 - dip, step)
+        assert_eq_series(got, want, None if want.is_zero else top + 1)
 
 
 def test_poch_negative_length_rejected():
     with pytest.raises(DomainError):
         qpoch_finite(qmon(2), -1, 8)
+    for step in (0, -1):  # a step below 1 is rejected, also for exact x
+        with pytest.raises(DomainError):
+            qpoch_capped(qmon(1, -1), 3, 8, step)
 
 
 def test_qpoch_capped_matches_finite():
@@ -94,6 +108,16 @@ def test_qpoch_capped_matches_finite():
         full = qpoch_finite(qmon(x, e), n, 12)
         capped = qpoch_capped(qmon(x, e), n, 12)
         assert_eq_series(full, capped, 12)
+    # The cases of test_poch_step_two: the running product drops exponents
+    # the remaining factors cannot bring below q^prec, and nothing more.
+    # The negative factors come first, so only prec <= 0 needs their dip.
+    for c, e, step, n, prec in itertools.product((Fraction(1), Fraction(-7, 3)), range(-6, 7),
+                                                 (1, 2, 3), range(13), (12, -3)):
+        dip = sum(min(0, e + step * i) for i in range(n))
+        capped = qpoch_capped(qmon(c, e), n, prec, step)
+        assert capped.prec == prec
+        want = se.cap(brute_poch(qmon(c, e), n, max(1, prec - dip), step), prec)
+        assert_eq_series(capped, want, prec)
 
 
 # -- infinite Pochhammer ----------------------------------------------------------
@@ -128,6 +152,10 @@ def test_pochinf_negative_order_argument():
     x = qmon(Fraction(3), -2)
     got = qpoch_infinite(x, 8)
     assert_eq_series(got, brute_poch_inf(x, 8))
+    for c, e in itertools.product((Fraction(7, 3), Fraction(-1, 2)), range(-6, -2)):
+        # The oracle's slack covers the e(e-1)/2 its leading factors dip.
+        want = brute_poch_inf(qmon(c, e), 10, slack=8 + e * (e - 1) // 2)
+        assert_eq_series(qpoch_infinite(qmon(c, e), 10), want, 10)
 
 
 def test_qpoch_multi():
