@@ -47,6 +47,7 @@ from .kernels import (
     theta_dip,
     theta_full,
     theta_partial,
+    to_series,
     _val_mul,
     _val_neg,
 )
@@ -564,14 +565,6 @@ def render(node):
 _ITER_SLACK = 100
 
 
-def _materialize(v, prec):
-    if isinstance(v, QMonomial):
-        if v.coef == 0:
-            return se.zero(prec)
-        return se.monomial(v.coef, v.exp, max(prec, v.exp + 1))
-    return v
-
-
 def _mul_factors(node):
     if isinstance(node, BinOp) and node.op == "*":
         yield from _mul_factors(node.left)
@@ -587,7 +580,7 @@ class _Evaluator:
         self._ipoch = {}
 
     def run(self, node):
-        return _materialize(self.value(node, {}), self.prec)
+        return to_series(self.value(node, {}), self.prec)
 
     # integer sort ------------------------------------------------------------
 
@@ -648,7 +641,7 @@ class _Evaluator:
                     return QMonomial(c, e)
             p = max((x.prec for x in (a, b) if isinstance(x, LaurentSeries)),
                     default=self.prec)
-            sa, sb = _materialize(a, p), _materialize(b, p)
+            sa, sb = to_series(a, p), to_series(b, p)
             return se.add(sa, sb) if node.op == "+" else se.sub(sa, sb)
         if isinstance(node, Pow):
             n = self.int_value(node.exp, ienv)
@@ -738,7 +731,7 @@ class _Evaluator:
             for i in range(lo, hi + 1):
                 inner = dict(ienv)
                 inner[node.var] = i
-                term = _materialize(self.value(node.body, inner), prec)
+                term = to_series(self.value(node.body, inner), prec)
                 acc = term if acc is None else se.add(acc, term)
             return acc if acc is not None else se.zero(prec)
         limit = 10 * prec + _ITER_SLACK
@@ -751,7 +744,7 @@ class _Evaluator:
             if i - lo > limit:
                 raise BoundViolationError(
                     "orderbound below %d after %d iterations" % (prec, limit), node.pos)
-            term = _materialize(self.value(node.body, inner), prec)
+            term = to_series(self.value(node.body, inner), prec)
             acc = term if acc is None else se.add(acc, term)
             i += 1
         return se.cap(acc, prec) if acc is not None else se.zero(prec)

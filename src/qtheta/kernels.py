@@ -47,9 +47,6 @@ class QMonomial:
     coef: Fraction
     exp: int = 0
 
-    def to_series(self, prec):
-        return se.monomial(self.coef, self.exp, prec)
-
 
 def as_value(x):
     """Normalize an argument to QMonomial (exact) or LaurentSeries."""
@@ -334,6 +331,56 @@ def theta_full(x, prec):
 # -- basic hypergeometric series ----------------------------------------------
 
 
+def ratio_sum(num, den, z, sr, prec, n_term=None):
+    """sum_k t_k with t_0 = 1 and t_(k+1)/t_k = z (-1)^sr q^(sr*k) N_k/D_k.
+
+    N_k and D_k multiply 1 - v q^(i*k+j) over ``num`` (v, i, j) and ``den``
+    (v, i, j, what); i >= 1, j >= 0, v and z are values from as_value, z
+    is nonzero, and ``what`` names a vanishing denominator factor in the
+    error.
+
+    step(k) bounds the order the k-th ratio adds from below, so cum_k, the
+    sum of step(0..k-1), bounds ord(t_k).  From stab on no factor has
+    negative order and step(k) = ord(z) + sr*k never falls again.  Given
+    ``n_term`` the sum is t_0..t_(n_term), uncapped; otherwise it ends
+    before the first k >= stab with cum_k >= prec and step(k) >= 0, which
+    the caller makes sure exists, and is truncated to prec.  Terms start
+    at precision prec - dip + 2, where dip <= 0 is the lowest cum_k of a
+    summed term.
+    """
+    dz = ord_of(z)
+    num = [(v, i, j, ord_of(v)) for v, i, j in num]
+    den = [(v, i, j, ord_of(v), what) for v, i, j, what in den]
+    signed = [(1, i, j, d) for _, i, j, d in num] + [(-1, i, j, d) for _, i, j, d, _ in den]
+
+    def step(k):
+        return dz + sr * k + sum(s * _m0(d, i * k + j) for s, i, j, d in signed)
+
+    stab = max([0] + [-((d + j) // i) for _, i, j, d in signed if d is not None])
+    n = cum = dip = 0
+    while (n <= n_term if n_term is not None
+           else not (n >= stab and cum >= prec and step(n) >= 0)):
+        dip = min(dip, cum)
+        cum += step(n)
+        n += 1
+
+    t = acc = se.one(prec - dip + 2)
+    for k in range(n - 1):
+        for v, i, j, d in num:
+            t = se.mul(t, _factor(t, v, d, i * k + j))
+        t = _mul_value(t, z)
+        if sr:
+            t = se.mul_monomial(t, Fraction(-1) ** sr, sr * k)
+        for v, i, j, d, what in den:
+            g = _factor(t, v, d, i * k + j)
+            if g.is_zero:
+                raise DegenerateParameterError(
+                    "%s: factor 1 - v*q^%d vanishes" % (what, i * k + j))
+            t = se.divide(t, g)
+        acc = se.add(acc, t)
+    return acc if n_term is not None else se.cap(acc, prec)
+
+
 def bhs(upper, lower, z, prec):
     """Evaluate the basic hypergeometric series 1+r phi s.
 
@@ -356,73 +403,15 @@ def bhs(upper, lower, z, prec):
     if dz is None:
         return se.one(min(prec, zv.prec) if isinstance(zv, LaurentSeries) else prec)
 
-    n_term = None
-    for u in ups:
-        if isinstance(u, QMonomial) and u.coef == 1 and u.exp <= 0:
-            n = -u.exp
-            n_term = n if n_term is None else min(n_term, n)
-
-    dus = [ord_of(u) for u in ups]
-    dls = [ord_of(l) for l in los]
+    n_term = min((-u.exp for u in ups
+                  if isinstance(u, QMonomial) and u.coef == 1 and u.exp <= 0), default=None)
     if n_term is None and (sr < 0 or (sr == 0 and dz <= 0)):
         raise FormalDivergenceError(
             "non-terminating series with s-r=%d and ord(z)=%d" % (sr, dz)
         )
-
-    def bound(k):
-        b = sr * (k * (k - 1) // 2) + k * dz
-        for d in dus:
-            b += negord(d, k)
-        for d in dls:
-            b -= negord(d, k)
-        return b
-
-    stab = max([0] + [max(0, -d) for d in dus + dls if d is not None])
-
-    # Working precision: absorb any early dip of the term-precision chain.
-    cum = 0
-    dip = 0
-    k_sim = n_term if n_term is not None else 2 * (prec + stab * stab) + 16
-    for k in range(k_sim):
-        step = dz + sr * k
-        for d in dus:
-            if d is not None:
-                step += min(0, d + k)
-        for d in dls:
-            if d is not None:
-                step -= min(0, d + k)
-        cum += step
-        if cum < dip:
-            dip = cum
-        if n_term is None and k >= stab and bound(k + 1) >= prec and sr * (k + 1) + dz >= 0:
-            break
-    w0 = prec - dip + 2
-
-    t = se.one(w0)
-    acc = t
-    k = 0
-    while True:
-        nxt = k + 1
-        if n_term is not None:
-            if nxt > n_term:
-                break
-        elif nxt >= stab and bound(nxt) >= prec and sr * nxt + dz >= 0:
-            break
-        for u, d in zip(ups, dus):
-            t = se.mul(t, _factor(t, u, d, k))
-        t = _mul_value(t, zv)
-        if sr:
-            t = se.mul_monomial(t, Fraction(-1) ** sr, sr * k)
-        t = se.divide(t, _factor(t, QMonomial(Fraction(1), 0), 0, nxt))
-        for l, d in zip(los, dls):
-            g = _factor(t, l, d, k)
-            if g.is_zero:
-                raise DegenerateParameterError(
-                    "singular lower parameter: factor 1 - l*q^%d vanishes" % k
-                )
-            t = se.divide(t, g)
-        acc = se.add(acc, t)
-        k = nxt
-    if n_term is not None:
-        return acc
-    return se.cap(acc, prec)
+    return ratio_sum(
+        [(u, 1, 0) for u in ups],
+        [(QMonomial(Fraction(1), 0), 1, 1, "bhs: (q;q)_k")]
+        + [(l, 1, 0, "singular lower parameter") for l in los],
+        zv, sr, prec, n_term,
+    )

@@ -351,6 +351,8 @@ def shift(x, k):
 
 def mul_monomial(x, c, e):
     """Exact multiplication by c*q^e (scale then shift)."""
+    if c == 1:
+        return shift(x, e)
     return shift(scale(x, c), e)
 
 

@@ -22,12 +22,12 @@ from .kernels import (
     ord_of,
     qpoch_finite,
     qpoch_multi,
+    ratio_sum,
     theta_dip,
     theta_partial,
     to_series,
     bhs,
     _check_poch_invertible,
-    _factor,
     _m0,
     _mul_value,
     _val_mul,
@@ -169,38 +169,14 @@ def _pfamily(m, a, b, prec, zexp, what):
     ab = _val_mul(av, bv)
     abm = _val_shift(ab, -m)
     _check_poch_invertible(abm, None, what + ": (ab/q^%d;q)_n" % m)
-    da, db, dd = ord_of(av), ord_of(bv), ord_of(abm)
-
+    da, db = ord_of(av), ord_of(bv)
     extra = -(negord(da, max(0, -(da or 0))) + negord(db, max(0, -(db or 0))))
-    target = prec + extra
-
-    def bound(n):
-        return (zexp * n + negord(dd, 2 * n) - negord(dd, n)
-                - negord(da, n) - negord(db, n))
-
-    stab = max([0] + [-x for x in (da, db, dd) if x is not None and x < 0])
-    n = 0
-    cum = 0
-    dip = 0
-    while not (n >= stab and bound(n) >= target):
-        cum += (zexp + _m0(dd, 2 * n) + _m0(dd, 2 * n + 1)
-                - _m0(dd, n) - _m0(da, n) - _m0(db, n))
-        dip = min(dip, cum)
-        n += 1
-    n_stop = n
-
-    t = se.one(target - dip + 2)
-    acc = t
-    for n in range(n_stop - 1):
-        t = se.mul(t, _factor(t, abm, dd, 2 * n))
-        t = se.mul(t, _factor(t, abm, dd, 2 * n + 1))
-        t = se.shift(t, zexp)
-        t = se.divide(t, _factor(t, _QMON, 1, n))
-        t = _div_checked(t, _factor(t, av, da, n), what + ": (a;q)_n")
-        t = _div_checked(t, _factor(t, bv, db, n), what + ": (b;q)_n")
-        t = _div_checked(t, _factor(t, abm, dd, n), what + ": (ab/q^%d;q)_n" % m)
-        acc = se.add(acc, t)
-    acc = se.cap(acc, target)
+    acc = ratio_sum(
+        [(abm, 2, 0), (abm, 2, 1)],
+        [(_QMON, 1, 0, what + ": (q;q)_n"), (av, 1, 0, what + ": (a;q)_n"),
+         (bv, 1, 0, what + ": (b;q)_n"), (abm, 1, 0, what + ": (ab/q^%d;q)_n" % m)],
+        QMonomial(Fraction(1), zexp), 0, prec + extra,
+    )
     pre = qpoch_multi([_QMON, av, bv], prec + max(0, -acc._ord()) + 2)
     return se.cap(se.mul(pre, acc), prec)
 

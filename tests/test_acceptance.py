@@ -16,6 +16,7 @@
 """
 
 import dataclasses
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -32,6 +33,10 @@ from helpers import assert_eq_series, qmon, rand_fraction
 
 WALL_TIME_LIMIT_S = 120.0
 
+# The byte-identical-output gate: sha256 of the corpus JSON without timings.
+# A change that alters the output on purpose updates this hash.
+CORPUS_JSON_SHA256 = "318cefa68b2b0da1e6ebbc4d4da7211e8e1ba8fc4b81e272676c448a6a18f59e"
+
 
 def test_acceptance_1_full_corpus_verification():
     t0 = time.perf_counter()
@@ -44,6 +49,8 @@ def test_acceptance_1_full_corpus_verification():
         for t in r.trials:
             assert t.status == "zero" and t.effective_precision >= 30
     assert elapsed <= WALL_TIME_LIMIT_S, "verification took %.1fs" % elapsed
+    js = reports_to_json(reports, with_timing=False)
+    assert hashlib.sha256(js.encode()).hexdigest() == CORPUS_JSON_SHA256
     print("\nACCEPTANCE 1: PASS - %d/%d identities verified at order 30 "
           "(3 trials, seed 42) in %.1fs" % (summary["passed"], summary["total"], elapsed))
 

@@ -307,5 +307,56 @@ def test_bhs_nonterminating_with_positive_order_z():
     assert_eq_series(got, se.cap(acc, 8), 8)
 
 
+_P = (1 << 61) - 1
+
+
+def _modp(c):
+    c = Fraction(c)
+    return c.numerator * pow(c.denominator, -1, _P) % _P
+
+
+def _brute_1phi1_mod(u, l, ez, prec):
+    """1phi1(u; l; q, q^ez) for order-0 u, l below q^prec, as {exponent:
+    coefficient mod _P}.  Each term (u;q)_k (-1)^k q^(C(k,2)+k*ez)
+    / ((q;q)_k (l;q)_k) is rebuilt from its factors at the prec - e_k
+    coefficients it needs, e_k its order; past the vertex e_k only grows."""
+    um, lm = _modp(u), _modp(l)
+    total = {}
+    k = 0
+    while True:
+        e = k * (k - 1) // 2 + k * ez
+        if k >= -ez and e >= prec:
+            return total
+        n = prec - e
+        c = [1] + [0] * (n - 1)
+        for i in range(k):
+            # times 1 - u q^i, then over 1 - q^(i+1) and over 1 - l q^i
+            c = [(a - um * b) % _P for a, b in zip(c, [0] * i + c)]
+            for j in range(i + 1, n):
+                c[j] = (c[j] + c[j - i - 1]) % _P
+            if i == 0:
+                inv = pow(1 - lm, -1, _P)
+                c = [a * inv % _P for a in c]
+            else:
+                for j in range(i, n):
+                    c[j] = (c[j] + lm * c[j - i]) % _P
+        for j, a in enumerate(c):
+            total[e + j] = (total.get(e + j, 0) + (-a if k % 2 else a)) % _P
+        k += 1
+
+
+def test_bhs_reaches_precision_for_low_order_z():
+    # The terms dip to about -ord(z)^2/2 before the series turns; the
+    # working precision must absorb the whole dip.
+    u, l = Fraction(2, 3), Fraction(5, 7)
+    for ez, prec in ((-20, 1), (-24, 2), (-40, 1)):
+        got = bhs([u], [l], qmon(1, ez), prec)
+        assert got.prec == prec
+        want = _brute_1phi1_mod(u, l, ez, prec)
+        assert got.min_exp >= min(want)
+        assert [_modp(got.coeff(e)) for e in range(min(want), prec)] == \
+            [want.get(e, 0) for e in range(min(want), prec)]
+
+
 def test_bhs_zero_argument():
     assert str(bhs([qmon(2)], [qmon(3)], qmon(0), 9)) == "1 + O(q^9)"

@@ -33,18 +33,22 @@ def _brute_u(m, b, prec, kmax=None):
     return se.cap(acc, prec)
 
 
-def _brute_pfamily(m, a, b, prec, zexp):
-    pre = se.mul(se.mul(brute_poch_inf(qmon(1, 1), prec + 6),
-                        brute_poch_inf(qmon(a), prec + 6)),
-                 brute_poch_inf(qmon(b), prec + 6))
-    acc = se.zero(prec + 6)
-    for n in range(prec + m + 8):
-        t = brute_poch(qmon(a * b, -m), 2 * n, prec + 6 + 2 * m)
+def _brute_pfamily(m, a, b, prec, zexp, ea=0, eb=0):
+    # The parameters are a*q^ea and b*q^eb; w leaves room for the
+    # negative orders they bring.
+    w = prec + 6 + 2 * m + 4 * (abs(ea) + abs(eb))
+    qq, aq, bq, abm = qmon(1, 1), qmon(a, ea), qmon(b, eb), qmon(a * b, ea + eb - m)
+    pre = se.mul(se.mul(brute_poch_inf(qq, w), brute_poch_inf(aq, w)), brute_poch_inf(bq, w))
+    n_max = prec + m + 8
+    acc = se.zero(w)
+    for n in range(n_max):
+        t = brute_poch(abm, 2 * n, w)
         t = se.shift(t, zexp * n)
-        for arg in (qmon(1, 1), qmon(a), qmon(b), qmon(a * b, -m)):
-            t = se.divide(t, brute_poch(arg, n, prec + 6 + 2 * m))
+        for arg in (qq, aq, bq, abm):
+            t = se.divide(t, brute_poch(arg, n, w))
         acc = se.add(acc, t)
-    return se.cap(se.mul(pre, se.cap(acc, prec + 2)), prec)
+    # Every omitted term has order >= n_max.
+    return se.cap(se.mul(pre, se.cap(acc, n_max)), prec)
 
 
 # -- U ----------------------------------------------------------------------------
@@ -192,6 +196,11 @@ def test_pm_brute():
     assert_eq_series(got, _brute_pfamily(2, Fraction(2), Fraction(3), 15, 1), 15)
     got = pmsum(4, Fraction(-1, 2), Fraction(5, 3), 15)
     assert_eq_series(got, _brute_pfamily(4, Fraction(-1, 2), Fraction(5, 3), 15, 1), 15)
+    # Negative-order parameters: the term orders dip before they climb.
+    got = pmsum(2, qmon(2, -2), Fraction(3), 12)
+    assert_eq_series(got, _brute_pfamily(2, Fraction(2), Fraction(3), 12, 1, ea=-2), 12)
+    got = pmsum(4, qmon(Fraction(2, 3), -1), qmon(-3, -2), 12)
+    assert_eq_series(got, _brute_pfamily(4, Fraction(2, 3), Fraction(-3), 12, 1, ea=-1, eb=-2), 12)
 
 
 def test_pm_theorem_one_two_relation():
