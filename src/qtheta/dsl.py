@@ -146,10 +146,12 @@ _BUILTINS = {
                     _neg_arg),
     "Pm": _Builtin("S", ("I", "S", "S"), lambda m, a, b, p: sums.pmsum(m, a, b, p),
                    _neg_arg),
-    "U": _Builtin("S", ("I", "S"), lambda m, b, p: sums.usum(m, b, p), _neg_arg),
+    "U": _Builtin("S", ("I", "S"), lambda m, b, p: sums.usum(m, b, p),
+                  lambda o, n: max(_neg_arg(o, n), sums.u_dip(n[0], o[1]))),
     "V": _Builtin("S", ("I", "I", "S", "S"),
                   lambda m, n, a, b, p: sums.vsum(m, n, a, b, p), _neg_arg),
-    "Q": _Builtin("S", ("I", "S"), lambda m, b, p: sums.qcap(m, b, p), _neg_arg),
+    "Q": _Builtin("S", ("I", "S"), lambda m, b, p: sums.qcap(m, b, p),
+                  lambda o, n: max(_neg_arg(o, n), sums.u_dip(n[0] - 1, o[1]))),
     "lam": _Builtin("S", ("I", "I", "S"), lambda m, k, b, p: sums.lam(m, k, b, p),
                     _neg_arg),
     "S": _Builtin("S", ("S", "S"), lambda a, b, p: sums.ssum(a, b, p), _neg_arg),
@@ -494,7 +496,7 @@ def _scan(node, ienv):
         bo, bd = _scan(node.base, ienv)
         e = _int_est(node.exp, ienv)
         o = bo * e if bo else 0
-        return o, max(bd, -o)
+        return o, max(bd * max(e, 1), -o)
     if isinstance(node, Sum):
         inner = dict(ienv)
         inner[node.var] = _int_est(node.lo, ienv)

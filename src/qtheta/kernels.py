@@ -290,23 +290,10 @@ def theta_partial(x, prec):
             n += 1
             cp *= c
         return se._from_entries(entries, prec)
-    d = v._ord()
-    w = prec + 2 * max(0, -d) + 2
-    xpow = se.one(w)
-    acc = None
-    n = 0
-    vertex = max(0, 1 - d)
-    while True:
-        bound = n * (n - 1) // 2 + n * d
-        if n >= vertex and bound >= prec:
-            break
-        term = se.shift(xpow, n * (n - 1) // 2)
-        if n % 2:
-            term = se.neg(term)
-        acc = term if acc is None else se.add(acc, term)
-        xpow = se.mul(xpow, v)
-        n += 1
-    return se.cap(acc if acc is not None else se.zero(prec), prec)
+    if v.is_zero:
+        # A term n >= 1 of x = O(q^P) is O(q^(nP + n(n-1)/2)), lowest at P - theta_dip(P+1).
+        return se.add(se.one(prec), se.zero(v.prec - theta_dip(v.prec + 1)))
+    return ratio_sum([], [], v, 1, prec)
 
 
 def theta_full(x, prec):

@@ -28,7 +28,6 @@ from .kernels import (
     to_series,
     bhs,
     _check_poch_invertible,
-    _m0,
     _mul_value,
     _val_mul,
     _val_neg,
@@ -40,66 +39,41 @@ __all__ = ["usum", "vsum", "qcap", "lam", "pmsum", "ssum", "omega", "thetak", "t
 _QMON = QMonomial(Fraction(1), 1)
 
 
-def _div_checked(t, g, what):
-    if g.is_zero:
-        raise DegenerateParameterError("%s: denominator factor vanishes" % what)
-    return se.divide(t, g)
-
-
 # -- U, V and Q ----------------------------------------------------------------
 
 
 def usum(m, b, prec):
     """U_m: sum over k of (q^(1-m);q)_k (1-bq^(2k)) b^(2k) q^(2k^2-k+mk)
-    / ((q;q)_k (bq^k;q)_m).  Finite for m >= 1, an infinite partial-theta
-    split for m = 0."""
+    / ((q;q)_k (bq^k;q)_m).  U_0 = theta(q,b), whose terms n = 2k and 2k+1
+    make U_0's term k; for m >= 1 the sum ends at k = m-1 and runs on term
+    ratios from t_0 = 1/(bq;q)_(m-1)."""
     if m < 0:
         raise DomainError("usum needs m >= 0")
     if prec < 1:
         raise PrecisionError("usum needs precision >= 1")
     bv = as_value(b)
-    db = ord_of(bv)
     if m == 0:
-        stab = max(0, -(db if db is not None else 0))
+        return theta_partial(bv, prec)
+    if ord_of(bv) is None:
+        # Only t_0 = 1/(bq;q)_(m-1) survives; a zero series b moves it at q^(prec(b)+1).
+        return se.one(prec) if isinstance(bv, QMonomial) else se.cap(se.one(prec), bv.prec + 1)
+    _check_poch_invertible(bv, 2 * m - 1, "U: (b;q)_%d" % (2 * m - 1))
+    acc = ratio_sum(
+        [(QMonomial(Fraction(1), 1 - m), 1, 0), (bv, 1, 0), (bv, 2, 2)],
+        [(QMonomial(Fraction(1), 0), 1, 1, "U: (q;q)_k"), (bv, 1, m, "U: (b*q^k;q)_m"),
+         (bv, 2, 0, "U: 1 - b*q^(2k)")],
+        _val_shift(_val_mul(bv, bv), m + 1), 4, prec, m - 1,
+    )
+    return se.divide(acc, qpoch_finite(_val_shift(bv, 1), m - 1, prec))
 
-        def bound(k):
-            return 2 * k * k - k + 2 * k * (db or 0) + _m0(db, 2 * k)
 
-        acc = None
-        bpow = QMonomial(Fraction(1), 0)
-        b2 = _val_mul(bv, bv)
-        k = 0
-        while True:
-            if k >= stab and bound(k) >= prec and 4 * k + 1 + 2 * (db or 0) >= 0:
-                break
-            sh = 2 * k * k - k
-            f = one_minus(bv, 2 * k, prec + 2 * abs(_m0(db, 2 * k)) - min(0, sh + 2 * k * (db or 0)) + 4)
-            term = se.shift(_mul_value(f, bpow), sh)
-            acc = term if acc is None else se.add(acc, term)
-            bpow = _val_mul(bpow, b2)
-            k += 1
-        return se.cap(acc if acc is not None else se.zero(prec), prec)
-    total = None
-    for k in range(m):
-        _check_poch_invertible(_val_shift(bv, k), m, "U: (b*q^%d;q)_%d" % (k, m))
-        dnum = negord(1 - m, k)
-        dpow = 2 * k * (db or 0)
-        dden = negord((db or 0) + k, m)
-        sh = 2 * k * k - k + m * k
-        slack = 2 * (abs(dnum) + abs(dpow) + 2 * abs(dden)) + abs(min(0, sh + dpow)) + 6
-        w = prec + slack
-        num = qpoch_finite(QMonomial(Fraction(1), 1 - m), k, w)
-        num = se.mul(num, one_minus(bv, 2 * k, w))
-        if isinstance(bv, QMonomial):
-            bpow = QMonomial(bv.coef ** (2 * k), bv.exp * 2 * k)
-        else:
-            bpow = se.pow_int(bv, 2 * k) if k else se.one(w)
-        term = se.shift(_mul_value(num, bpow), sh)
-        term = _div_checked(term, qpoch_finite(_QMON, k, w), "U: (q;q)_k")
-        term = _div_checked(term, qpoch_finite(_val_shift(bv, k), m, w + 2 * abs(dden)),
-                            "U: (b*q^k;q)_m")
-        total = term if total is None else se.add(total, term)
-    return total
+def u_dip(m, d):
+    """How far below q^0 U_m(b) can reach for ord(b) = d: the lowest
+    order bound over its terms k < m (theta's dip for m = 0)."""
+    if m <= 0:
+        return theta_dip(d)
+    return -min(negord(1 - m, k) + 2 * k * d + 2 * k * k - k + m * k + min(0, d + 2 * k)
+                - negord(d + k, m) for k in range(m))
 
 
 def vsum(m, n, a, b, prec):
@@ -153,7 +127,7 @@ def lam(m, k, b, prec):
     else:
         bpow = se.pow_int(se.shift(bv, k - m + 1), k) if k else se.one(w)
     res = _mul_value(num, bpow)
-    res = _div_checked(res, qpoch_finite(_QMON, k, w), "lam: (q;q)_k")
+    res = se.divide(res, qpoch_finite(_QMON, k, w))
     return se.divide(res, qm)
 
 

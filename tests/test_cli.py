@@ -120,6 +120,14 @@ def test_eval_guard_covers_jtheta(capsys):
     assert capsys.readouterr().out.endswith(" + O(q^10)\n")
 
 
+def test_eval_guard_covers_deep_u_q_and_powers(capsys):
+    # The guard must cover U_m's and Q_m's own dip (theta's for U_0), and
+    # e times the dip of the base of x^e.
+    for expr in ("U(0, 3/q^4)^3", "theta(3/q^4)^5", "U(4, 3/q^7)^5", "Q(5, 3/q^9)^3"):
+        assert main(["eval", expr, "--order", "6"]) == 0
+        assert capsys.readouterr().out.endswith(" + O(q^6)\n"), expr
+
+
 def test_missing_identity_file(capsys):
     assert main(["verify", "--file", "/nonexistent/path.qid"]) == 2
     assert "error" in capsys.readouterr().err

@@ -303,8 +303,13 @@ NEG_SHIFT = {
     "Pm(2,a/q,b)": 1,
     "S(a/q^2,b)": 2,
     "U(3,b/q^2)": 2,
+    "U(0,3/q^4)": 10,
+    "U(4,3/q^7)": 12,
+    "U(3,1/q^5)": 6,
+    "theta(3/q^4)^5": 50,
     "V(1,2,a/q^3,b)": 3,
     "Q(3,b/q^2)": 2,
+    "Q(5,3/q^9)": 18,
     "lam(3,1,b/q)": 1,
     "poch(a/q^2,3)": 2,
     "pochinf(a/q^4)": 4,

@@ -172,6 +172,9 @@ def test_qpoch_multi():
 
 def test_theta_partial_zero():
     assert str(theta_partial(qmon(0), 7)) == "1 + O(q^7)"
+    # A zero series x = O(q^P) leaves the terms n >= 1 at O(q^(nP + n(n-1)/2)).
+    assert str(theta_partial(se.zero(5), 7)) == "1 + O(q^5)"
+    assert str(theta_partial(se.zero(-3), 7)) == "O(q^-6)"
 
 
 def test_theta_partial_q():

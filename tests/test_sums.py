@@ -15,20 +15,26 @@ from helpers import (
     brute_poch,
     brute_poch_inf,
     brute_theta,
+    factor_one_minus,
     qmon,
     rand_fraction,
+    series_of,
 )
 
 
-def _brute_u(m, b, prec, kmax=None):
+def _brute_u(m, b, prec, kmax=None, eb=0):
+    # The parameter is b*q^eb, or the series b; w leaves room for the
+    # negative orders it brings.
+    w = prec + 6 + 2 * m + 4 * (m + 2) * abs(eb)
+    bs = series_of(qmon(b, eb), w) if isinstance(b, Fraction) else b
     acc = se.zero(prec)
     top = (m - 1) if m >= 1 else (kmax or prec)
     for k in range(top + 1):
-        t = brute_poch(qmon(1, 1 - m), k, prec + 6)
-        t = se.mul(t, se.sub(se.one(prec + 6), se.monomial(b, 2 * k, prec + 6)))
-        t = se.mul_monomial(t, b ** (2 * k), 2 * k * k - k + m * k)
-        t = se.divide(t, brute_poch(qmon(1, 1), k, prec + 6))
-        t = se.divide(t, brute_poch(qmon(b, k), m, prec + 6 + 2 * m))
+        t = brute_poch(qmon(1, 1 - m), k, w)
+        t = se.mul(t, factor_one_minus(bs, 2 * k, w))
+        t = se.shift(se.mul(t, se.pow_int(bs, 2 * k)), 2 * k * k - k + m * k)
+        t = se.divide(t, brute_poch(qmon(1, 1), k, w))
+        t = se.divide(t, brute_poch(se.shift(bs, k), m, w + 2 * m))
         acc = se.add(acc, t)
     return se.cap(acc, prec)
 
@@ -76,6 +82,51 @@ def test_u0_brute():
 def test_u_singular_b_one():
     with pytest.raises(DegenerateParameterError):
         usum(2, Fraction(1), 10)
+
+
+def test_u_brute_negative_order_and_series_b():
+    # U_m(b) for b = c*q^e against its defining sum; b = q^-j with
+    # j <= 2m-2 makes a denominator factor 1 - b*q^j vanish.
+    prec = 10
+    for m in range(1, 6):
+        for c in (Fraction(1), Fraction(-2, 3), Fraction(3)):
+            for e in range(-3, 4):
+                b = qmon(c, e)
+                if c == 1 and -(2 * m - 2) <= e <= 0:
+                    with pytest.raises(DegenerateParameterError):
+                        usum(m, b, prec)
+                    continue
+                got = usum(m, b, prec)
+                assert got.prec >= prec, (m, b)
+                assert_eq_series(got, _brute_u(m, c, prec, eb=e), prec)
+        for text in ("2/3 + q - q^3 + O(q^40)", "-3/2*q^-1 + 2 + q^2 + O(q^40)"):
+            b = se.from_string(text)
+            got = usum(m, b, prec)
+            assert got.prec >= prec, (m, text)
+            assert_eq_series(got, _brute_u(m, b, prec), prec)
+        # For b = O(q^3) only t_0 = 1/(bq;q)_(m-1) = 1 + O(q^4) is left.
+        got = usum(m, se.zero(3), prec)
+        assert got.prec == 4
+        assert_eq_series(got, _brute_u(m, se.zero(3), prec))
+
+
+def test_u_qcap_theta_prefix_stable():
+    # A result at precision p must be the prefix of the one at p + delta.
+    exact_args = [qmon(Fraction(-7, 4), -3), qmon(3, -1), qmon(Fraction(1, 3), 2)]
+    series_args = [se.from_string("2/3 + q - q^3 + O(q^60)"),
+                   se.from_string("-3/2*q^-2 + 2 + q^2 + O(q^60)")]
+    for p in (1, 8):
+        for delta in (1, 7, 20):
+            for exact, b in [(True, x) for x in exact_args] + [(False, x) for x in series_args]:
+                cases = [(usum, (m, b)) for m in range(5)]
+                cases += [(qcap, (m, b)) for m in range(2, 6)]
+                if not exact:
+                    cases.append((theta_partial, (b,)))
+                for f, args in cases:
+                    lo, hi = f(*args, p), f(*args, p + delta)
+                    assert_eq_series(lo, hi)
+                    if exact:
+                        assert lo.prec >= p and hi.prec >= p + delta, (f, args)
 
 
 # -- V ----------------------------------------------------------------------------
