@@ -17,6 +17,8 @@ from .eliminator import express_pm
 from .identities import load_registry
 from .verifier import reports_to_json, verify_all
 
+EVAL_RETRIES = 3
+
 
 def _parse_params(text):
     binding = {}
@@ -104,6 +106,13 @@ def _cmd_eval(args, out):
     binding = _parse_params(args.params)
     wp = args.order + 2 * dsl.neg_shift(ast) + 8
     value = dsl.evaluate(ast, binding, wp)
+    # The guard does not cover every product of deep-dip calls: raise the
+    # working precision by the shortfall, a bounded number of times.
+    for _ in range(EVAL_RETRIES):
+        if value.prec >= args.order:
+            break
+        wp += args.order - value.prec
+        value = dsl.evaluate(ast, binding, wp)
     if value.prec > args.order:
         value = se.truncate(value, args.order)
     out.write(str(value) + "\n")

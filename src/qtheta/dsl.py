@@ -16,42 +16,45 @@ Grammar (precedence ^ > unary - > * / > + -, ^ right-associative):
     atom   := NUMBER | NAME | NAME '(' groups ')' | '(' expr ')'
 
 Calls take comma-separated arguments; ``phi`` alone takes three
-semicolon-separated groups (upper list; lower list; argument).  Infinite
-``sum`` nodes must carry an integer order-bound expression in the index
-variable: evaluation iterates while the bound is below the target
-precision, so a sound bound makes the evaluation sound by construction.
+semicolon-separated groups (upper list; lower list; argument).  Trees
+are evaluated by ``evaluator``, whose ``evaluate`` and ``evaluate_value``
+this module re-exports.
+
+A sum body's ``*``/``/`` factors split in two.  The q-hypergeometric part
+H_n is every factor free of the index n, ``poch(x*q^(a*n+b), g*n+d[, s])``
+with s | a >= 0 and g >= 0, ``1 -/+ x*q^(a*n+b)``, ``q^(quadratic in n)``,
+``c^(linear in n)`` and ``(-1)^n``: it is evaluated once at the lower
+limit, and its ratio H_(n+1)/H_n compiles into the factor lists of
+``kernels.ratio_terms``, which builds every later term from the one
+before.  The residual R_n is everything else (``V``, ``theta``, ``Pm``,
+...) plus any poch factor whose ratio has a factor that may vanish in
+range, such as ``poch(q^n, n)``; it is evaluated at each index and
+multiplies that term.
+
+Infinite ``sum`` nodes must carry an integer order-bound expression in
+the index variable.  A body with a residual iterates while the bound is
+below the target precision, so a sound bound makes the evaluation sound
+by construction.  A pure H_n body runs to the later of that stop and the
+one ``kernels.ratio_stop`` derives from the ratio, so a short bound
+cannot truncate it; a ratio that cannot converge raises EvalError, and a
+multiplier such as ``poch(q^-m, n)`` ends the sum at n = m.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .errors import (
-    BoundViolationError,
-    EvalError,
-    ParseError,
-    QThetaError,
-    SortError,
-    UnknownNameError,
-)
-from . import series as se
+from .errors import ParseError, SortError, UnknownNameError
 from . import sums
 from .kernels import (
-    QMonomial,
     bhs,
-    one_minus,
     qpoch_capped,
     qpoch_infinite,
     theta_dip,
     theta_full,
     theta_partial,
-    to_series,
-    _val_mul,
-    _val_neg,
 )
-from .series import LaurentSeries
 
 __all__ = ["parse", "render", "evaluate", "evaluate_value", "free_params", "neg_shift",
            "Lit", "Ref", "BinOp", "Neg", "Pow", "Call", "Sum", "INF"]
@@ -562,201 +565,5 @@ def render(node):
     return _render(node, 0)
 
 
-# -- evaluation ---------------------------------------------------------------
-
-_ITER_SLACK = 100
-
-
-def _mul_factors(node):
-    if isinstance(node, BinOp) and node.op == "*":
-        yield from _mul_factors(node.left)
-        yield from _mul_factors(node.right)
-    else:
-        yield node
-
-
-class _Evaluator:
-    def __init__(self, binding, prec):
-        self.binding = binding
-        self.prec = prec
-        self._ipoch = {}
-
-    def run(self, node):
-        return to_series(self.value(node, {}), self.prec)
-
-    # integer sort ------------------------------------------------------------
-
-    def int_value(self, node, ienv):
-        if isinstance(node, Lit):
-            return node.value
-        if isinstance(node, Ref):
-            return ienv[node.name]
-        if isinstance(node, Neg):
-            return -self.int_value(node.operand, ienv)
-        if isinstance(node, BinOp):
-            a = self.int_value(node.left, ienv)
-            b = self.int_value(node.right, ienv)
-            return a + b if node.op == "+" else a - b if node.op == "-" else a * b
-        if isinstance(node, Call) and _BUILTINS[node.name].sort == "I":
-            return _BUILTINS[node.name].kernel(*(self.int_value(a, ienv) for a in node.args))
-        raise EvalError("not an integer expression", getattr(node, "pos", None))
-
-    # series sort ---------------------------------------------------------------
-
-    def value(self, node, ienv):
-        if isinstance(node, Lit):
-            return QMonomial(Fraction(node.value), 0)
-        if isinstance(node, Ref):
-            if node.name == "q":
-                return QMonomial(Fraction(1), 1)
-            if node.name in ienv:
-                return QMonomial(Fraction(ienv[node.name]), 0)
-            try:
-                v = self.binding[node.name]
-            except KeyError:
-                raise EvalError("unbound parameter %r" % node.name, node.pos) from None
-            if isinstance(v, (LaurentSeries, QMonomial)):
-                return v
-            return QMonomial(Fraction(v), 0)
-        if isinstance(node, Neg):
-            return _val_neg(self.value(node.operand, ienv))
-        if isinstance(node, BinOp):
-            if node.op == "/":
-                # Divide through product denominators factor by factor:
-                # same field value, smaller divisions.
-                v = self.value(node.left, ienv)
-                for f in _mul_factors(node.right):
-                    inv = self.inv_poch_cached(f, ienv, v)
-                    if inv is not None:
-                        v = _val_mul(v, inv)
-                    else:
-                        v = self.div(v, self.value(f, ienv), node.pos)
-                return v
-            a = self.value(node.left, ienv)
-            b = self.value(node.right, ienv)
-            if node.op == "*":
-                return _val_mul(a, b)
-            if isinstance(a, QMonomial) and isinstance(b, QMonomial):
-                if a.coef == 0 or b.coef == 0 or a.exp == b.exp:
-                    e = b.exp if a.coef == 0 else a.exp
-                    c = a.coef + b.coef if node.op == "+" else a.coef - b.coef
-                    return QMonomial(c, e)
-            p = max((x.prec for x in (a, b) if isinstance(x, LaurentSeries)),
-                    default=self.prec)
-            sa, sb = to_series(a, p), to_series(b, p)
-            return se.add(sa, sb) if node.op == "+" else se.sub(sa, sb)
-        if isinstance(node, Pow):
-            n = self.int_value(node.exp, ienv)
-            v = self.value(node.base, ienv)
-            if isinstance(v, QMonomial):
-                if v.coef == 0:
-                    if n < 0:
-                        raise EvalError("zero raised to a negative power", node.pos)
-                    return QMonomial(Fraction(1), 0) if n == 0 else v
-                return QMonomial(v.coef ** n, v.exp * n)
-            try:
-                return se.pow_int(v, n)
-            except QThetaError as exc:
-                raise EvalError(str(exc), node.pos) from exc
-        if isinstance(node, Call):
-            return self.call(node, ienv)
-        if isinstance(node, Sum):
-            return self.sum(node, ienv)
-        raise TypeError("unknown node %r" % (node,))
-
-    def div(self, a, b, pos):
-        if isinstance(b, QMonomial):
-            if b.coef == 0:
-                raise EvalError("division by zero", pos)
-            if isinstance(a, QMonomial):
-                return QMonomial(a.coef / b.coef, a.exp - b.exp)
-            return se.mul_monomial(a, 1 / b.coef, -b.exp)
-        try:
-            if isinstance(a, QMonomial):
-                return se.mul_monomial(se.invert(b), a.coef, a.exp) if a.coef \
-                    else QMonomial(Fraction(0), 0)
-            return se.divide(a, b)
-        except QThetaError as exc:
-            raise EvalError(str(exc), pos) from exc
-
-    def call(self, node, ienv):
-        b = _BUILTINS[node.name]
-        if b.sort == "I":
-            return QMonomial(Fraction(self.int_value(node, ienv)), 0)
-        try:
-            if node.name == "phi":
-                upper, lower, (z,) = ([self.value(x, ienv) for x in g] for g in node.groups)
-                return b.kernel(upper, lower, z, p=self.prec)
-            return b.kernel(*self.args(node, ienv), p=self.prec)
-        except EvalError:
-            raise
-        except QThetaError as exc:
-            raise EvalError(str(exc), node.pos) from exc
-
-    def args(self, node, ienv):
-        """The evaluated arguments of a single-group call, each in its sort."""
-        return [self.int_value(a, ienv) if sort.endswith("I") else self.value(a, ienv)
-                for a, sort in zip(node.args, _BUILTINS[node.name].args)]
-
-    def inv_poch_cached(self, node, ienv, dividend):
-        """Inverse of a poch(...) divisor, extended one factor at a time as
-        a sum index climbs; returns None when the plain division is better."""
-        if not (isinstance(node, Call) and node.name == "poch"):
-            return None
-        xv, n, *rest = self.args(node, ienv)
-        step = rest[0] if rest else 1
-        if not isinstance(xv, QMonomial):
-            return None
-        p = self.prec + 8
-        d_ord = dividend._ord() if isinstance(dividend, LaurentSeries) else dividend.exp
-        if d_ord < -6:
-            return None
-        try:
-            ent = self._ipoch.get(id(node))
-            if ent is not None and ent[0] == xv and ent[1] == step and ent[2] <= n <= ent[2] + 8:
-                val = ent[3]
-                for i in range(ent[2], n):
-                    val = se.divide(val, one_minus(xv, step * i, val.prec + 2))
-            else:
-                val = se.invert(qpoch_capped(xv, n, p + 2 * max(0, -xv.exp), step))
-        except QThetaError as exc:
-            raise EvalError(str(exc), node.pos) from exc
-        self._ipoch[id(node)] = (xv, step, n, val)
-        return val
-
-    def sum(self, node, ienv):
-        lo = self.int_value(node.lo, ienv)
-        prec = self.prec
-        acc = None
-        if node.hi is not INF:
-            hi = self.int_value(node.hi, ienv)
-            for i in range(lo, hi + 1):
-                inner = dict(ienv)
-                inner[node.var] = i
-                term = to_series(self.value(node.body, inner), prec)
-                acc = term if acc is None else se.add(acc, term)
-            return acc if acc is not None else se.zero(prec)
-        limit = 10 * prec + _ITER_SLACK
-        i = lo
-        while True:
-            inner = dict(ienv)
-            inner[node.var] = i
-            if self.int_value(node.bound, inner) >= prec:
-                break
-            if i - lo > limit:
-                raise BoundViolationError(
-                    "orderbound below %d after %d iterations" % (prec, limit), node.pos)
-            term = to_series(self.value(node.body, inner), prec)
-            acc = term if acc is None else se.add(acc, term)
-            i += 1
-        return se.cap(acc, prec) if acc is not None else se.zero(prec)
-
-
-def evaluate(ast, binding, prec):
-    """Evaluate to a LaurentSeries at target precision ``prec``."""
-    return _Evaluator(binding, prec).run(ast)
-
-
-def evaluate_value(ast, binding, prec):
-    """Like evaluate, but keeps exact monomials exact (QMonomial)."""
-    return _Evaluator(binding, prec).value(ast, {})
+# The evaluator builds on the tree types and the builtin table above.
+from .evaluator import evaluate, evaluate_value  # noqa: E402

@@ -1,0 +1,483 @@
+"""Evaluation of DSL expression trees (see ``dsl`` for the language).
+
+Series-sort nodes evaluate to exact monomials (QMonomial) while they stay
+exact and to LaurentSeries otherwise; integer-sort nodes evaluate to ints.
+Each sum body splits into its q-hypergeometric part H_n, whose term ratio
+drives ``kernels.ratio_terms``, and a residual R_n evaluated term by term;
+the ``dsl`` docstring gives the split and the stop rules.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from fractions import Fraction
+
+from .errors import BoundViolationError, EvalError, QThetaError
+from . import series as se
+from .dsl import _BUILTINS, INF, BinOp, Call, Lit, Neg, Pow, Ref, Sum, free_params, render
+from .kernels import (
+    QMonomial,
+    ord_of,
+    ratio_orders,
+    ratio_stop,
+    ratio_terms,
+    to_series,
+    _val_mul,
+    _val_neg,
+    _val_shift,
+)
+from .series import LaurentSeries
+
+__all__ = ["evaluate", "evaluate_value"]
+
+_ITER_SLACK = 100
+_ONE = QMonomial(Fraction(1), 0)
+
+
+def _mul_factors(node, div_pos=None):
+    """The factors of a '*'/'/' tree, each with the position of the '/'
+    that divides by it (None for a multiplier)."""
+    if isinstance(node, BinOp) and node.op in "*/":
+        yield from _mul_factors(node.left, div_pos)
+        if node.op == "/":
+            div_pos = node.pos if div_pos is None else None
+        yield from _mul_factors(node.right, div_pos)
+    else:
+        yield node, div_pos
+
+
+# Polynomials in the shifted sum index k = n - lo: coefficient lists, lowest first.
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return [c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)]
+
+
+def _pmul(a, b):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+def _pneg(a):
+    return [-c for c in a]
+
+
+def _deg(a):
+    return max((i for i, c in enumerate(a) if c), default=-1)
+
+
+def _coef(a, i):
+    return a[i] if i < len(a) else 0
+
+
+def _split_q(pairs, e):
+    """Move the q-powers of exact bases b = c*q^f into the exponent e of q."""
+    out = []
+    for b, p in pairs:
+        if isinstance(b, QMonomial):
+            e = _padd(e, [b.exp * c for c in p])
+            if b.coef != 1:
+                out.append((QMonomial(b.coef, 0), p))
+        else:
+            out.append((b, p))
+    return out, e
+
+
+def _vanishes_at(v, i, kmax):
+    """The k < kmax (None: no limit) at which 1 - v*q^(i*k) may vanish:
+    ord(v) = -i*k and v's leading coefficient is 1."""
+    d = ord_of(v)
+    if d is None or d > 0 or d % i:
+        return None
+    k = -d // i
+    lead = v.coef if isinstance(v, QMonomial) else v.coeff(d)
+    return k if lead == 1 and (kmax is None or k < kmax) else None
+
+
+def _ord_rel(x):
+    """(order, relative precision) of a value; exact values have no limit."""
+    if isinstance(x, QMonomial):
+        return x.exp, None
+    return x._ord(), x.prec - x._ord()
+
+
+_Split = namedtuple("_Split", "h r num den z sr n_term")
+
+
+class _Evaluator:
+    def __init__(self, binding, prec):
+        self.binding = binding
+        self.prec = prec
+
+    def run(self, node):
+        return to_series(self.value(node, {}), self.prec)
+
+    # integer sort ------------------------------------------------------------
+
+    def int_value(self, node, ienv):
+        if isinstance(node, Lit):
+            return node.value
+        if isinstance(node, Ref):
+            return ienv[node.name]
+        if isinstance(node, Neg):
+            return -self.int_value(node.operand, ienv)
+        if isinstance(node, BinOp):
+            a = self.int_value(node.left, ienv)
+            b = self.int_value(node.right, ienv)
+            return a + b if node.op == "+" else a - b if node.op == "-" else a * b
+        if isinstance(node, Call) and _BUILTINS[node.name].sort == "I":
+            return _BUILTINS[node.name].kernel(*(self.int_value(a, ienv) for a in node.args))
+        raise EvalError("not an integer expression", getattr(node, "pos", None))
+
+    def kpoly(self, node, var, ienv):
+        """An integer expression as a polynomial in k = var - ienv[var]."""
+        if isinstance(node, Ref) and node.name == var:
+            return [ienv[var], 1]
+        if isinstance(node, Neg):
+            return _pneg(self.kpoly(node.operand, var, ienv))
+        if isinstance(node, BinOp):
+            a = self.kpoly(node.left, var, ienv)
+            b = self.kpoly(node.right, var, ienv)
+            if node.op == "*":
+                return _pmul(a, b)
+            return _padd(a, b if node.op == "+" else _pneg(b))
+        if isinstance(node, Call) and node.name == "binom2":
+            a = self.kpoly(node.args[0], var, ienv)
+            return [Fraction(c, 2) for c in _pmul(a, _padd(a, [-1]))]
+        return [self.int_value(node, ienv)]
+
+    # series sort ---------------------------------------------------------------
+
+    def value(self, node, ienv):
+        if isinstance(node, Lit):
+            return QMonomial(Fraction(node.value), 0)
+        if isinstance(node, Ref):
+            if node.name == "q":
+                return QMonomial(Fraction(1), 1)
+            if node.name in ienv:
+                return QMonomial(Fraction(ienv[node.name]), 0)
+            try:
+                v = self.binding[node.name]
+            except KeyError:
+                raise EvalError("unbound parameter %r" % node.name, node.pos) from None
+            if isinstance(v, (LaurentSeries, QMonomial)):
+                return v
+            return QMonomial(Fraction(v), 0)
+        if isinstance(node, Neg):
+            return _val_neg(self.value(node.operand, ienv))
+        if isinstance(node, BinOp):
+            if node.op == "/":
+                # Divide through product denominators factor by factor:
+                # same field value, smaller divisions.
+                return self.product(_mul_factors(node), ienv)
+            a = self.value(node.left, ienv)
+            b = self.value(node.right, ienv)
+            if node.op == "*":
+                return _val_mul(a, b)
+            if isinstance(a, QMonomial) and isinstance(b, QMonomial):
+                if a.coef == 0 or b.coef == 0 or a.exp == b.exp:
+                    e = b.exp if a.coef == 0 else a.exp
+                    c = a.coef + b.coef if node.op == "+" else a.coef - b.coef
+                    return QMonomial(c, e)
+            p = max((x.prec for x in (a, b) if isinstance(x, LaurentSeries)),
+                    default=self.prec)
+            sa, sb = to_series(a, p), to_series(b, p)
+            return se.add(sa, sb) if node.op == "+" else se.sub(sa, sb)
+        if isinstance(node, Pow):
+            n = self.int_value(node.exp, ienv)
+            v = self.value(node.base, ienv)
+            if isinstance(v, QMonomial):
+                if v.coef == 0:
+                    if n < 0:
+                        raise EvalError("zero raised to a negative power", node.pos)
+                    return QMonomial(Fraction(1), 0) if n == 0 else v
+                return QMonomial(v.coef ** n, v.exp * n)
+            try:
+                return se.pow_int(v, n)
+            except QThetaError as exc:
+                raise EvalError(str(exc), node.pos) from exc
+        if isinstance(node, Call):
+            return self.call(node, ienv)
+        if isinstance(node, Sum):
+            return self.sum(node, ienv)
+        raise TypeError("unknown node %r" % (node,))
+
+    def product(self, factors, ienv):
+        """The product of (factor, div_pos) pairs from _mul_factors."""
+        v = _ONE
+        for f, div_pos in factors:
+            x = self.value(f, ienv)
+            v = _val_mul(v, x) if div_pos is None else self.div(v, x, div_pos)
+        return v
+
+    def div(self, a, b, pos):
+        if isinstance(b, QMonomial):
+            if b.coef == 0:
+                raise EvalError("division by zero", pos)
+            if isinstance(a, QMonomial):
+                return QMonomial(a.coef / b.coef, a.exp - b.exp)
+            return se.mul_monomial(a, 1 / b.coef, -b.exp)
+        try:
+            if isinstance(a, QMonomial):
+                return se.mul_monomial(se.invert(b), a.coef, a.exp) if a.coef \
+                    else QMonomial(Fraction(0), 0)
+            return se.divide(a, b)
+        except QThetaError as exc:
+            raise EvalError(str(exc), pos) from exc
+
+    def call(self, node, ienv):
+        b = _BUILTINS[node.name]
+        if b.sort == "I":
+            return QMonomial(Fraction(self.int_value(node, ienv)), 0)
+        try:
+            if node.name == "phi":
+                upper, lower, (z,) = ([self.value(x, ienv) for x in g] for g in node.groups)
+                return b.kernel(upper, lower, z, p=self.prec)
+            return b.kernel(*self.args(node, ienv), p=self.prec)
+        except EvalError:
+            raise
+        except QThetaError as exc:
+            raise EvalError(str(exc), node.pos) from exc
+
+    def args(self, node, ienv):
+        """The evaluated arguments of a single-group call, each in its sort."""
+        return [self.int_value(a, ienv) if sort.endswith("I") else self.value(a, ienv)
+                for a, sort in zip(node.args, _BUILTINS[node.name].args)]
+
+    # sums ------------------------------------------------------------------------
+    #
+    # A sum body's factors (_mul_factors) split into a q-hypergeometric part
+    # H_n, whose ratio H_(n+1)/H_n compiles into ratio_terms' factor lists
+    # (v, i, j) for 1 - v*q^(i*k+j), and a residual R_n evaluated term by
+    # term.  ienv binds the index to lo, and every polynomial below is in
+    # k = n - lo.
+
+    def mono(self, node, var, ienv):
+        """node as prod b^L(k) * q^E(k) over index-free values b: the pairs
+        (b, L) and E, or None for another shape."""
+        if var not in free_params(node):
+            return [(self.value(node, ienv), [1])], []
+        if isinstance(node, Neg):
+            m = self.mono(node.operand, var, ienv)
+            return m and (m[0] + [(QMonomial(Fraction(-1), 0), [1])], m[1])
+        if isinstance(node, BinOp) and node.op in "*/":
+            a = self.mono(node.left, var, ienv)
+            b = self.mono(node.right, var, ienv)
+            if a is None or b is None:
+                return None
+            if node.op == "/":
+                b = [(v, _pneg(p)) for v, p in b[0]], _pneg(b[1])
+            return a[0] + b[0], _padd(a[1], b[1])
+        if isinstance(node, Pow):
+            m = self.mono(node.base, var, ienv)
+            if m is None:
+                return None
+            e = self.kpoly(node.exp, var, ienv)
+            return [(v, _pmul(p, e)) for v, p in m[0]], _pmul(m[1], e)
+        return None
+
+    def mono_ratio(self, node, var, ienv, divisor):
+        """(z, s) with H(k+1)/H(k) = z q^(s*k) for a factor c^(linear) *
+        q^(quadratic), or None."""
+        m = self.mono(node, var, ienv)
+        if m is None:
+            return None
+        pairs, e = _split_q(*m)
+        if divisor:
+            pairs, e = [(b, _pneg(p)) for b, p in pairs], _pneg(e)
+        if _deg(e) > 2:
+            return None
+        z = QMonomial(Fraction(1), int(_coef(e, 1) + _coef(e, 2)))
+        for b, p in pairs:
+            if _deg(p) > 1 or ord_of(b) is None:
+                return None
+            d = int(_coef(p, 1))
+            if d:
+                z = _val_mul(z, QMonomial(b.coef ** d, 0) if isinstance(b, QMonomial)
+                             else se.pow_int(b, d))
+        return z, int(2 * _coef(e, 2))
+
+    def poch_ratio(self, node, var, ienv):
+        """(num, den, alpha) for poch(x*q^(alpha*k), L0 + g*k, s) with
+        s | alpha >= 0 and g >= 0, or for 1 -/+ x*q^(alpha*k) (that is
+        poch(+-x*q^(alpha*k), 1)): the factors (v, i) = 1 - v*q^(i*k) of
+        the ratio, or None for another shape."""
+        if isinstance(node, Call) and node.name == "poch":
+            x, length, *step = node.args
+            if step and var in free_params(step[0]):
+                return None
+            s = self.int_value(step[0], ienv) if step else 1
+            lp = self.kpoly(length, var, ienv)
+            l0, g = int(_coef(lp, 0)), int(_coef(lp, 1))
+            if _deg(lp) > 1 or l0 < 0 or g < 0 or s < 1:
+                return None
+            plus = False
+        elif isinstance(node, BinOp) and node.op in "+-" and node.left == Lit(1):
+            x, l0, g, s, plus = node.right, 1, 0, 1, node.op == "+"
+        else:
+            return None
+        m = self.mono(x, var, ienv)
+        if m is None:
+            return None
+        pairs, e = _split_q(*m)
+        alpha = int(_coef(e, 1))
+        if any(_deg(p) > 0 for _, p in pairs) or _deg(e) > 1 or alpha < 0 or alpha % s:
+            return None
+        x0 = self.value(x, ienv)
+        if plus:
+            x0 = _val_neg(x0)
+        num = [(_val_shift(x0, s * (l0 + r)), alpha + s * g) for r in range(g + alpha // s)]
+        den = [(_val_shift(x0, s * r), alpha) for r in range(alpha // s)]
+        for f in list(num):
+            if f in den:
+                num.remove(f)
+                den.remove(f)
+        return num, den, alpha
+
+    def split(self, body, var, ienv, kmax):
+        """Split a sum body into H_n and R_n.
+
+        A poch-type factor goes to R_n when a factor of its ratio may
+        vanish at a ratio index k < kmax (None: any k), unless it is an
+        index-free exact argument in a multiplier: then the body
+        terminates there (n_term).
+        """
+        h, r, num, den = [], [], [], []
+        z, sr, n_term = _ONE, 0, None
+        for f, div_pos in _mul_factors(body):
+            if var not in free_params(f):
+                h.append((f, div_pos))
+                continue
+            mr = self.mono_ratio(f, var, ienv, div_pos is not None)
+            if mr is not None:
+                z, sr = _val_mul(z, mr[0]), sr + mr[1]
+                h.append((f, div_pos))
+                continue
+            pr = self.poch_ratio(f, var, ienv)
+            if pr is not None:
+                fn, fd, alpha = pr
+                if div_pos is not None:
+                    fn, fd = fd, fn
+                ends = [k for k in (_vanishes_at(v, i, kmax) for v, i in fn) if k is not None]
+                ends_sum = alpha == 0 and div_pos is None and all(
+                    isinstance(v, QMonomial) for v, _ in fn)
+                if (ends_sum or not ends) and all(_vanishes_at(v, i, kmax) is None for v, i in fd):
+                    n_term = min(ends + ([] if n_term is None else [n_term]), default=None)
+                    num += [(v, i, 0) for v, i in fn]
+                    den += [(v, i, 0, render(f)) for v, i in fd]
+                    h.append((f, div_pos))
+                    continue
+            r.append((f, div_pos))
+        # ratio_terms multiplies by (-1)^sr itself.
+        return _Split(h, r, num, den, _val_neg(z) if sr % 2 else z, sr, n_term)
+
+    def bound_count(self, node, ienv):
+        """Terms an infinite sum takes by its orderbound: the first index
+        whose bound reaches the target precision, less lo."""
+        prec = self.prec
+        lo = ienv[node.var]
+        limit = 10 * prec + _ITER_SLACK
+        inner = dict(ienv)
+        i = lo
+        while self.int_value(node.bound, inner) < prec:
+            if i - lo > limit:
+                raise BoundViolationError(
+                    "orderbound below %d after %d iterations" % (prec, limit), node.pos)
+            i += 1
+            inner[node.var] = i
+        return i - lo
+
+    def start(self, c, rel, h, ienv):
+        """t_0 = c = H_lo at relative precision rel + 2, re-evaluated once
+        at a higher precision when c carries less than rel."""
+        rel = max(rel, -1)
+        if isinstance(c, QMonomial):
+            return se.monomial(c.coef, c.exp, c.exp + rel + 2)
+        got = c.prec - c._ord()
+        if got < rel:
+            c = _Evaluator(self.binding, self.prec + rel - got).product(h, ienv)
+        return se.cap(c, c._ord() + rel + 2)
+
+    def sum(self, node, ienv):
+        lo = self.int_value(node.lo, ienv)
+        finite = node.hi is not INF
+        inner = dict(ienv)
+        inner[node.var] = lo
+        if finite:
+            count = self.int_value(node.hi, ienv) - lo + 1
+            if count <= 0:
+                return se.zero(self.prec)
+        else:
+            count = self.bound_count(node, inner)
+        try:
+            acc = None
+            for t in self.terms(node, inner, count, finite):
+                t = to_series(t, self.prec)
+                acc = t if acc is None else se.add(acc, t)
+        except EvalError:
+            raise
+        except QThetaError as exc:
+            raise EvalError(str(exc), node.pos) from exc
+        if acc is None:
+            return se.zero(self.prec)
+        return acc if finite else se.cap(acc, self.prec)
+
+    def terms(self, node, ienv, count, finite):
+        """The terms of a sum: the t_k of ratio_terms started at H_lo,
+        times R_n when the body has a residual."""
+        prec = self.prec
+        var = node.var
+        h, r, num, den, z, sr, n_term = self.split(
+            node.body, var, ienv, count - 1 if finite else None)
+        c = self.product(h, ienv)
+        if isinstance(c, QMonomial) and c.coef == 0:
+            return []
+        dc = _ord_rel(c)[0]
+        if r:
+            # The orderbound stops the sum, and R_n is evaluated at every
+            # index, also past the end of a terminating H_n, where it may
+            # still divide by zero.  R_n comes first so that t_0's
+            # precision covers every term's order and, in a finite sum,
+            # R_n's relative precision.
+            rs = []
+            for k in range(count):
+                inner = dict(ienv)
+                inner[var] = ienv[var] + k
+                rs.append(self.product(r, inner))
+            need = []
+            for (cum, _), x in zip(ratio_orders(num, den, z, sr), rs):
+                if isinstance(x, QMonomial) and x.coef == 0:
+                    continue
+                dx, rel = _ord_rel(x)
+                need.append(prec - dc - cum - dx)
+                if finite and rel is not None:
+                    need.append(rel)
+            t0 = self.start(c, max(need, default=0), h, ienv)
+            return (_val_mul(t, x) for t, x in zip(ratio_terms(num, den, z, sr, t0, count), rs))
+        # Pure H_n: the later of the orderbound's stop and ratio_stop's.
+        if finite:
+            n_term = count - 1 if n_term is None else min(n_term, count - 1)
+        if n_term is None:
+            if sr < 0 or (sr == 0 and ord_of(z) <= 0):
+                raise EvalError("non-terminating sum whose term ratio z*q^(%d*n), "
+                                "ord(z) = %d, cannot converge" % (sr, ord_of(z)), node.pos)
+            n, dip = ratio_stop(num, den, z, sr, prec - dc)
+            if count > n:
+                n, dip = ratio_stop(num, den, z, sr, prec - dc, count - 1)
+        else:
+            n, dip = ratio_stop(num, den, z, sr, prec - dc, n_term)
+        return ratio_terms(num, den, z, sr, self.start(c, prec - dc - dip, h, ienv), n)
+
+
+def evaluate(ast, binding, prec):
+    """Evaluate to a LaurentSeries at target precision ``prec``."""
+    return _Evaluator(binding, prec).run(ast)
+
+
+def evaluate_value(ast, binding, prec):
+    """Like evaluate, but keeps exact monomials exact (QMonomial)."""
+    return _Evaluator(binding, prec).value(ast, {})

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
     DegenerateParameterError,
@@ -318,40 +319,49 @@ def theta_full(x, prec):
 # -- basic hypergeometric series ----------------------------------------------
 
 
-def ratio_sum(num, den, z, sr, prec, n_term=None):
-    """sum_k t_k with t_0 = 1 and t_(k+1)/t_k = z (-1)^sr q^(sr*k) N_k/D_k.
-
-    N_k and D_k multiply 1 - v q^(i*k+j) over ``num`` (v, i, j) and ``den``
-    (v, i, j, what); i >= 1, j >= 0, v and z are values from as_value, z
-    is nonzero, and ``what`` names a vanishing denominator factor in the
-    error.
+def ratio_orders(num, den, z, sr):
+    """Yield (cum_k, settled_k) for k = 0, 1, ... for the terms of ratio_terms.
 
     step(k) bounds the order the k-th ratio adds from below, so cum_k, the
     sum of step(0..k-1), bounds ord(t_k).  From stab on no factor has
-    negative order and step(k) = ord(z) + sr*k never falls again.  Given
-    ``n_term`` the sum is t_0..t_(n_term), uncapped; otherwise it ends
-    before the first k >= stab with cum_k >= prec and step(k) >= 0, which
-    the caller makes sure exists, and is truncated to prec.  Terms start
-    at precision prec - dip + 2, where dip <= 0 is the lowest cum_k of a
-    summed term.
+    negative order and step(k) = ord(z) + sr*k never falls again;
+    settled_k says k >= stab and step(k) >= 0, so cum never falls after k.
     """
     dz = ord_of(z)
+    signed = ([(1, i, j, ord_of(v)) for v, i, j in num]
+              + [(-1, i, j, ord_of(v)) for v, i, j, _ in den])
+    stab = max([0] + [-((d + j) // i) for _, i, j, d in signed if d is not None])
+    k = cum = 0
+    while True:
+        step = dz + sr * k + sum(s * _m0(d, i * k + j) for s, i, j, d in signed)
+        yield cum, k >= stab and step >= 0
+        cum += step
+        k += 1
+
+
+def ratio_stop(num, den, z, sr, prec, n_term=None):
+    """(n, dip): how many terms ratio_sum adds and the lowest cum_k among them.
+
+    Given ``n_term`` the terms are t_0..t_(n_term); otherwise they end
+    before the first settled k with cum_k >= prec, which the caller makes
+    sure exists.
+    """
+    n = dip = 0
+    for cum, settled in ratio_orders(num, den, z, sr):
+        if n > n_term if n_term is not None else settled and cum >= prec:
+            break
+        dip = min(dip, cum)
+        n += 1
+    return n, dip
+
+
+def ratio_terms(num, den, z, sr, t0, n):
+    """Yield t_0 = t0, t_1, ..., t_(n-1) (t_0 alone when n < 2), where
+    t_(k+1)/t_k = z (-1)^sr q^(sr*k) N_k/D_k as in ratio_sum."""
     num = [(v, i, j, ord_of(v)) for v, i, j in num]
     den = [(v, i, j, ord_of(v), what) for v, i, j, what in den]
-    signed = [(1, i, j, d) for _, i, j, d in num] + [(-1, i, j, d) for _, i, j, d, _ in den]
-
-    def step(k):
-        return dz + sr * k + sum(s * _m0(d, i * k + j) for s, i, j, d in signed)
-
-    stab = max([0] + [-((d + j) // i) for _, i, j, d in signed if d is not None])
-    n = cum = dip = 0
-    while (n <= n_term if n_term is not None
-           else not (n >= stab and cum >= prec and step(n) >= 0)):
-        dip = min(dip, cum)
-        cum += step(n)
-        n += 1
-
-    t = acc = se.one(prec - dip + 2)
+    t = t0
+    yield t
     for k in range(n - 1):
         for v, i, j, d in num:
             t = se.mul(t, _factor(t, v, d, i * k + j))
@@ -364,7 +374,24 @@ def ratio_sum(num, den, z, sr, prec, n_term=None):
                 raise DegenerateParameterError(
                     "%s: factor 1 - v*q^%d vanishes" % (what, i * k + j))
             t = se.divide(t, g)
-        acc = se.add(acc, t)
+        yield t
+
+
+def ratio_sum(num, den, z, sr, prec, n_term=None):
+    """sum_k t_k with t_0 = 1 and t_(k+1)/t_k = z (-1)^sr q^(sr*k) N_k/D_k.
+
+    N_k and D_k multiply 1 - v q^(i*k+j) over ``num`` (v, i, j) and ``den``
+    (v, i, j, what); i >= 1, j >= 0, v and z are values from as_value, z
+    is nonzero, and ``what`` names a vanishing denominator factor in the
+    error.
+
+    Given ``n_term`` the sum is t_0..t_(n_term), uncapped; otherwise it
+    stops as ratio_stop says and is truncated to prec.  Terms start at
+    precision prec - dip + 2, where dip <= 0 is the lowest cum_k of a
+    summed term (see ratio_orders).
+    """
+    n, dip = ratio_stop(num, den, z, sr, prec, n_term)
+    acc = reduce(se.add, ratio_terms(num, den, z, sr, se.one(prec - dip + 2), n))
     return acc if n_term is not None else se.cap(acc, prec)
 
 

@@ -8,6 +8,8 @@ the kernel/sum implementations under test.
 from fractions import Fraction
 
 from qtheta import series as se
+from qtheta.dsl import INF
+from qtheta.evaluator import _Evaluator
 from qtheta.kernels import QMonomial, as_value, to_series
 
 
@@ -74,3 +76,21 @@ def assert_eq_series(x, y, min_prec=None):
     assert ok, "series differ: %s vs %s" % (x, y)
     if min_prec is not None:
         assert joint >= min_prec, "joint precision %d below %d" % (joint, min_prec)
+
+
+def sum_by_terms(node, binding, prec, ienv=None):
+    """A DSL sum evaluated term by term: the whole body at each index, added
+    up; an infinite sum runs while its orderbound is below prec."""
+    ev = _Evaluator(binding, prec)
+    ienv = dict(ienv or {})
+    ienv[node.var] = ev.int_value(node.lo, ienv)
+    hi = None if node.hi is INF else ev.int_value(node.hi, ienv)
+    acc = None
+    while (ienv[node.var] <= hi if hi is not None
+           else ev.int_value(node.bound, ienv) < prec):
+        term = to_series(ev.value(node.body, ienv), prec)
+        acc = term if acc is None else se.add(acc, term)
+        ienv[node.var] += 1
+    if acc is None:
+        return se.zero(prec)
+    return acc if hi is not None else se.cap(acc, prec)

@@ -128,6 +128,14 @@ def test_eval_guard_covers_deep_u_q_and_powers(capsys):
         assert capsys.readouterr().out.endswith(" + O(q^6)\n"), expr
 
 
+def test_eval_retries_products_of_deep_dip_calls(capsys):
+    # The guard does not add up the dips of a product's factors; eval
+    # re-evaluates at the shortfall instead of printing a short result.
+    for expr in ("*".join(["theta(3/q^4)"] * 4), "*".join(["U(3,1/q^5)"] * 5)):
+        assert main(["eval", expr, "--order", "6"]) == 0
+        assert capsys.readouterr().out.endswith(" + O(q^6)\n"), expr
+
+
 def test_missing_identity_file(capsys):
     assert main(["verify", "--file", "/nonexistent/path.qid"]) == 2
     assert "error" in capsys.readouterr().err
