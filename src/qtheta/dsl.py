@@ -208,12 +208,29 @@ def _lex(text):
 
 # -- parser -------------------------------------------------------------------
 
+# The deepest nesting parse accepts, both in the parser's own recursion
+# (parentheses, call arguments, unary minus, exponents) and in the depth of
+# the tree.  Each recursive pass over a tree (_check, _scan, render, the
+# evaluator) takes a few Python frames per level, so this keeps all of them
+# well inside the interpreter's default recursion limit of 1000.
+MAX_DEPTH = 100
+
+
+def _too_deep(pos, text):
+    return ParseError("expression nested deeper than %d levels" % MAX_DEPTH, pos, text)
+
 
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.toks = _lex(text)
         self.i = 0
+        self.depth = 0
+
+    def enter(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _too_deep(self.peek()[2], self.text)
 
     def peek(self):
         return self.toks[self.i]
@@ -241,10 +258,14 @@ class _Parser:
         return node
 
     def unary(self):
+        self.enter()
         if self.peek()[0] == "-":
             _, _, pos = self.take()
-            return Neg(self.unary(), pos)
-        return self.power()
+            node = Neg(self.unary(), pos)
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         node = self.atom()
@@ -254,10 +275,14 @@ class _Parser:
         return node
 
     def exponent(self):
+        self.enter()
         if self.peek()[0] == "-":
             _, _, pos = self.take()
-            return Neg(self.exponent(), pos)
-        return self.power()
+            node = Neg(self.exponent(), pos)
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def atom(self):
         kind, textv, pos = self.take()
@@ -404,8 +429,32 @@ def parse(text):
     p = _Parser(text)
     node = p.expr()
     p.take("EOF")
+    # A chain such as 1+1+...+1 parses in a loop but nests one level per
+    # operator, so the tree's depth is checked before any recursive pass.
+    stack = [(node, 1)]
+    while stack:
+        sub, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise _too_deep(sub.pos, text)
+        stack.extend((c, depth + 1) for c in _children(sub))
     _check(node, "S", frozenset(), text)
     return node
+
+
+def _children(node):
+    """The subtrees directly below a node."""
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Pow):
+        return (node.base, node.exp)
+    if isinstance(node, Call):
+        return tuple(arg for group in node.groups for arg in group)
+    if isinstance(node, Sum):
+        return tuple(x for x in (node.lo, node.hi, node.body, node.bound)
+                     if x is not None and x is not INF)
+    return ()
 
 
 def free_params(node, bound=frozenset()):
@@ -438,25 +487,10 @@ def free_params(node, bound=frozenset()):
 
 def sum_indices(node):
     """All sum index names used anywhere in the tree."""
-    if isinstance(node, Sum):
-        return ({node.var} | sum_indices(node.lo) | sum_indices(node.body)
-                | (sum_indices(node.hi) if node.hi is not INF else set())
-                | (sum_indices(node.bound) if node.bound is not None else set()))
-    if isinstance(node, (Lit, Ref)):
-        return set()
-    if isinstance(node, Neg):
-        return sum_indices(node.operand)
-    if isinstance(node, BinOp):
-        return sum_indices(node.left) | sum_indices(node.right)
-    if isinstance(node, Pow):
-        return sum_indices(node.base) | sum_indices(node.exp)
-    if isinstance(node, Call):
-        out = set()
-        for group in node.groups:
-            for arg in group:
-                out |= sum_indices(arg)
-        return out
-    raise TypeError("unknown node %r" % (node,))
+    out = {node.var} if isinstance(node, Sum) else set()
+    for sub in _children(node):
+        out |= sum_indices(sub)
+    return out
 
 
 # -- static guard estimate ------------------------------------------------------

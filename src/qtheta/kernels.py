@@ -11,6 +11,14 @@ Infinite sums and products never stop on "term looks small": they stop
 only once a mechanically derived lower bound on the q-order of all
 remaining terms is at or above the target precision, and the result is
 truncated to that target.
+
+Exact arguments also choose the arithmetic.  A factor 1 - c*q^e with
+exact c is a two-term integer update of a coefficient block over one
+shared denominator (``_times_one_minus``, used by ``qpoch_capped`` and
+``ratio_terms``), and a division by it is an integer recurrence
+(``_over_one_minus``); the block is normalized once per result or term.
+Series arguments go through the ring operations of ``series``.  The two
+give structurally equal results, with the same precisions and errors.
 """
 
 from __future__ import annotations
@@ -170,6 +178,35 @@ def _check_poch_invertible(v, n, what):
 # -- q-shifted factorials -----------------------------------------------------
 
 
+def _times_one_minus(num, lo, cn, cd, e, top):
+    """The block num at q^lo times cd - cn*q^e, kept below q^top: the
+    two-term update num'[j] = cd*num[j] - cn*num[j-e].  Returns (num', lo')."""
+    z = [0] * abs(e)
+    if e >= 0:
+        num = [cd * a - cn * b for a, b in zip(num + z, z + num)]
+    else:
+        num = [cd * a - cn * b for a, b in zip(z + num, num + z)]
+        lo += e
+    del num[max(0, top - lo):]
+    return num, lo
+
+
+def _over_one_minus(num, cn, cd, e):
+    """num / (1 - (cn/cd)*q^e) for e > 0, to len(num) terms, as (s, m) with
+    quotient s/cd^m.  S_j = num_j*cd^(j//e) + cn*S_(j-e) is the quotient
+    times cd^(j//e), so every S_j is an integer; m = (len(num)-1)//e."""
+    m = (len(num) - 1) // e
+    pw = [1]
+    for _ in range(m):
+        pw.append(pw[-1] * cd)
+    s = [a * pw[j // e] for j, a in enumerate(num)] if cd != 1 else list(num)
+    for j in range(e, len(s)):
+        s[j] += cn * s[j - e]
+    if cd != 1:
+        s = [a * pw[m - j // e] for j, a in enumerate(s)]
+    return s, m
+
+
 def qpoch_finite(x, n, prec, step=1):
     """(x;q)_n = prod_{i<n} (1 - x*q^(step*i)); exact for exact x.
 
@@ -214,13 +251,7 @@ def qpoch_capped(x, n, prec, step=1):
     for i in range(n):
         f = e + step * i
         suffix -= min(0, f)
-        z = [0] * abs(f)
-        if f >= 0:
-            num = [cd * a - cn * b for a, b in zip(num + z, z + num)]
-        else:
-            num = [cd * a - cn * b for a, b in zip(z + num, num + z)]
-            lo += f
-        del num[max(0, prec - suffix - lo):]
+        num, lo = _times_one_minus(num, lo, cn, cd, f, prec - suffix)
     return se._make(lo, num, cd ** n, prec)
 
 
@@ -357,10 +388,77 @@ def ratio_stop(num, den, z, sr, prec, n_term=None):
 
 def ratio_terms(num, den, z, sr, t0, n):
     """Yield t_0 = t0, t_1, ..., t_(n-1) (t_0 alone when n < 2), where
-    t_(k+1)/t_k = z (-1)^sr q^(sr*k) N_k/D_k as in ratio_sum."""
+    t_(k+1)/t_k = z (-1)^sr q^(sr*k) N_k/D_k as in ratio_sum.
+
+    When z and every factor value are exact monomials, each step runs on the
+    raw term (lo, T, D, P): the block T at q^lo over the denominator D, of
+    precision P.  A factor 1 - (cn/cd) q^e is a two-term update of T, z and
+    (-1)^sr q^(sr*k) are a scale and a shift, and the result is normalized
+    once per term.  When any of them is a series, each factor is a series
+    and each step is ring operations.  Both give the same terms,
+    precisions and errors:
+    with d = min(0, e), a numerator factor moves P to P + d and a
+    denominator factor to P - d, a vanishing numerator factor gives mul's
+    zero series, and a vanishing denominator factor raises.
+    """
+    if isinstance(z, QMonomial) and all(isinstance(f[0], QMonomial) for f in num + den):
+        return _exact_terms(num, den, z, sr, t0, n)
+    return _ring_terms(num, den, z, sr, t0, n)
+
+
+def _exact_terms(num, den, z, sr, t, n):
+    num = [(v.coef.numerator, v.coef.denominator, v.exp, i, j) for v, i, j in num if v.coef]
+    den = [(v.coef.numerator, v.coef.denominator, v.exp, i, j, what)
+           for v, i, j, what in den if v.coef]
+    zn = -z.coef.numerator if sr % 2 else z.coef.numerator
+    yield t
+    for k in range(n - 1):
+        lo, T, D, P = t.min_exp, list(t._num), t._den, t.prec
+        for cn, cd, ve, i, j in num:
+            e = ve + i * k + j
+            if e == 0 and cn == cd:
+                # mul by the zero factor O(q^(P - min(0, ord t) + 4)) of _factor.
+                P += 4 + max(0, lo if T else P)
+                T = []
+                continue
+            if T:
+                T, lo = _times_one_minus(T, lo, cn, cd, e, P + min(0, e))
+                D *= cd
+            P += min(0, e)
+        lo += z.exp + sr * k
+        P += z.exp + sr * k
+        if zn != 1:
+            T = [zn * a for a in T] if zn else []
+        D *= z.coef.denominator
+        for cn, cd, ve, i, j, what in den:
+            e = ve + i * k + j
+            if e == 0 and cn == cd:
+                raise DegenerateParameterError(
+                    "%s: factor 1 - v*q^%d vanishes" % (what, i * k + j))
+            if e < 0:
+                # 1 - c*q^e = -c*q^e * (1 - q^-e/c)
+                lo -= e
+                P -= e
+                if cd != 1:
+                    T = [cd * a for a in T]
+                D *= -cn
+                cn, cd, e = cd, cn, -e
+            if not T:
+                continue
+            if e == 0:
+                T = [cd * a for a in T]
+                D *= cd - cn
+            else:
+                T += [0] * (P - lo - len(T))
+                T, m = _over_one_minus(T, cn, cd, e)
+                D *= cd ** m
+        t = se._make(lo, T, D, P)
+        yield t
+
+
+def _ring_terms(num, den, z, sr, t, n):
     num = [(v, i, j, ord_of(v)) for v, i, j in num]
     den = [(v, i, j, ord_of(v), what) for v, i, j, what in den]
-    t = t0
     yield t
     for k in range(n - 1):
         for v, i, j, d in num:
@@ -388,7 +486,9 @@ def ratio_sum(num, den, z, sr, prec, n_term=None):
     Given ``n_term`` the sum is t_0..t_(n_term), uncapped; otherwise it
     stops as ratio_stop says and is truncated to prec.  Terms start at
     precision prec - dip + 2, where dip <= 0 is the lowest cum_k of a
-    summed term (see ratio_orders).
+    summed term (see ratio_orders).  The terms come from ratio_terms: on
+    raw integers when z and every v are exact monomials, by ring
+    operations when any is a series, with identical results.
     """
     n, dip = ratio_stop(num, den, z, sr, prec, n_term)
     acc = reduce(se.add, ratio_terms(num, den, z, sr, se.one(prec - dip + 2), n))

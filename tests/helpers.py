@@ -10,7 +10,8 @@ from fractions import Fraction
 from qtheta import series as se
 from qtheta.dsl import INF
 from qtheta.evaluator import _Evaluator
-from qtheta.kernels import QMonomial, as_value, to_series
+from qtheta.errors import DegenerateParameterError
+from qtheta.kernels import QMonomial, _factor, _mul_value, as_value, ord_of, to_series
 
 
 def rand_fraction(rng, exclude=(0, 1, -1)):
@@ -61,6 +62,29 @@ def brute_theta(x, prec):
         xpow = se.mul(xpow, xs)
         n += 1
     return se.cap(acc, prec)
+
+
+def ratio_terms_by_ring(num, den, z, sr, t0, n):
+    """kernels.ratio_terms step by step in ring operations: each factor
+    1 - v*q^k is a series (kernels._factor) that multiplies or divides the
+    running term."""
+    num = [(v, i, j, ord_of(v)) for v, i, j in num]
+    den = [(v, i, j, ord_of(v), what) for v, i, j, what in den]
+    t = t0
+    yield t
+    for k in range(n - 1):
+        for v, i, j, d in num:
+            t = se.mul(t, _factor(t, v, d, i * k + j))
+        t = _mul_value(t, z)
+        if sr:
+            t = se.mul_monomial(t, Fraction(-1) ** sr, sr * k)
+        for v, i, j, d, what in den:
+            g = _factor(t, v, d, i * k + j)
+            if g.is_zero:
+                raise DegenerateParameterError(
+                    "%s: factor 1 - v*q^%d vanishes" % (what, i * k + j))
+            t = se.divide(t, g)
+        yield t
 
 
 def series_of(x, prec):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qtheta import dsl
 from qtheta.cli import main
 
 
@@ -139,3 +140,39 @@ def test_eval_retries_products_of_deep_dip_calls(capsys):
 def test_missing_identity_file(capsys):
     assert main(["verify", "--file", "/nonexistent/path.qid"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+_TOO_DEEP = "error: expression nested deeper than %d levels (line 1, col " % dsl.MAX_DEPTH
+_NESTINGS = {
+    "parens": lambda k: "(" * (k - 1) + "q" + ")" * (k - 1),
+    "minus": lambda k: "-" * (k - 1) + "q",
+    "power": lambda k: "q^" * (k - 1) + "2",
+    "plus": lambda k: "+".join(["q"] * k),
+    "calls": lambda k: "theta(" * (k - 1) + "q^2/3" + ")" * (k - 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_eval_too_deep_is_a_parse_error(capsys, shape):
+    # Past MAX_DEPTH the parser stops with a position instead of
+    # overflowing the interpreter stack; exit 1 would mean a failed identity.
+    for k in (dsl.MAX_DEPTH + 1, 1000):
+        assert main(["eval", "--order", "3", "--", _NESTINGS[shape](k)]) == 2
+        assert capsys.readouterr().err.startswith(_TOO_DEEP), (shape, k)
+
+
+@pytest.mark.parametrize("shape", ["parens", "minus", "plus"])
+def test_eval_at_max_depth(capsys, shape):
+    text = _NESTINGS[shape](dsl.MAX_DEPTH)
+    assert main(["eval", "--order", "3", "--", text]) == 0
+    assert capsys.readouterr().out.endswith(" + O(q^3)\n")
+    tree = dsl.parse(text)
+    assert dsl.parse(dsl.render(tree)) == tree and dsl.neg_shift(tree) == 0
+
+
+def test_too_deep_identity_file(tmp_path, capsys):
+    deep = tmp_path / "deep.qid"
+    deep.write_text("identity deep ; params a ; lhs %s ; rhs q ; source \"nested\""
+                    % _NESTINGS["parens"](1000), encoding="utf-8")
+    assert main(["verify", "deep", "--order", "5", "--file", str(deep)]) == 2
+    assert "nested deeper than %d levels" % dsl.MAX_DEPTH in capsys.readouterr().err
