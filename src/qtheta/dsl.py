@@ -144,7 +144,8 @@ _BUILTINS = {
                        lambda o, n: max(theta_dip(o[0]), theta_dip(1 - o[0]))),
     "poch": _Builtin("S", ("S", "I", "?I"),
                      lambda x, n, step=1, *, p: qpoch_capped(x, n, p + 16, step), _neg_arg),
-    "pochinf": _Builtin("S", ("S",), lambda x, p: qpoch_infinite(x, p), _neg_arg),
+    "pochinf": _Builtin("S", ("S",), lambda x, p: qpoch_infinite(x, p),
+                        lambda o, n: theta_dip(o[0])),
     "phi": _Builtin("S", ("S", "S", "S"), lambda u, l, z, p: bhs(u, l, z, p),
                     _neg_arg),
     "Pm": _Builtin("S", ("I", "S", "S"), lambda m, a, b, p: sums.pmsum(m, a, b, p),

@@ -10,7 +10,11 @@ through the ring rules and the result honestly reports what survived.
 Infinite sums and products never stop on "term looks small": they stop
 only once a mechanically derived lower bound on the q-order of all
 remaining terms is at or above the target precision, and the result is
-truncated to that target.
+truncated to that target.  ``ratio_sum`` is the one such loop: bhs, the
+partial theta function and, through Euler's identity
+(x;q)_inf = sum_n (-1)^n q^C(n,2) x^n / (q;q)_n, the infinite
+Pochhammer symbol are each one call of it.  ``qpoch_capped`` is the one
+finite product.
 
 Exact arguments also choose the arithmetic.  A factor 1 - c*q^e with
 exact c is a two-term integer update of a coefficient block over one
@@ -256,30 +260,17 @@ def qpoch_capped(x, n, prec, step=1):
 
 
 def qpoch_infinite(x, prec):
-    """(x;q)_inf truncated soundly at the requested precision."""
+    """(x;q)_inf truncated soundly at the requested precision.
+
+    Euler's identity (x;q)_inf = sum_n (-1)^n q^C(n,2) x^n / (q;q)_n makes
+    it the ratio_sum with t_(n+1)/t_n = -x q^n / (1 - q^(n+1)).
+    """
     if prec < 1:
         raise PrecisionError("qpoch_infinite needs precision >= 1")
     v = as_value(x)
-    if isinstance(v, QMonomial):
-        # From factor stop on, e + i clears prec by the most the earlier
-        # factors can dip below q^0, so later factors change nothing below
-        # q^prec; stop > -e takes in any vanishing factor 1 - q^0.
-        stop = max(0, prec - v.exp - negord(v.exp, max(0, -v.exp)))
-        return qpoch_capped(v, stop, prec)
-    if v.is_zero:
-        return se.one(min(prec, v.prec))
-    d = v.min_exp
-    h = se.one(v.prec)
-    i = 0
-    while True:
-        oh = h._ord()
-        if i >= max(0, -d) and d + i + min(0, oh) >= prec:
-            break
-        if h.is_zero:
-            break
-        h = se.mul(h, one_minus(v, i, v.prec + i))
-        i += 1
-    return se.cap(h, prec)
+    if ord_of(v) is None:
+        return se.one(prec if isinstance(v, QMonomial) else min(prec, v.prec))
+    return ratio_sum([], [(QMonomial(Fraction(1), 0), 1, 1, "(q;q)_n")], v, 1, prec)
 
 
 def qpoch_multi(xs, prec, n=None):
@@ -301,28 +292,14 @@ def qpoch_multi(xs, prec, n=None):
 
 
 def theta_partial(x, prec):
-    """sum_{n>=0} (-1)^n q^(n(n-1)/2) x^n, formally convergent for every x."""
+    """sum_{n>=0} (-1)^n q^(n(n-1)/2) x^n, formally convergent for every x:
+    the ratio_sum with t_(n+1)/t_n = -x q^n."""
     if prec < 1:
         raise PrecisionError("theta_partial needs precision >= 1")
     v = as_value(x)
-    if isinstance(v, QMonomial):
-        c, e = v.coef, v.exp
-        if c == 0:
-            return se.one(prec)
-        entries = {}
-        n = 0
-        cp = Fraction(1)
-        vertex = max(0, 1 - e)
-        while True:
-            ex = n * (n - 1) // 2 + n * e
-            if n >= vertex and ex >= prec:
-                break
-            if ex < prec:
-                entries[ex] = entries.get(ex, Fraction(0)) + (cp if n % 2 == 0 else -cp)
-            n += 1
-            cp *= c
-        return se._from_entries(entries, prec)
-    if v.is_zero:
+    if isinstance(v, QMonomial) and v.coef == 0:
+        return se.one(prec)
+    if ord_of(v) is None:
         # A term n >= 1 of x = O(q^P) is O(q^(nP + n(n-1)/2)), lowest at P - theta_dip(P+1).
         return se.add(se.one(prec), se.zero(v.prec - theta_dip(v.prec + 1)))
     return ratio_sum([], [], v, 1, prec)

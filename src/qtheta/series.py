@@ -219,21 +219,6 @@ def _make(min_exp, num, den, prec):
     return LaurentSeries(min_exp, tuple(num), den, prec)
 
 
-def _from_entries(entries, prec):
-    """The series sum c*q^e over a {e: Fraction c} dict, at precision prec."""
-    if not entries:
-        return zero(prec)
-    lo = min(entries)
-    hi = max(entries)
-    den = 1
-    for c in entries.values():
-        den = den // gcd(den, c.denominator) * c.denominator
-    num = [0] * (hi - lo + 1)
-    for e, c in entries.items():
-        num[e - lo] = c.numerator * (den // c.denominator)
-    return _make(lo, num, den, prec)
-
-
 def zero(prec):
     """The zero-to-precision series O(q^prec)."""
     return LaurentSeries(prec, (), 1, prec)
@@ -509,4 +494,13 @@ def from_string(s):
         entries[e] = entries.get(e, Fraction(0)) + sign * c
     if prec is None:
         raise ValueError("series text lacks an O(q^p) precision marker")
-    return _from_entries(entries, prec)
+    if not entries:
+        return zero(prec)
+    lo = min(entries)
+    den = 1
+    for c in entries.values():
+        den = den // gcd(den, c.denominator) * c.denominator
+    num = [0] * (max(entries) - lo + 1)
+    for e, c in entries.items():
+        num[e - lo] = c.numerator * (den // c.denominator)
+    return _make(lo, num, den, prec)

@@ -6,12 +6,23 @@ the kernel/sum implementations under test.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 from qtheta import series as se
 from qtheta.dsl import INF
 from qtheta.evaluator import _Evaluator
 from qtheta.errors import DegenerateParameterError
-from qtheta.kernels import QMonomial, _factor, _mul_value, as_value, ord_of, to_series
+from qtheta.kernels import (
+    QMonomial,
+    _factor,
+    _mul_value,
+    as_value,
+    negord,
+    one_minus,
+    ord_of,
+    qpoch_capped,
+    to_series,
+)
 
 
 def rand_fraction(rng, exclude=(0, 1, -1)):
@@ -85,6 +96,53 @@ def ratio_terms_by_ring(num, den, z, sr, t0, n):
                     "%s: factor 1 - v*q^%d vanishes" % (what, i * k + j))
             t = se.divide(t, g)
         yield t
+
+
+def qpoch_infinite_by_product(x, prec):
+    """(x;q)_inf as the product of its factors 1 - x*q^i, i.e. the former
+    kernels.qpoch_infinite: an exact x stops at a derived factor count, a
+    series x multiplies until the next factor's order clears prec."""
+    v = as_value(x)
+    if isinstance(v, QMonomial):
+        # From factor stop on, e + i clears prec by the most the earlier
+        # factors can dip below q^0, so later factors change nothing below
+        # q^prec; stop > -e takes in any vanishing factor 1 - q^0.
+        stop = max(0, prec - v.exp - negord(v.exp, max(0, -v.exp)))
+        return qpoch_capped(v, stop, prec)
+    if v.is_zero:
+        return se.one(min(prec, v.prec))
+    d = v.min_exp
+    h = se.one(v.prec)
+    i = 0
+    while True:
+        oh = h._ord()
+        if i >= max(0, -d) and d + i + min(0, oh) >= prec:
+            break
+        if h.is_zero:
+            break
+        h = se.mul(h, one_minus(v, i, v.prec + i))
+        i += 1
+    return se.cap(h, prec)
+
+
+def theta_partial_by_entries(x, prec):
+    """Partial theta at an exact nonzero x = c*q^e summed into a dict of
+    exponents, i.e. the former exact branch of kernels.theta_partial."""
+    v = as_value(x)
+    c, e = v.coef, v.exp
+    entries = {}
+    n = 0
+    cp = Fraction(1)
+    vertex = max(0, 1 - e)
+    while True:
+        ex = n * (n - 1) // 2 + n * e
+        if n >= vertex and ex >= prec:
+            break
+        if ex < prec:
+            entries[ex] = entries.get(ex, Fraction(0)) + (cp if n % 2 == 0 else -cp)
+        n += 1
+        cp *= c
+    return reduce(se.add, (se.monomial(a, ex, prec) for ex, a in entries.items()), se.zero(prec))
 
 
 def series_of(x, prec):

@@ -20,6 +20,7 @@ from qtheta.errors import (
 from qtheta.identities import load_registry
 from qtheta.kernels import bhs, qpoch_finite, qpoch_infinite, theta_full, theta_partial
 from qtheta.sums import lam, omega, pmsum, qcap, ssum, thetak, tsum, usum, vsum
+from qtheta.verifier import max_neg_shift
 
 from helpers import assert_eq_series, qmon, rand_fraction
 
@@ -312,7 +313,7 @@ NEG_SHIFT = {
     "Q(5,3/q^9)": 18,
     "lam(3,1,b/q)": 1,
     "poch(a/q^2,3)": 2,
-    "pochinf(a/q^4)": 4,
+    "pochinf(a/q^4)": 10,
     "phi(a/q; b; q)": 1,
     "q^(0-5)": 5,
     "binom2(3)*q": 0,
@@ -323,6 +324,24 @@ def test_neg_shift_one_case_per_builtin():
     got = {text: dsl.neg_shift(parse(text)) for text in NEG_SHIFT}
     assert got == NEG_SHIFT
     assert set(dsl._BUILTINS) <= {re.match(r"\w+", text).group() for text in NEG_SHIFT}
+
+
+def test_pochinf_guard_covers_its_dip():
+    # Euler's sum for (x;q)_inf dips as theta(x) does: to q^-21 at ord(x) = -6,
+    # so a product of two such calls still reaches its order.
+    tree = parse("pochinf(3/q^6)*pochinf(3/q^6)")
+    got = dsl.evaluate(tree, {}, 6 + 2 * dsl.neg_shift(tree) + 8)
+    assert got.prec >= 6
+
+
+def test_pochinf_guard_leaves_corpus_guards(monkeypatch):
+    # Every corpus pochinf argument has order >= 0, where the dip is 0.
+    registry = load_registry()
+    got = [max_neg_shift(ident) for ident in registry]
+    row = dsl._BUILTINS["pochinf"]
+    monkeypatch.setitem(dsl._BUILTINS, "pochinf", row._replace(guard=dsl._neg_arg))
+    assert [max_neg_shift(ident) for ident in registry] == got
+    assert len(got) == 48
 
 
 def test_readme_builtins_block_mirrors_table():

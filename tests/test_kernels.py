@@ -24,7 +24,9 @@ from helpers import (
     brute_poch_inf,
     brute_theta,
     qmon,
+    qpoch_infinite_by_product,
     rand_fraction,
+    theta_partial_by_entries,
 )
 
 
@@ -165,6 +167,63 @@ def test_qpoch_multi():
         qpoch_infinite(qmon(Fraction(1, 2), 1), 12),
     )
     assert_eq_series(got, want, 12)
+
+
+# -- Euler's sum and theta's ratio sum against the former loops ------------------
+
+
+def test_exact_arguments_match_former_loops():
+    # Structurally equal, precision included, to the factor product with its
+    # derived stop and to theta's sum over a dict of exponents.
+    coefs = [0, 1, -1, 2, Fraction(1, 3), Fraction(-7, 4), Fraction(7, 3), Fraction(5, 9)]
+    for c, e, prec in itertools.product(coefs, range(-8, 9), (1, 2, 5, 12, 31, 40, 77, 114)):
+        x = qmon(c, e)
+        assert qpoch_infinite(x, prec) == qpoch_infinite_by_product(x, prec), (c, e, prec)
+        if c:
+            assert theta_partial(x, prec) == theta_partial_by_entries(x, prec)
+
+
+def _series(d, coefs, prec):
+    """sum_i coefs[i] q^(d+i) + O(q^prec), dropping the terms at or above prec."""
+    x = se.zero(prec)
+    for i, c in enumerate(coefs[:max(0, prec - d)]):
+        x = se.add(x, se.monomial(c, d + i, prec))
+    return x
+
+
+_LEADS = (1, -1, Fraction(-3, 2))
+_TAIL = [Fraction(2, 3), 0, -1]
+
+
+def test_pochinf_series_matches_former_product():
+    # Same values to the common precision; Euler's sum may claim more.
+    for d, lead, dp, prec in itertools.product(range(-3, 3), _LEADS, (1, 2, 4, 12), (1, 5, 20, 40)):
+        x = _series(d, [lead] + _TAIL, d + dp)
+        if x.prec < 1:
+            continue  # the product loop starts from 1 + O(q^x.prec)
+        got, want = qpoch_infinite(x, prec), qpoch_infinite_by_product(x, prec)
+        assert_eq_series(got, want)
+        assert got.prec >= want.prec, (d, lead, dp, prec)
+
+
+def test_pochinf_series_precision_is_honest():
+    # x = O(q^P) is known below q^P only: changing its coefficient at q^P
+    # must not move any coefficient below the reported precision, and some
+    # change moves the coefficient at it.  A leading coefficient 1 at
+    # negative order d makes the factor 1 - x*q^-d vanish to leading order.
+    for d, lead, dp, prec in itertools.product(range(-3, 3), _LEADS, (1, 2, 4), (3, 12, 30)):
+        coefs = [lead] + _TAIL + [0] * dp
+        x = _series(d, coefs, d + dp)
+        got = qpoch_infinite(x, prec)
+        p = max(1, got.prec + 3)
+        base = qpoch_infinite(_series(d, coefs[:dp], d + dp + 40), p)
+        moved = False
+        for delta in (1, -2, Fraction(5, 3)):
+            other = qpoch_infinite(_series(d, coefs[:dp] + [delta], d + dp + 40), p)
+            assert other.prec >= got.prec
+            assert_eq_series(got, other)
+            moved = moved or other.coeff(got.prec) != base.coeff(got.prec)
+        assert got.prec == prec or moved, (d, lead, dp, prec)
 
 
 # -- theta functions ---------------------------------------------------------------

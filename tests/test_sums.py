@@ -7,7 +7,7 @@ import pytest
 
 from qtheta import series as se
 from qtheta.errors import DegenerateParameterError, DomainError
-from qtheta.kernels import theta_partial
+from qtheta.kernels import qpoch_infinite, theta_partial
 from qtheta.sums import lam, omega, pmsum, qcap, ssum, thetak, tsum, usum, vsum
 
 from helpers import (
@@ -120,6 +120,7 @@ def test_u_qcap_theta_prefix_stable():
             for exact, b in [(True, x) for x in exact_args] + [(False, x) for x in series_args]:
                 cases = [(usum, (m, b)) for m in range(5)]
                 cases += [(qcap, (m, b)) for m in range(2, 6)]
+                cases.append((qpoch_infinite, (b,)))
                 if not exact:
                     cases.append((theta_partial, (b,)))
                 for f, args in cases:
