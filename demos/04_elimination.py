@@ -3,8 +3,9 @@
 The relation theta(q,a) = sum_k lam(m,k,b) P_m(a q^k, b q^k), instantiated
 at shifted parameters and with a and b swapped, gives a square linear
 system over the series field whose unknowns are the shifted P_m values.
-Gaussian elimination with minimal-order pivots solves it exactly; the
-t = 0 unknown is P_m(a,b) itself.
+Gauss-Jordan on [A | I] with minimal-order pivots solves it exactly: the
+right half of each unknown's pivot row is its combination of theta
+values.  The t = 0 unknown is P_m(a,b) itself.
 Run: python3 demos/04_elimination.py
 """
 

@@ -3,8 +3,8 @@
 Instantiating theta(q, a) = sum_k lam(m,k,b) P_m(a q^k, b q^k) at the
 shifted parameter pairs (a/q^j, b/q^j) for j = 0..m-2, together with the
 a<->b swapped family, yields a square linear system over the series field
-in the unknowns P_m(a q^t, b q^t), t = -(m-2)..m-1.  Gaussian elimination
-with minimal-q-order pivoting solves it; the t = 0 row is the wanted
+in the unknowns P_m(a q^t, b q^t), t = -(m-2)..m-1.  Gauss-Jordan on
+[A | I] with minimal-q-order pivoting solves it; the t = 0 row is the wanted
 combination, and a residual check against the direct P_m evaluation is
 run before anything is returned.
 """
@@ -85,49 +85,46 @@ def build_system(m, a, b, prec):
 def gauss_solve(system, pivot="min_order"):
     """Solve for every unknown, returned in ``system.shifts`` order.
 
+    Gauss-Jordan on one augmented row per equation, [A | I]: once every
+    column is eliminated, the right half of each unknown's pivot row holds
+    its combination of the right-hand sides.  Each pivot is inverted once
+    and its row scaled by multiplication; for d = ord(piv), mul(x, 1/piv)
+    has exactly divide's precision min(x.prec - d, piv.prec - 2d + ord x),
+    so the result equals divide's, zero x included.
+
     Pivoting picks the eligible entry of minimal q-order ("min_order",
     the default: a pivot of order d costs 2d precision digits) or the
     first nonzero row ("first"); the solution is unique over the series
     field, so both must agree, which the tests exercise.
     """
+    if pivot not in ("min_order", "first"):
+        raise DomainError("gauss_solve pivot must be 'min_order' or 'first', got %r" % (pivot,))
     n = len(system.shifts)
-    a = [list(row) for row in system.matrix]
-    inv = [[se.one(system.prec) if i == j else se.zero(system.prec) for j in range(n)]
-           for i in range(n)]
-    where = [None] * n
-    used = set()
+    p = system.prec
+    rows = [list(row) + [se.one(p) if i == j else se.zero(p) for j in range(n)]
+            for i, row in enumerate(system.matrix)]
+    free = list(range(n))
+    where = []
     for c in range(n):
-        best = None
-        for r in range(n):
-            if r in used or a[r][c].is_zero:
-                continue
-            if pivot == "first":
-                best = r
-                break
-            key = (a[r][c].order(), r)
-            if best is None or key < (a[best][c].order(), best):
-                best = r
-        if best is None:
+        cand = [r for r in free if not rows[r][c].is_zero]
+        if not cand:
             raise EliminationError(
                 "singular to precision in column for unknown t=%d" % system.shifts[c]
             )
-        used.add(best)
-        where[c] = best
-        piv = a[best][c]
-        a[best] = [se.divide(x, piv) for x in a[best]]
-        inv[best] = [se.divide(x, piv) for x in inv[best]]
+        best = cand[0] if pivot == "first" else min(cand, key=lambda r: (rows[r][c].order(), r))
+        free.remove(best)
+        where.append(best)
+        ip = se.invert(rows[best][c])
+        rows[best] = [se.mul(x, ip) for x in rows[best]]
         for r in range(n):
-            if r == best or a[r][c].is_zero:
-                continue
-            f = a[r][c]
-            a[r] = [se.sub(x, se.mul(f, y)) for x, y in zip(a[r], a[best])]
-            inv[r] = [se.sub(x, se.mul(f, y)) for x, y in zip(inv[r], inv[best])]
+            f = rows[r][c]
+            if r != best and not f.is_zero:
+                rows[r] = [se.sub(x, se.mul(f, y)) for x, y in zip(rows[r], rows[best])]
     combos = []
-    for c in range(n):
-        row = inv[where[c]]
+    for r in where:
         ca = [None] * (system.m - 1)
         cb = [None] * (system.m - 1)
-        for coeff, (kind, j) in zip(row, system.rhs_labels):
+        for coeff, (kind, j) in zip(rows[r][n:], system.rhs_labels):
             if kind == "a":
                 ca[j] = coeff
             else:

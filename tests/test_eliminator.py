@@ -1,12 +1,13 @@
 """Eliminator: system assembly, Gaussian elimination, theta combinations."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from qtheta import series as se
-from qtheta.errors import DegenerateParameterError, EliminationError
+from qtheta.errors import DegenerateParameterError, DomainError, EliminationError
 from qtheta.eliminator import (
     SeriesLinearSystem,
     build_system,
@@ -74,13 +75,26 @@ def test_express_pm_m2_exact_constants():
 
 def test_express_pm_m2_random_constants():
     rng = random.Random(42)
-    for _ in range(3):
+    done = 0
+    while done < 3:
         a, b = rand_fraction(rng), rand_fraction(rng)
         if a == b or a * b == 1:
             continue
         combo = express_pm(2, a, b, 25)
         assert combo.coeff_a[0].constant_value() == a / (a - b)
         assert combo.coeff_b[0].constant_value() == -b / (a - b)
+        done += 1
+
+
+def test_express_pm_rendered_output_pinned():
+    # every coefficient of m = 2..6 at (a, b) = (2, 3), order 20, as text
+    h = hashlib.sha256()
+    for m in range(2, 7):
+        combo = express_pm(m, Fraction(2), Fraction(3), 20)
+        h.update(b"%d %d\n" % (m, combo.checked_prec))
+        for c in combo.coeff_a + combo.coeff_b:
+            h.update((str(c) + "\n").encode())
+    assert h.hexdigest() == "dd5ffd5e1b31dae3d149eb7d40761b19bf8de1d64c1b75387510ffbc0f0542a7"
 
 
 def test_express_pm_m3_matches_four_theta_statement():
@@ -154,6 +168,13 @@ def test_pivot_choice_invariance():
         for c1, c2 in zip(sol_min, sol_first):
             for x, y in zip(c1.coeff_a + c1.coeff_b, c2.coeff_a + c2.coeff_b):
                 assert se.eq_to_prec(x, y)[0]
+
+
+def test_unknown_pivot_rejected():
+    system = build_system(2, Fraction(2), Fraction(3), 12)
+    for pivot in ("max_order", "", "First", None):
+        with pytest.raises(DomainError, match="pivot"):
+            gauss_solve(system, pivot=pivot)
 
 
 def test_express_pm_b_equals_minus_a():

@@ -114,6 +114,10 @@ def test_invert_zero_rejected():
 
 
 def test_divide_matches_mul_invert():
+    # mul(x, invert(y)) == divide(x, y) as stored series, precision included:
+    # Gauss-Jordan elimination relies on it when it inverts each pivot once.
+    # Leading numerators below and above 2^32 run both of divide's paths
+    # (integer recurrence and exact rationals).
     rng = random.Random(7)
     for _ in range(40):
         x = _rand_series(rng)
@@ -121,10 +125,20 @@ def test_divide_matches_mul_invert():
         if y.is_zero:
             continue
         lhs = se.divide(x, y)
-        rhs = se.mul(x, se.invert(y))
-        assert se.eq_to_prec(lhs, rhs)[0]
+        assert lhs == se.mul(x, se.invert(y))
         assert lhs.prec == min(x.prec - y.min_exp,
                                y.prec + x._ord() - 2 * y.min_exp)
+    paths = set()
+    for dy in (-3, -1, 0, 1, 4):
+        for y0 in (1, -5, 2**32 - 1, 2**32, -(3**30), 7**40):
+            for _ in range(6):
+                tail = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+                den = rng.randint(1, 6)
+                y = se._make(dy, [y0] + tail, den, dy + len(tail) + 1 + rng.randint(0, 8))
+                paths.add(abs(y._num[0]) >> 32 == 0)
+                for x in (se.zero(rng.randint(-4, 12)), _rand_series(rng), _rand_series(rng, 9)):
+                    assert se.mul(x, se.invert(y)) == se.divide(x, y)
+    assert paths == {True, False}
 
 
 # -- accessors ---------------------------------------------------------------------
