@@ -162,7 +162,7 @@ _BUILTINS = {
     "Omega": _Builtin("S", ("S", "S"), lambda a, b, p: sums.omega(a, b, p),
                       lambda o, n: theta_dip(o[0])),
     "ThetaK": _Builtin("S", ("I", "S", "S"), lambda k, a, b, p: sums.thetak(k, a, b, p),
-                       lambda o, n: n[0] + 1),
+                       lambda o, n: sums.thetak_dip(n[0], o[1], o[2])),
     "T": _Builtin("S", ("S",), lambda a, p: sums.tsum(a, p),
                   lambda o, n: theta_dip(o[0] - 1)),
     "binom2": _Builtin("I", ("I",), lambda n: n * (n - 1) // 2, lambda o, n: 0),
@@ -460,30 +460,24 @@ def _children(node):
 
 def free_params(node, bound=frozenset()):
     """Names of free single-letter parameters (excluding q and sum indices)."""
-    if isinstance(node, Ref):
-        return set() if node.name in bound or node.name in ("q", "inf") else {node.name}
-    if isinstance(node, Lit):
-        return set()
-    if isinstance(node, Neg):
-        return free_params(node.operand, bound)
-    if isinstance(node, BinOp):
-        return free_params(node.left, bound) | free_params(node.right, bound)
-    if isinstance(node, Pow):
-        return free_params(node.base, bound) | free_params(node.exp, bound)
-    if isinstance(node, Call):
-        out = set()
-        for group in node.groups:
-            for arg in group:
-                out |= free_params(arg, bound)
-        return out
-    if isinstance(node, Sum):
-        out = free_params(node.lo, bound)
-        if node.hi is not INF:
-            out |= free_params(node.hi, bound)
-        inner = bound | {node.var}
-        return out | free_params(node.body, inner) | (
-            free_params(node.bound, inner) if node.bound is not None else set())
-    raise TypeError("unknown node %r" % (node,))
+    out = set()
+
+    def walk(node, bound):
+        if isinstance(node, Ref):
+            if node.name not in bound and node.name not in ("q", "inf"):
+                out.add(node.name)
+        elif isinstance(node, Sum):
+            # The index is bound in the body and the bound, not in the limits.
+            inner = bound | {node.var}
+            for x, b in ((node.lo, bound), (node.hi, bound),
+                         (node.body, inner), (node.bound, inner)):
+                walk(x, b)
+        else:
+            for x in _children(node):
+                walk(x, bound)
+
+    walk(node, bound)
+    return out
 
 
 def sum_indices(node):

@@ -4,8 +4,12 @@ Each operation takes parameter values (rationals, exact monomials in q, or
 Laurent series) plus a target precision.  Infinite sums advance a running
 term by exact binomial-factor ratios, stop once a mechanical lower bound
 on the remaining term orders clears the target, and truncate the result
-to the target.  Exact arguments therefore always reach the requested
-precision; series arguments propagate honestly.
+to the target.  Each sum derives its working precision from the target
+and its arguments' q-orders: what its divisions and shifts lose by the
+ring rules, and how far its terms dip below q^0 (theta_dip, u_dip,
+thetak_dip).  Exact arguments therefore reach the requested precision,
+unless a sum's leading terms cancel (Q_m in lam); series arguments
+propagate honestly.
 """
 
 from __future__ import annotations
@@ -112,15 +116,14 @@ def lam(m, k, b, prec):
         raise PrecisionError("lam needs precision >= 1")
     bv = as_value(b)
     bq = _val_shift(bv, 1 - m)
-    qm = qcap(m, bq, prec + 6)
-    if qm.is_zero:
-        raise DegenerateParameterError("lam: Q_%d(b*q^%d) vanishes to precision" % (m, 1 - m))
-    dq = qm.min_exp
-    if dq < 0:
-        qm = qcap(m, bq, prec + 2 * (-dq) + 6)
     db = ord_of(bv) or 0
     dpow = k * (db + k - m + 1)
-    w = prec + 2 * abs(min(0, dq)) + abs(min(0, dpow)) + 6
+    # ord Q_m(bq) >= -u_dip, and divide's rule loses up to twice that dip
+    # (more if Q_m's leading terms cancel); b^k of order dpow < 0 loses -dpow.
+    w = prec + 2 * u_dip(m - 1, db + 1 - m) - min(0, dpow)
+    qm = qcap(m, bq, w)
+    if qm.is_zero:
+        raise DegenerateParameterError("lam: Q_%d(b*q^%d) vanishes to precision" % (m, 1 - m))
     num = qpoch_finite(QMonomial(Fraction(1), m - k), k, w)
     if isinstance(bv, QMonomial):
         bpow = QMonomial(bv.coef ** k, k * (bv.exp + k - m + 1))
@@ -151,7 +154,7 @@ def _pfamily(m, a, b, prec, zexp, what):
          (bv, 1, 0, what + ": (b;q)_n"), (abm, 1, 0, what + ": (ab/q^%d;q)_n" % m)],
         QMonomial(Fraction(1), zexp), 0, prec + extra,
     )
-    pre = qpoch_multi([_QMON, av, bv], prec + max(0, -acc._ord()) + 2)
+    pre = qpoch_multi([_QMON, av, bv], prec + max(0, -acc._ord()))
     return se.cap(se.mul(pre, acc), prec)
 
 
@@ -180,61 +183,61 @@ def omega(a, b, prec):
     db = ord_of(bv)
     if db is None:
         return theta_partial(av, prec)
-    da = ord_of(av)
-
-    def bound(n):
-        return n * (n - 1) // 2 + n * db - theta_dip((da if da is not None else 0) + n)
-
-    stab = max(0, -(da if da is not None else 0))
-    acc = None
-    bpow = QMonomial(Fraction(1), 0)
-    n = 0
-    while True:
-        if n >= stab and bound(n) >= prec and n + db >= 0:
-            break
+    da = ord_of(av) or 0
+    acc, bpow, n = se.zero(prec), QMonomial(Fraction(1), 0), 0
+    # Term n has order >= C(n,2) + n*db - theta_dip(da + n), rising once n >= -da, -db.
+    while n < -da or n + db < 0 or n * (n - 1) // 2 + n * db - theta_dip(da + n) < prec:
         sh = n * (n - 1) // 2
-        dipn = theta_dip((da if da is not None else 0) + n)
-        th = theta_partial(_val_shift(av, n),
-                           prec + 2 * dipn + abs(min(0, sh + n * db)) + 4)
+        th = theta_partial(_val_shift(av, n), prec + 2 * theta_dip(da + n) + max(0, -sh - n * db))
         term = se.shift(_mul_value(th, bpow), sh)
-        if n % 2:
-            term = se.neg(term)
-        acc = term if acc is None else se.add(acc, term)
+        acc = se.sub(acc, term) if n % 2 else se.add(acc, term)
         bpow = _val_mul(bpow, bv)
         n += 1
-    return se.cap(acc if acc is not None else se.zero(prec), prec)
+    return se.cap(acc, prec)
+
+
+def thetak_dip(k, da, db):
+    """How far below q^0 Theta_k(q,a,b) can reach for ord(a) = da and
+    ord(b) = db: the lowest order bound over its four products c*theta."""
+
+    def half(x, y):
+        # c*theta(y*q^(k+2)) with c = (1 + x*q^(k+1)) y / (x (1+q)), and
+        # c*theta(y*q^(k+1)) with c = (1 + x*q^k) / ((x + y) q^(k+1)).
+        return max(x - y - min(0, x + k + 1) + theta_dip(y + k + 2),
+                   k + 1 + min(x, y) - min(0, x + k) + theta_dip(y + k + 1))
+
+    return max(half(da, db), half(db, da))
 
 
 def thetak(k, a, b, prec):
-    """Theta_k(q,a,b): the four-term partial theta combination of order >= -(k+1)."""
+    """Theta_k(q,a,b): the four-term partial theta combination, of order
+    >= -thetak_dip(k, ord a, ord b)."""
     if k < 0:
         raise DomainError("thetak needs k >= 0")
     if prec < 1:
         raise PrecisionError("thetak needs precision >= 1")
     av, bv = as_value(a), as_value(b)
-    if ord_of(av) is None or ord_of(bv) is None:
+    da, db = ord_of(av), ord_of(bv)
+    if da is None or db is None:
         raise DegenerateParameterError("thetak needs nonzero a and b")
-    p = prec + 2 * (k + 2) + 8
-    a_s = to_series(av, p)
-    b_s = to_series(bv, p)
-    apb = se.add(a_s, b_s)
+    # Each product c*theta is at most its dip below q^0; by divide's rule the
+    # divisions by a, b and a + b (orders da, db and min(da, db)) lose their
+    # positive order on top of that.
+    p = prec + thetak_dip(k, da, db) + max(0, da, db)
+    apb = se.add(to_series(av, p), to_series(bv, p))
     if apb.is_zero:
         raise DegenerateParameterError("thetak needs a + b nonzero")
     one_q = se.add(se.one(p), se.monomial(1, 1, p))
 
-    th_b2 = theta_partial(_val_shift(bv, k + 2), p)
-    th_a2 = theta_partial(_val_shift(av, k + 2), p)
-    th_b1 = theta_partial(_val_shift(bv, k + 1), p)
-    th_a1 = theta_partial(_val_shift(av, k + 1), p)
+    def half(x, y):
+        # The two products of thetak_dip's half(ord x, ord y).
+        c1 = se.divide(_mul_value(one_minus(_val_neg(x), k + 1, p), y),
+                       se.mul(to_series(x, p), one_q))
+        c3 = se.shift(se.divide(one_minus(_val_neg(x), k, p), apb), -(k + 1))
+        return se.add(se.mul(c1, theta_partial(_val_shift(y, k + 2), p)),
+                      se.mul(c3, theta_partial(_val_shift(y, k + 1), p)))
 
-    c1 = se.divide(_mul_value(one_minus(_val_neg(av), k + 1, p), bv), se.mul(a_s, one_q))
-    c2 = se.divide(_mul_value(one_minus(_val_neg(bv), k + 1, p), av), se.mul(b_s, one_q))
-    c3 = se.shift(se.divide(one_minus(_val_neg(av), k, p), apb), -(k + 1))
-    c4 = se.shift(se.divide(one_minus(_val_neg(bv), k, p), apb), -(k + 1))
-
-    res = se.sub(se.mul(c1, th_b2), se.mul(c2, th_a2))
-    res = se.add(res, se.sub(se.mul(c3, th_b1), se.mul(c4, th_a1)))
-    return se.cap(res, prec)
+    return se.cap(se.sub(half(av, bv), half(bv, av)), prec)
 
 
 def tsum(a, prec):
@@ -243,18 +246,21 @@ def tsum(a, prec):
     if prec < 1:
         raise PrecisionError("tsum needs precision >= 1")
     av = as_value(a)
-    if ord_of(av) is None:
+    d = ord_of(av)
+    if d is None:
         raise DegenerateParameterError("tsum needs nonzero a")
-    p = prec + 10
+    # With d = ord(a): the theta(a) product loses theta_dip(d) - 2 min(0, d);
+    # dividing by a*q loses max(d + 1, 2d - 3) for d >= 0 (q^4 caps the
+    # numerator's order) and 1 for d < 0, and theta(a/q) dips theta_dip(d - 1).
+    p = prec + theta_dip(d - 1) + max(1, abs(d + 1), 2 * d - 3)
     A = to_series(av, p)
-    qs = se.monomial(1, 1, p)
-    A2 = se.mul(A, A)
+    q1, q2 = se.monomial(1, 1, p), se.monomial(1, 2, p)
+    A2, Aq = se.mul(A, A), se.mul(A, q1)
     th_a = theta_partial(av, p)
     th_aq = theta_partial(_val_shift(av, -1), p)
-    den1 = se.add(se.add(se.one(p), qs), se.monomial(1, 2, p))
-    num1 = se.add(se.sub(A, A2), se.sub(se.mul(A, qs), se.monomial(1, 2, p)))
-    num2 = se.sub(se.add(se.mul(A, qs), se.mul(A, se.monomial(1, 2, p))),
-                  se.add(A2, se.monomial(1, 4, p)))
+    den1 = se.add(se.add(se.one(p), q1), q2)
+    num1 = se.add(se.sub(A, A2), se.sub(Aq, q2))
+    num2 = se.sub(se.add(Aq, se.mul(A, q2)), se.add(A2, se.shift(q2, 2)))
     res = se.add(
         se.mul(se.divide(num1, den1), th_a),
         se.mul(se.divide(num2, se.shift(A, 1)), th_aq),

@@ -344,6 +344,26 @@ def test_pochinf_guard_leaves_corpus_guards(monkeypatch):
     assert len(got) == 48
 
 
+def test_thetak_guard_covers_its_order():
+    # The guard is sums.thetak_dip of the argument orders, not k + 1:
+    # ThetaK(0, 3/2*q, -5/7/q^4) has order -8.
+    guard = dsl._BUILTINS["ThetaK"].guard
+    slack = [guard((0, ea, eb), [k, 0, 0])
+             + thetak(k, qmon(Fraction(3, 2), ea), qmon(Fraction(-5, 7), eb), 4)._ord()
+             for k in range(4) for ea in range(-6, 4) for eb in range(-6, 4)]
+    assert min(slack) == 0
+    assert dsl.neg_shift(parse("ThetaK(0, 3/2*q, -5/7/q^4)")) == 8
+
+
+def test_thetak_guard_leaves_corpus_guards(monkeypatch):
+    # Every corpus ThetaK argument has order 0, where the dip is k + 1.
+    registry = load_registry()
+    got = [max_neg_shift(ident) for ident in registry]
+    row = dsl._BUILTINS["ThetaK"]
+    monkeypatch.setitem(dsl._BUILTINS, "ThetaK", row._replace(guard=lambda o, n: n[0] + 1))
+    assert [max_neg_shift(ident) for ident in registry] == got
+
+
 def test_readme_builtins_block_mirrors_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("Builtins", 1)[1].split("```")[1]

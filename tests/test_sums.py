@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from qtheta import series as se
+from qtheta import sums
 from qtheta.errors import DegenerateParameterError, DomainError
-from qtheta.kernels import qpoch_infinite, theta_partial
+from qtheta.kernels import bhs, qpoch_infinite, theta_full, theta_partial
 from qtheta.sums import lam, omega, pmsum, qcap, ssum, thetak, tsum, usum, vsum
 
 from helpers import (
@@ -225,6 +226,19 @@ def test_lam_k0_is_inverse_qcap():
         got = lam(m, 0, b, 10)
         want = se.invert(qcap(m, qmon(b, 1 - m), 14 + 2 * m))
         assert_eq_series(got, want, 10)
+
+
+def test_lam_computes_q_once(monkeypatch):
+    # One Q_m(b*q^(1-m)) per call, at a precision derived up front, also
+    # where Q_m dips below q^0 (m = 4, ord b = -3) or b^k does (k = 1, ord b = -7).
+    calls = []
+    real = sums.qcap
+    monkeypatch.setattr(sums, "qcap", lambda m, b, p: calls.append(p) or real(m, b, p))
+    got = []
+    for m, k, e in ((2, 1, -7), (4, 0, -3), (4, 2, -3), (5, 3, 2)):
+        calls.clear()
+        got.append((lam(m, k, qmon(2, e), 10).prec >= 10, len(calls)))
+    assert got == [(True, 1)] * 4
 
 
 def test_lam_bad_indices():
@@ -484,3 +498,42 @@ def test_corollary_two_two_statement():
             acc = se.add(acc, t)
         rhs = se.mul(pre, se.cap(acc, w))
         assert_eq_series(lhs, rhs, p)
+
+
+# -- the precision contract -------------------------------------------------------
+
+
+_A, _B = Fraction(3, 2), Fraction(-5, 7)
+_CONTRACT = {
+    "usum": lambda a, b, p: [usum(m, a, p) for m in range(4)],
+    "qcap": lambda a, b, p: [qcap(m, a, p) for m in (2, 3, 4)],
+    "lam": lambda a, b, p: [lam(m, k, a, p) for m in (2, 3, 4) for k in range(m)],
+    "vsum": lambda a, b, p: [vsum(2, 3, a, b, p)],
+    "pmsum": lambda a, b, p: [pmsum(m, a, b, p) for m in (2, 3)],
+    "ssum": lambda a, b, p: [ssum(a, b, p)],
+    "omega": lambda a, b, p: [omega(a, b, p)],
+    "thetak": lambda a, b, p: [thetak(k, a, b, p) for k in (0, 1, 2)],
+    "tsum": lambda a, b, p: [tsum(a, p)],
+    "theta_partial": lambda a, b, p: [theta_partial(a, p)],
+    "theta_full": lambda a, b, p: [theta_full(a, p)],
+    "qpoch_infinite": lambda a, b, p: [qpoch_infinite(a, p)],
+    "bhs": lambda a, b, p: [bhs([a, b], [qmon(2, 3)], qmon(1, 1), p)],
+}
+_TWO_ARGS = {"vsum", "pmsum", "ssum", "omega", "thetak", "bhs"}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT))
+def test_exact_arguments_reach_prec(name):
+    # Arguments 3/2*q^e (and -5/7*q^f) for e, f in -8..4.  lam, tsum and
+    # thetak used to fall short for negative orders, e.g. lam(2, 1, 2/q^7, 10)
+    # returned O(q^9), tsum(3/2/q^4, 10) O(q^2).  The coefficients are
+    # generic: lam still falls short where Q_m's leading terms cancel
+    # (lam(4, 0, -q^2, 1) is -q^-1 + O(q^0)).
+    short = []
+    for p in (1, 10, 25):
+        for e in range(-8, 5):
+            for f in range(-8, 5) if name in _TWO_ARGS else (0,):
+                for got in _CONTRACT[name](qmon(_A, e), qmon(_B, f), p):
+                    if got.prec < p:
+                        short.append((e, f, p, got.prec))
+    assert short == []
