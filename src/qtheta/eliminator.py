@@ -12,6 +12,7 @@ run before anything is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import DomainError, EliminationError
 from . import series as se
@@ -53,12 +54,9 @@ class ThetaCombination:
 
     def evaluate(self, a, b, prec):
         av, bv = as_value(a), as_value(b)
-        acc = se.zero(prec)
-        for k, c in enumerate(self.coeff_a):
-            acc = se.add(acc, se.mul(c, theta_partial(_val_shift(av, -k), prec)))
-        for k, c in enumerate(self.coeff_b):
-            acc = se.add(acc, se.mul(c, theta_partial(_val_shift(bv, -k), prec)))
-        return acc
+        terms = (se.mul(c, theta_partial(_val_shift(v, -k), prec))
+                 for v, cs in ((av, self.coeff_a), (bv, self.coeff_b)) for k, c in enumerate(cs))
+        return se.add_all(chain([se.zero(prec)], terms))
 
 
 def build_system(m, a, b, prec):

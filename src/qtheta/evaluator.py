@@ -414,16 +414,13 @@ class _Evaluator:
         else:
             count = self.bound_count(node, inner)
         try:
-            acc = None
-            for t in self.terms(node, inner, count, finite):
-                t = to_series(t, self.prec)
-                acc = t if acc is None else se.add(acc, t)
+            acc = se.add_all((to_series(t, self.prec)
+                              for t in self.terms(node, inner, count, finite)),
+                             se.zero(self.prec))
         except EvalError:
             raise
         except QThetaError as exc:
             raise EvalError(str(exc), node.pos) from exc
-        if acc is None:
-            return se.zero(self.prec)
         return acc if finite else se.cap(acc, self.prec)
 
     def terms(self, node, ienv, count, finite):

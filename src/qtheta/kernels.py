@@ -13,8 +13,9 @@ remaining terms is at or above the target precision, and the result is
 truncated to that target.  ``ratio_sum`` is the one such loop: bhs, the
 partial theta function and, through Euler's identity
 (x;q)_inf = sum_n (-1)^n q^C(n,2) x^n / (q;q)_n, the infinite
-Pochhammer symbol are each one call of it.  ``qpoch_capped`` is the one
-finite product.
+Pochhammer symbol are each one call of it.  It sums its terms once, into
+one running block over one running denominator (``series.add_all``),
+and normalizes the sum once.  ``qpoch_capped`` is the one finite product.
 
 Exact arguments also choose the arithmetic.  A factor 1 - c*q^e with
 exact c is a two-term integer update of a coefficient block over one
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from .errors import (
     DegenerateParameterError,
@@ -465,10 +465,12 @@ def ratio_sum(num, den, z, sr, prec, n_term=None):
     precision prec - dip + 2, where dip <= 0 is the lowest cum_k of a
     summed term (see ratio_orders).  The terms come from ratio_terms: on
     raw integers when z and every v are exact monomials, by ring
-    operations when any is a series, with identical results.
+    operations when any is a series, with identical results.  They are
+    summed once over one running denominator by series.add_all, as they
+    are made, and the sum is normalized once.
     """
     n, dip = ratio_stop(num, den, z, sr, prec, n_term)
-    acc = reduce(se.add, ratio_terms(num, den, z, sr, se.one(prec - dip + 2), n))
+    acc = se.add_all(ratio_terms(num, den, z, sr, se.one(prec - dip + 2), n))
     return acc if n_term is not None else se.cap(acc, prec)
 
 

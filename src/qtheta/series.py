@@ -11,6 +11,8 @@ Precision rules (``ord`` is ``min_exp`` for a nonzero series and ``prec``
 for a zero-to-precision one):
 
 * ``add``:    result prec = min(x.prec, y.prec)
+* ``add_all``: result prec = min over the terms; one running block over
+  the lcm of the denominators, normalized once, equal to repeated ``add``
 * ``mul``:    result prec = min(x.prec + ord(y), y.prec + ord(x))
 * ``invert``: result prec = x.prec - 2*ord(x)
 * ``shift``:  multiplication by the exact monomial q^k, prec + k
@@ -35,6 +37,7 @@ __all__ = [
     "from_rational",
     "from_string",
     "add",
+    "add_all",
     "sub",
     "neg",
     "mul",
@@ -287,6 +290,50 @@ def add(x, y):
             break
         out[j] += v * fy
     return _make(base, out, den, prec)
+
+
+def add_all(xs, default=None):
+    """The sum of an iterable of series, streamed into one running block.
+
+    The block sits over the lcm of the denominators seen so far and is
+    clipped at the running precision, the minimum over the terms; it is
+    normalized once, so the result equals ``functools.reduce(add, xs)``.
+    An empty iterable gives ``default``, or raises ValueError without one.
+    """
+    prec = None
+    lo, out, den = 0, [], 1
+    for x in xs:
+        if prec is None or x.prec < prec:
+            prec = x.prec
+            del out[max(0, prec - lo):]
+        if not x._num or x.min_exp >= prec:
+            continue
+        xd = x._den
+        if den % xd:
+            f = xd // gcd(den, xd)
+            out = [v * f for v in out]
+            den *= f
+        fx = den // xd
+        xe = x.min_exp
+        if not out:
+            lo = xe
+        elif xe < lo:
+            out[:0] = [0] * (lo - xe)
+            lo = xe
+        seg = x._num[: prec - xe]
+        a = xe - lo
+        b = a + len(seg)
+        if b > len(out):
+            out += [0] * (b - len(out))
+        if fx == 1:
+            out[a:b] = [s + v for s, v in zip(out[a:b], seg)]
+        else:
+            out[a:b] = [s + v * fx for s, v in zip(out[a:b], seg)]
+    if prec is None:
+        if default is None:
+            raise ValueError("add_all() of an empty iterable with no default")
+        return default
+    return _make(lo, out, den, prec)
 
 
 def neg(x):

@@ -184,16 +184,20 @@ def omega(a, b, prec):
     if db is None:
         return theta_partial(av, prec)
     da = ord_of(av) or 0
-    acc, bpow, n = se.zero(prec), QMonomial(Fraction(1), 0), 0
-    # Term n has order >= C(n,2) + n*db - theta_dip(da + n), rising once n >= -da, -db.
-    while n < -da or n + db < 0 or n * (n - 1) // 2 + n * db - theta_dip(da + n) < prec:
-        sh = n * (n - 1) // 2
-        th = theta_partial(_val_shift(av, n), prec + 2 * theta_dip(da + n) + max(0, -sh - n * db))
-        term = se.shift(_mul_value(th, bpow), sh)
-        acc = se.sub(acc, term) if n % 2 else se.add(acc, term)
-        bpow = _val_mul(bpow, bv)
-        n += 1
-    return se.cap(acc, prec)
+
+    def terms():
+        yield se.zero(prec)
+        bpow, n = QMonomial(Fraction(1), 0), 0
+        # Term n has order >= C(n,2) + n*db - theta_dip(da + n), rising once n >= -da, -db.
+        while n < -da or n + db < 0 or n * (n - 1) // 2 + n * db - theta_dip(da + n) < prec:
+            sh = n * (n - 1) // 2
+            th = theta_partial(_val_shift(av, n), prec + 2 * theta_dip(da + n) + max(0, -sh - n * db))
+            term = se.shift(_mul_value(th, bpow), sh)
+            yield se.neg(term) if n % 2 else term
+            bpow = _val_mul(bpow, bv)
+            n += 1
+
+    return se.cap(se.add_all(terms()), prec)
 
 
 def thetak_dip(k, da, db):

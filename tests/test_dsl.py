@@ -162,7 +162,13 @@ def test_eval_finite_sum_no_bound_needed():
 
 def test_eval_empty_finite_sum():
     got = dsl.evaluate(parse("sum(k, 2, 1, q^k)"), {}, 6)
-    assert got.is_zero
+    assert got == se.zero(6)
+
+
+def test_eval_sum_without_terms_is_zero_to_target():
+    # An exact zero H_lo leaves no terms to add.
+    for text in ("sum(k, 0, 3, a*q^k)", "sum(n, 0, inf, a*q^n, n)"):
+        assert dsl.evaluate(parse(text), {"a": Fraction(0)}, 6) == se.zero(6)
 
 
 # -- DSL / native agreement for every builtin --------------------------------------------

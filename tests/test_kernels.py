@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -14,6 +15,9 @@ from qtheta.kernels import (
     qpoch_finite,
     qpoch_infinite,
     qpoch_multi,
+    ratio_stop,
+    ratio_sum,
+    ratio_terms,
     theta_full,
     theta_partial,
 )
@@ -422,3 +426,35 @@ def test_bhs_reaches_precision_for_low_order_z():
 
 def test_bhs_zero_argument():
     assert str(bhs([qmon(2)], [qmon(3)], qmon(0), 9)) == "1 + O(q^9)"
+
+
+# -- ratio_sum's running sum ------------------------------------------------------------
+
+
+def test_ratio_sum_normalizes_its_sum_once(monkeypatch):
+    # The terms go into one running block: series.add is never called, and
+    # the sum adds at most two _make calls (its normalization and the cap)
+    # to the terms' own, which are one per term when every factor is exact.
+    a, b = Fraction(3, 2), Fraction(-5, 7)
+    abm = qmon(a * b, 1 - 3)
+    pm3 = ([(abm, 2, 0), (abm, 2, 1)],
+           [(qmon(1, 1), 1, 0, "(q;q)_n"), (qmon(a), 1, 0, "(a;q)_n"),
+            (qmon(b, 1), 1, 0, "(b;q)_n"), (abm, 1, 0, "(ab/q^3;q)_n")],
+           qmon(1, 1), 0)
+    x = se.add(se.from_rational(Fraction(2, 3), 30), se.monomial(1, 2, 30))
+    theta = ([], [], x, 1)
+    add = se.add
+    makes = []
+    make = se._make
+    monkeypatch.setattr(se, "_make", lambda *args: makes.append(1) or make(*args))
+    monkeypatch.setattr(se, "add", None)
+    for (num, den, z, sr), exact in ((pm3, True), (theta, False)):
+        n, dip = ratio_stop(num, den, z, sr, 20)
+        makes.clear()
+        terms = list(ratio_terms(num, den, z, sr, se.one(22 - dip), n))
+        per_terms = len(makes)
+        makes.clear()
+        got = ratio_sum(num, den, z, sr, 20)
+        assert n > 5 and len(makes) <= per_terms + 2
+        assert per_terms <= n if exact else per_terms > 0
+        assert got == se.cap(reduce(add, terms), 20)

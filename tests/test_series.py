@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtheta import series as se
 from qtheta.errors import PrecisionError, SeriesZeroDivision
@@ -293,6 +294,38 @@ def test_hyp_invert_round_trip(x):
         return
     prod = se.mul(x, se.invert(x))
     assert se.eq_to_prec(prod, se.one(max(prod.prec, prod._ord() + 1)))[0]
+
+
+@st.composite
+def add_all_term_st(draw):
+    # Coprime and negative denominators; a negative extra lowers the
+    # precision into the block, down to a zero-to-precision term.
+    lo = draw(st.integers(-6, 6))
+    coeffs = draw(st.lists(st.integers(-9, 9), max_size=6))
+    den = draw(st.sampled_from([1, 2, 3, 5, 7, 12, -1, -4, -35]))
+    return se._make(lo, coeffs, den, lo + len(coeffs) + draw(st.integers(-3, 4)))
+
+
+@given(st.lists(add_all_term_st(), min_size=1, max_size=6))
+@example([S("2/3*q^-1 + q + O(q^4)")])  # a single term
+@example([se.zero(3), S("1 + q + O(q^5)"), se.zero(7)])  # zero-to-precision terms
+@example([S("1 + q + q^2 + O(q^6)"), S("q + O(q^2)"), S("q^-1 + O(q^9)")])  # mixed precisions
+@example([S("1 + O(q^2)"), S("q^3 + q^4 + O(q^9)")])  # wholly above the running precision
+@example([S("q^2 + O(q^8)"), S("3/2*q^-3 + O(q^8)")])  # a later, lower min_exp
+@example([se._make(0, [1, 1], -3, 5), se._make(1, [2], 7, 5),  # coprime and negative
+          se._make(-1, [1], -10, 4)])                          # denominators
+@example([S("1/2 + 1/3*q + O(q^5)"), S("-1/2 - 1/3*q + O(q^5)")])  # cancels to zero
+@settings(max_examples=300, deadline=2000)
+def test_hyp_add_all_equals_repeated_add(xs):
+    assert se.add_all(iter(xs)) == reduce(se.add, xs)
+
+
+def test_add_all_empty():
+    with pytest.raises(ValueError):
+        se.add_all([])
+    assert se.add_all(iter(()), se.zero(4)) == se.zero(4)
+    # A default is returned only for an empty iterable.
+    assert se.add_all([se.one(3)], se.zero(1)) == se.one(3)
 
 
 # -- rendering ------------------------------------------------------------------------
