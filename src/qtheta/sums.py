@@ -7,9 +7,8 @@ on the remaining term orders clears the target, and truncate the result
 to the target.  Each sum derives its working precision from the target
 and its arguments' q-orders: what its divisions and shifts lose by the
 ring rules, and how far its terms dip below q^0 (theta_dip, u_dip,
-thetak_dip).  Exact arguments therefore reach the requested precision,
-unless a sum's leading terms cancel (Q_m in lam); series arguments
-propagate honestly.
+thetak_dip).  Exact arguments therefore reach the requested precision;
+series arguments propagate honestly.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .kernels import (
     negord,
     one_minus,
     ord_of,
-    qpoch_finite,
+    qpoch_finite,  # unused; bench/selftest.py checks that the tracer wraps this binding
     qpoch_multi,
     ratio_sum,
     theta_dip,
@@ -32,6 +31,8 @@ from .kernels import (
     to_series,
     bhs,
     _check_poch_invertible,
+    _over_one_minus,
+    _times_one_minus,
     _mul_value,
     _val_mul,
     _val_neg,
@@ -46,11 +47,21 @@ _QMON = QMonomial(Fraction(1), 1)
 # -- U, V and Q ----------------------------------------------------------------
 
 
+def _gauss(n):
+    """The Gaussian polynomials [n, j]_q, j = 0..n, as integer lists, by the exact
+    recurrence [n, j+1] = [n, j] (1 - q^(n-j)) / (1 - q^(j+1)), of degree (j+1)(n-j-1)."""
+    rows = [[1]]
+    for j in range(n):
+        num = _times_one_minus(rows[-1], 0, 1, 1, n - j, len(rows[-1]) + n - j)[0]
+        rows.append(_over_one_minus(num, 1, 1, j + 1)[0][: (j + 1) * (n - j - 1) + 1])
+    return rows
+
+
 def usum(m, b, prec):
     """U_m: sum over k of (q^(1-m);q)_k (1-bq^(2k)) b^(2k) q^(2k^2-k+mk)
     / ((q;q)_k (bq^k;q)_m).  U_0 = theta(q,b), whose terms n = 2k and 2k+1
-    make U_0's term k; for m >= 1 the sum ends at k = m-1 and runs on term
-    ratios from t_0 = 1/(bq;q)_(m-1)."""
+    make U_0's term k; for m >= 1 the sum is the q-binomial polynomial
+    U_m(b) = sum_(j<m) q^(j^2) [m-1, j]_q b^j."""
     if m < 0:
         raise DomainError("usum needs m >= 0")
     if prec < 1:
@@ -58,26 +69,24 @@ def usum(m, b, prec):
     bv = as_value(b)
     if m == 0:
         return theta_partial(bv, prec)
-    if ord_of(bv) is None:
-        # Only t_0 = 1/(bq;q)_(m-1) survives; a zero series b moves it at q^(prec(b)+1).
-        return se.one(prec) if isinstance(bv, QMonomial) else se.cap(se.one(prec), bv.prec + 1)
     _check_poch_invertible(bv, 2 * m - 1, "U: (b;q)_%d" % (2 * m - 1))
-    acc = ratio_sum(
-        [(QMonomial(Fraction(1), 1 - m), 1, 0), (bv, 1, 0), (bv, 2, 2)],
-        [(QMonomial(Fraction(1), 0), 1, 1, "U: (q;q)_k"), (bv, 1, m, "U: (b*q^k;q)_m"),
-         (bv, 2, 0, "U: 1 - b*q^(2k)")],
-        _val_shift(_val_mul(bv, bv), m + 1), 4, prec, m - 1,
-    )
-    return se.divide(acc, qpoch_finite(_val_shift(bv, 1), m - 1, prec))
+    # Exact b: a polynomial of degree <= (m-1) max(0, d+m-1), exact at any precision;
+    # term j, times b^j of order j*d, reaches p.  A series b propagates its own.
+    d = bv.exp if isinstance(bv, QMonomial) else ord_of(bv) or 0
+    p = max(prec, (m - 1) * max(0, d + m - 1) + 1) if isinstance(bv, QMonomial) else prec
+    terms, bpow = [], QMonomial(Fraction(1), 0)
+    for j, g in enumerate(_gauss(m - 1)):
+        terms.append(_mul_value(se._make(j * j, g, 1, p + j * j - j * min(0, d)), bpow))
+        bpow = _val_mul(bpow, bv)
+    return se.add_all(terms)
 
 
 def u_dip(m, d):
-    """How far below q^0 U_m(b) can reach for ord(b) = d: the lowest
-    order bound over its terms k < m (theta's dip for m = 0)."""
+    """How far below q^0 U_m(b) can reach for ord(b) = d: the lowest term
+    order j^2 + j*d of its q-binomial form (theta's dip for m = 0)."""
     if m <= 0:
         return theta_dip(d)
-    return -min(negord(1 - m, k) + 2 * k * d + 2 * k * k - k + m * k + min(0, d + 2 * k)
-                - negord(d + k, m) for k in range(m))
+    return -min(j * j + j * d for j in range(m))
 
 
 def vsum(m, n, a, b, prec):
@@ -98,8 +107,8 @@ def vsum(m, n, a, b, prec):
 
 def qcap(m, b, prec):
     """Q_m: sum over i <= m-2 of (q^(2-m);q)_i (1-bq^(2i)) b^(2i) q^((2i-2+m)i)
-    / ((q;q)_i (bq^i;q)_(m-1)).  Termwise this is U_(m-1), which is how it
-    is computed; the tests also check it against its own formula."""
+    / ((q;q)_i (bq^i;q)_(m-1)).  Termwise this is U_(m-1), which is how it is
+    computed: sum_(j<m-1) q^(j^2) [m-2, j]_q b^j; the tests check the i-sum."""
     if m < 2:
         raise DomainError("qcap needs m >= 2")
     return usum(m - 1, b, prec)
@@ -107,7 +116,7 @@ def qcap(m, b, prec):
 
 def lam(m, k, b, prec):
     """Elimination coefficient (q^(m-k);q)_k (b q^(k-m+1))^k
-    / ((q;q)_k Q_m(b q^(1-m)))."""
+    / ((q;q)_k Q_m(b q^(1-m))), whose numerator is [m-1, k]_q (b q^(k-m+1))^k."""
     if m < 2:
         raise DomainError("lam needs m >= 2")
     if not 0 <= k <= m - 1:
@@ -115,23 +124,21 @@ def lam(m, k, b, prec):
     if prec < 1:
         raise PrecisionError("lam needs precision >= 1")
     bv = as_value(b)
-    bq = _val_shift(bv, 1 - m)
     db = ord_of(bv) or 0
     dpow = k * (db + k - m + 1)
-    # ord Q_m(bq) >= -u_dip, and divide's rule loses up to twice that dip
-    # (more if Q_m's leading terms cancel); b^k of order dpow < 0 loses -dpow.
+    # ord Q_m(bq) >= -u_dip, and divide's rule loses up to twice that dip;
+    # b^k of order dpow < 0 loses -dpow.  A cancelling Q_m has order up to its
+    # degree t = (m-2) max(0, db-1): Q_m at w + 2t and the raised w pay for it.
     w = prec + 2 * u_dip(m - 1, db + 1 - m) - min(0, dpow)
-    qm = qcap(m, bq, w)
+    qm = qcap(m, _val_shift(bv, 1 - m), w + 2 * (m - 2) * max(0, db - 1))
     if qm.is_zero:
         raise DegenerateParameterError("lam: Q_%d(b*q^%d) vanishes to precision" % (m, 1 - m))
-    num = qpoch_finite(QMonomial(Fraction(1), m - k), k, w)
-    if isinstance(bv, QMonomial):
-        bpow = QMonomial(bv.coef ** k, k * (bv.exp + k - m + 1))
-    else:
-        bpow = se.pow_int(se.shift(bv, k - m + 1), k) if k else se.one(w)
-    res = _mul_value(num, bpow)
-    res = se.divide(res, qpoch_finite(_QMON, k, w))
-    return se.divide(res, qm)
+    w = max(w, prec + qm.order() - min(0, dpow))
+    bpow = QMonomial(Fraction(1), 0)
+    for _ in range(k):
+        bpow = _val_mul(bpow, _val_shift(bv, k - m + 1))
+    # Uncapped: eliminator.GUARD_PER_M relies on the surplus above prec.
+    return se.divide(_mul_value(se._make(0, _gauss(m - 1)[k], 1, w), bpow), qm)
 
 
 # -- the P_m family, S, Omega, Theta_k and T -----------------------------------

@@ -1,5 +1,6 @@
 """Named sums against brute-force term-by-term oracles and stated relations."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -105,10 +106,33 @@ def test_u_brute_negative_order_and_series_b():
             got = usum(m, b, prec)
             assert got.prec >= prec, (m, text)
             assert_eq_series(got, _brute_u(m, b, prec), prec)
-        # For b = O(q^3) only t_0 = 1/(bq;q)_(m-1) = 1 + O(q^4) is left.
+        # For b = O(q^3) only t_0 = 1/(bq;q)_(m-1) = 1 + O(q^4) is left;
+        # U_1 is 1 for every b.
         got = usum(m, se.zero(3), prec)
-        assert got.prec == 4
+        assert got.prec == (prec if m == 1 else 4)
         assert_eq_series(got, _brute_u(m, se.zero(3), prec))
+
+
+def test_gauss_rows_are_pochhammer_quotients():
+    # [n, j]_q = (q;q)_n / ((q;q)_j (q;q)_(n-j)), and at q = 1 it is C(n, j).
+    for n in range(11):
+        rows = sums._gauss(n)
+        assert len(rows) == n + 1
+        for j, row in enumerate(rows):
+            p, qq = n * n + 2, qmon(1, 1)
+            want = se.divide(brute_poch(qq, n, p),
+                             se.mul(brute_poch(qq, j, p), brute_poch(qq, n - j, p)))
+            assert [want.coeff(i) for i in range(len(row))] == row, (n, j)
+            assert want.order() == 0 and want.min_exp + len(want._num) == len(row), (n, j)
+            assert sum(row) == math.comb(n, j)
+
+
+def test_u_guard_covers_its_order():
+    # u_dip(m, d) is exactly -ord U_m(b) for generic b of order d: the
+    # lowest term q^(j^2) b^j of the q-binomial form does not cancel.
+    got = [(m, d) for m in range(1, 10) for d in range(-15, 10)
+           if sums.u_dip(m, d) != -usum(m, qmon(Fraction(3, 2), d), 1).order()]
+    assert got == []
 
 
 def test_u_qcap_theta_prefix_stable():
@@ -179,6 +203,15 @@ def test_qcap_m3_closed_form():
     assert_eq_series(got, want, 10)
 
 
+def test_qcap_m4_cancelling_closed_form():
+    # Q_4(-1/q) = 1 + (q + q^2)(-1/q) + q^4/q^2 = q^2 - q: its leading terms
+    # cancel, and the polynomial is exact at every precision.
+    for p in (1, 3, 10):
+        got = qcap(4, qmon(-1, -1), p)
+        assert got.prec >= p
+        assert (got.min_exp, got._num, got._den) == (1, (-1, 1), 1)
+
+
 def test_qcap_b_zero_is_one():
     for m in range(2, 6):
         assert_eq_series(qcap(m, Fraction(0), 10), se.one(10), 10)
@@ -239,6 +272,24 @@ def test_lam_computes_q_once(monkeypatch):
         calls.clear()
         got.append((lam(m, k, qmon(2, e), 10).prec >= 10, len(calls)))
     assert got == [(True, 1)] * 4
+
+
+def test_lam_reaches_prec_where_q_cancels():
+    # Q_m(b q^(1-m)) at b = -q^(m-2) has cancelling leading terms, e.g.
+    # Q_4(-1/q) = q^2 - q; lam pays for its true order.
+    short = [(m, k, p, got.prec)
+             for m in range(4, 9) for k in range(m) for p in (1, 10, 25)
+             for got in [lam(m, k, qmon(-1, m - 2), p)] if got.prec < p]
+    assert short == []
+    assert_eq_series(lam(4, 0, qmon(-1, 2), 1), se.from_string("-q^-1 - 1 + O(q^1)"))
+
+
+def test_lam_raises_where_q_vanishes():
+    # Q_3(-1/q) = 1 - 1 and Q_5(-1/q^3) are exactly zero.
+    for m in (3, 5):
+        for p in (1, 10, 25):
+            with pytest.raises(DegenerateParameterError):
+                lam(m, 0, qmon(-1, 1), p)
 
 
 def test_lam_bad_indices():
@@ -526,9 +577,7 @@ _TWO_ARGS = {"vsum", "pmsum", "ssum", "omega", "thetak", "bhs"}
 def test_exact_arguments_reach_prec(name):
     # Arguments 3/2*q^e (and -5/7*q^f) for e, f in -8..4.  lam, tsum and
     # thetak used to fall short for negative orders, e.g. lam(2, 1, 2/q^7, 10)
-    # returned O(q^9), tsum(3/2/q^4, 10) O(q^2).  The coefficients are
-    # generic: lam still falls short where Q_m's leading terms cancel
-    # (lam(4, 0, -q^2, 1) is -q^-1 + O(q^0)).
+    # returned O(q^9), tsum(3/2/q^4, 10) O(q^2).
     short = []
     for p in (1, 10, 25):
         for e in range(-8, 5):
