@@ -14,6 +14,7 @@ for a zero-to-precision one):
 * ``add_all``: result prec = min over the terms; one running block over
   the lcm of the denominators, normalized once, equal to repeated ``add``
 * ``mul``:    result prec = min(x.prec + ord(y), y.prec + ord(x))
+* ``divide``: result prec = min(x.prec - d, y.prec + ord(x) - 2d), d = ord(y)
 * ``invert``: result prec = x.prec - 2*ord(x)
 * ``shift``:  multiplication by the exact monomial q^k, prec + k
 
@@ -403,7 +404,11 @@ def cap(x, p):
 
 
 def divide(x, y):
-    """x / y with result prec = min(x.prec - d, y.prec + ord(x) - 2d), d = ord(y)."""
+    """x / y with result prec = min(x.prec - d, y.prec + ord(x) - 2d), d = ord(y).
+
+    Computed by one integer recurrence whose quotient coefficients U[t]/R
+    share a running common denominator R.
+    """
     if not y._num:
         raise SeriesZeroDivision("division by a series that is zero to O(q^%d)" % y.prec)
     dy = y.min_exp
@@ -416,42 +421,29 @@ def divide(x, y):
         return zero(prec)
     X = x._num
     Y = y._num
-    # Solve y * r = x coefficientwise.  Small leading coefficients use an
-    # all-integer recurrence (r_t = D_t / y0^(t+1) scaled); big ones would
-    # square every bit length that way, so they run over exact rationals
-    # with per-step reduction instead.
+    # Solve Y * u = X on the stored numerators, u_t = U[t] / R.  Step t sets
+    # s = X_t R - sum_i Y_i U[t-i], so U[t] = s / y0.  When y0 does not
+    # divide s, R grows by y0 / gcd(s, y0), which makes it (up to sign) the
+    # lcm of R and u_t's reduced denominator; _make moves the sign.
     y0 = Y[0]
-    if abs(y0) >> 32 == 0:
-        y0p = [1] * (need + 1)
-        for t in range(1, need + 1):
-            y0p[t] = y0p[t - 1] * y0
-        ys = [(i, Y[i] * y0p[i - 1]) for i in range(1, min(len(Y), need)) if Y[i]]
-        D = [0] * need
-        for t in range(need):
-            s = X[t] * y0p[t] if t < len(X) else 0
-            for i, c in ys:
-                if i > t:
-                    break
-                s -= c * D[t - i]
-            D[t] = s
-        num = [y._den * D[t] * y0p[need - 1 - t] for t in range(need)]
-        return _make(base, num, x._den * y0p[need], prec)
-    inv_y0 = Fraction(y._den, y0)
-    xs = Fraction(inv_y0, x._den)
-    ys = [(i, Fraction(Y[i], y0)) for i in range(1, min(len(Y), need)) if Y[i]]
-    r = [Fraction(0)] * need
+    ys = [(i, Y[i]) for i in range(1, min(len(Y), need)) if Y[i]]
+    R = 1
+    U = []
     for t in range(need):
-        s = X[t] * xs if t < len(X) else Fraction(0)
+        s = X[t] * R if t < len(X) else 0
         for i, c in ys:
             if i > t:
                 break
-            s -= c * r[t - i]
-        r[t] = s
-    den = 1
-    for c in r:
-        den = den // gcd(den, c.denominator) * c.denominator
-    num = [c.numerator * (den // c.denominator) for c in r]
-    return _make(base, num, den, prec)
+            s -= c * U[t - i]
+        u, rem = divmod(s, y0)
+        if rem:
+            g = gcd(rem, y0)
+            f = y0 // g
+            U = [v * f for v in U]
+            R *= f
+            u = s // g
+        U.append(u)
+    return _make(base, [y._den * v for v in U], x._den * R, prec)
 
 
 def invert(x):

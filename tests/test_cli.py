@@ -1,6 +1,10 @@
 """CLI: commands, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,15 @@ def test_eval_error_exit_code(capsys):
 
 def test_eval_unbound_exit_code(capsys):
     assert main(["eval", "theta(a)"]) == 2
+
+
+def test_python_m_qtheta_lists_the_corpus():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "qtheta", "list"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert len(proc.stdout.splitlines()) == 48
 
 
 def test_list_contains_corpus(capsys):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -117,8 +118,8 @@ def test_invert_zero_rejected():
 def test_divide_matches_mul_invert():
     # mul(x, invert(y)) == divide(x, y) as stored series, precision included:
     # Gauss-Jordan elimination relies on it when it inverts each pivot once.
-    # Leading numerators below and above 2^32 run both of divide's paths
-    # (integer recurrence and exact rationals).
+    # Leading numerators both below and above 2^32 are drawn (`paths`), like
+    # the small and the big pivots gauss_solve meets.
     rng = random.Random(7)
     for _ in range(40):
         x = _rand_series(rng)
@@ -140,6 +141,48 @@ def test_divide_matches_mul_invert():
                 for x in (se.zero(rng.randint(-4, 12)), _rand_series(rng), _rand_series(rng, 9)):
                     assert se.mul(x, se.invert(y)) == se.divide(x, y)
     assert paths == {True, False}
+
+
+def _long_division(x, y):
+    # x / y one exponent at a time over exact Fractions, at the precision
+    # min(x.prec - d, y.prec + ord(x) - 2d): a reference sharing no code
+    # with se.divide.  Returns (prec, {exponent: nonzero coefficient}).
+    d = y.order()
+    lo = x._ord() - d
+    prec = min(x.prec - d, y.prec + lo - d)
+    r = {}
+    for e in range(lo, prec):
+        s = x.coeff(e + d) - sum(y.coeff(d + k) * r[e - k] for k in range(1, e - lo + 1))
+        r[e] = s / y.coeff(d)
+    return prec, {e: c for e, c in r.items() if c}
+
+
+def test_divide_matches_long_division():
+    # Divisors shaped like pivots: leading numerators 1, -5, 2^32 +- 1,
+    # -(3^30) and 7^40*c, a stored denominator sharing a factor with the
+    # leading numerator, negative orders.  Dividends are longer and shorter
+    # than the quotient, and zero.
+    rng = random.Random(11)
+    leads = (1, -5, 2**32 - 1, 2**32 + 1, -(3**30), 6 * 7**40)
+    for y0 in leads:
+        for dy in (-3, 0, 2):
+            for yden in (1, 6, 35):
+                for _ in range(2):
+                    tail = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+                    y = se._make(dy, [y0] + tail, yden, dy + len(tail) + 1 + rng.randint(0, 8))
+                    lo = rng.randint(-4, 4)
+                    xs = [se.zero(rng.randint(-4, 12))]
+                    for span in (1, 2, 30):
+                        num = [rng.randint(-9, 9) or 1 for _ in range(span)]
+                        xs.append(se._make(lo, num, rng.choice((1, 6, 7)), lo + span + rng.randint(0, 12)))
+                    for x in xs:
+                        got = se.divide(x, y)
+                        prec, coeffs = _long_division(x, y)
+                        assert got.prec == prec
+                        assert dict(got.terms()) == coeffs
+                        back = se.mul(got, y)
+                        assert back.prec == got.prec + dy
+                        assert se.eq_to_prec(back, x)[0]
 
 
 # -- accessors ---------------------------------------------------------------------
@@ -306,18 +349,49 @@ def add_all_term_st(draw):
     return se._make(lo, coeffs, den, lo + len(coeffs) + draw(st.integers(-3, 4)))
 
 
+ADD_ALL_EXAMPLES = [
+    [S("2/3*q^-1 + q + O(q^4)")],  # a single term
+    [se.zero(3), S("1 + q + O(q^5)"), se.zero(7)],  # zero-to-precision terms
+    [S("1 + q + q^2 + O(q^6)"), S("q + O(q^2)"), S("q^-1 + O(q^9)")],  # mixed precisions
+    [S("1 + O(q^2)"), S("q^3 + q^4 + O(q^9)")],  # wholly above the running precision
+    [S("q^2 + O(q^8)"), S("3/2*q^-3 + O(q^8)")],  # a later, lower min_exp
+    [se._make(0, [1, 1], -3, 5), se._make(1, [2], 7, 5),  # coprime and negative
+     se._make(-1, [1], -10, 4)],                          # denominators
+    [S("1/2 + 1/3*q + O(q^5)"), S("-1/2 - 1/3*q + O(q^5)")],  # cancels to zero
+]
+
+
+def with_add_all_examples(test):
+    for xs in ADD_ALL_EXAMPLES:
+        test = example(xs)(test)
+    return test
+
+
 @given(st.lists(add_all_term_st(), min_size=1, max_size=6))
-@example([S("2/3*q^-1 + q + O(q^4)")])  # a single term
-@example([se.zero(3), S("1 + q + O(q^5)"), se.zero(7)])  # zero-to-precision terms
-@example([S("1 + q + q^2 + O(q^6)"), S("q + O(q^2)"), S("q^-1 + O(q^9)")])  # mixed precisions
-@example([S("1 + O(q^2)"), S("q^3 + q^4 + O(q^9)")])  # wholly above the running precision
-@example([S("q^2 + O(q^8)"), S("3/2*q^-3 + O(q^8)")])  # a later, lower min_exp
-@example([se._make(0, [1, 1], -3, 5), se._make(1, [2], 7, 5),  # coprime and negative
-          se._make(-1, [1], -10, 4)])                          # denominators
-@example([S("1/2 + 1/3*q + O(q^5)"), S("-1/2 - 1/3*q + O(q^5)")])  # cancels to zero
+@with_add_all_examples
 @settings(max_examples=300, deadline=2000)
 def test_hyp_add_all_equals_repeated_add(xs):
     assert se.add_all(iter(xs)) == reduce(se.add, xs)
+
+
+@given(st.lists(add_all_term_st(), min_size=1, max_size=6))
+@with_add_all_examples
+@settings(max_examples=300, deadline=2000)
+def test_hyp_add_all_matches_fraction_sums(xs):
+    # Reference independent of se.add: exact Fractions summed per exponent
+    # below the joint precision.
+    prec = min(x.prec for x in xs)
+    sums = {}
+    for x in xs:
+        for e, c in x.terms():
+            if e < prec:
+                sums[e] = sums.get(e, 0) + c
+    got = se.add_all(iter(xs))
+    assert got.prec == prec
+    assert dict(got.terms()) == {e: c for e, c in sums.items() if c}
+    if got._num:
+        assert got._num[0] and got._num[-1] and got._den > 0
+        assert gcd(got._den, *got._num) == 1
 
 
 def test_add_all_empty():
