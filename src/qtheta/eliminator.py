@@ -4,9 +4,10 @@ Instantiating theta(q, a) = sum_k lam(m,k,b) P_m(a q^k, b q^k) at the
 shifted parameter pairs (a/q^j, b/q^j) for j = 0..m-2, together with the
 a<->b swapped family, yields a square linear system over the series field
 in the unknowns P_m(a q^t, b q^t), t = -(m-2)..m-1.  Gauss-Jordan on
-[A | I] with minimal-q-order pivoting solves it; the t = 0 row is the wanted
-combination, and a residual check against the direct P_m evaluation is
-run before anything is returned.
+[A | I] with minimal-q-order pivoting solves it for the unknowns asked for;
+express_pm asks only for t = 0, whose pivot row is the wanted combination
+and the only pivot row back-eliminated.  A residual check against the
+direct P_m evaluation is run before anything is returned.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .errors import DomainError, EliminationError
+from .errors import DomainError, EliminationError, PrecisionError
 from . import series as se
 from .kernels import _val_shift, as_value, theta_partial
 from .sums import lam, pmsum
@@ -80,8 +81,9 @@ def build_system(m, a, b, prec):
     return SeriesLinearSystem(m, av, bv, prec, shifts, matrix, rhs_values, rhs_labels)
 
 
-def gauss_solve(system, pivot="min_order"):
-    """Solve for every unknown, returned in ``system.shifts`` order.
+def gauss_solve(system, pivot="min_order", want=None):
+    """Solve for the unknowns X_t, t in ``want`` (default: every shift), in
+    ``want`` order.
 
     Gauss-Jordan on one augmented row per equation, [A | I]: once every
     column is eliminated, the right half of each unknown's pivot row holds
@@ -90,6 +92,13 @@ def gauss_solve(system, pivot="min_order"):
     has exactly divide's precision min(x.prec - d, piv.prec - 2d + ord x),
     so the result equals divide's, zero x included.
 
+    Every column is pivoted, so a singular system fails at the same column
+    whatever is wanted, but only the pivot rows of wanted unknowns are
+    back-eliminated.  A pivot row is read only at its own column's step, so
+    leaving an unwanted one stale changes nothing else: every returned
+    entry goes through the same ring operations on the same operands as in
+    the full solve and is equal to it, precision included.
+
     Pivoting picks the eligible entry of minimal q-order ("min_order",
     the default: a pivot of order d costs 2d precision digits) or the
     first nonzero row ("first"); the solution is unique over the series
@@ -97,11 +106,19 @@ def gauss_solve(system, pivot="min_order"):
     """
     if pivot not in ("min_order", "first"):
         raise DomainError("gauss_solve pivot must be 'min_order' or 'first', got %r" % (pivot,))
+    want = list(system.shifts) if want is None else list(want)
+    for i, t in enumerate(want):
+        if t not in system.shifts:
+            raise DomainError("gauss_solve: no unknown t=%r among shifts %r" % (t, system.shifts))
+        if t in want[:i]:
+            raise DomainError("gauss_solve: unknown t=%r wanted twice" % (t,))
+    cols = [system.shifts.index(t) for t in want]
     n = len(system.shifts)
     p = system.prec
     rows = [list(row) + [se.one(p) if i == j else se.zero(p) for j in range(n)]
             for i, row in enumerate(system.matrix)]
     free = list(range(n))
+    live = list(range(n))  # rows still updated: free ones and wanted pivot rows
     where = []
     for c in range(n):
         cand = [r for r in free if not rows[r][c].is_zero]
@@ -114,15 +131,17 @@ def gauss_solve(system, pivot="min_order"):
         where.append(best)
         ip = se.invert(rows[best][c])
         rows[best] = [se.mul(x, ip) for x in rows[best]]
-        for r in range(n):
+        for r in live:
             f = rows[r][c]
             if r != best and not f.is_zero:
                 rows[r] = [se.sub(x, se.mul(f, y)) for x, y in zip(rows[r], rows[best])]
+        if c not in cols:
+            live.remove(best)
     combos = []
-    for r in where:
+    for c in cols:
         ca = [None] * (system.m - 1)
         cb = [None] * (system.m - 1)
-        for coeff, (kind, j) in zip(rows[r][n:], system.rhs_labels):
+        for coeff, (kind, j) in zip(rows[where[c]][n:], system.rhs_labels):
             if kind == "a":
                 ca[j] = coeff
             else:
@@ -133,10 +152,11 @@ def gauss_solve(system, pivot="min_order"):
 
 def express_pm(m, a, b, prec):
     """The theta combination equal to P_m(a,b), residual-checked internally."""
+    if prec < 1:
+        raise PrecisionError("express_pm needs precision >= 1")
     wp = prec + GUARD_PER_M * m + 8
     system = build_system(m, a, b, wp)
-    combos = gauss_solve(system)
-    combo = combos[system.shifts.index(0)]
+    [combo] = gauss_solve(system, want=[0])
     value = combo.evaluate(a, b, wp)
     resid = se.sub(value, pmsum(m, a, b, wp))
     if not resid.is_zero:

@@ -70,6 +70,13 @@ def test_express_pm_needs_both_params(capsys):
     assert main(["express-pm", "--m", "2", "--params", "a=2"]) == 2
 
 
+def test_express_pm_nonpositive_order_exit_code(capsys):
+    assert main(["express-pm", "--m", "3", "--params", "a=2,b=3", "--order", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "precision >= 1" in captured.err
+
+
 def test_verify_text_mode_pass(capsys):
     assert main(["verify", "thm1.2", "--order", "10", "--trials", "1"]) == 0
     out = capsys.readouterr().out

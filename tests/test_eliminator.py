@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from qtheta import series as se
-from qtheta.errors import DegenerateParameterError, DomainError, EliminationError
+from qtheta import eliminator, series as se
+from qtheta.errors import DegenerateParameterError, DomainError, EliminationError, PrecisionError
 from qtheta.eliminator import (
     SeriesLinearSystem,
+    ThetaCombination,
     build_system,
     express_pm,
     gauss_solve,
@@ -165,9 +166,97 @@ def test_pivot_choice_invariance():
         system = build_system(m, a, b, 22)
         sol_min = gauss_solve(system, pivot="min_order")
         sol_first = gauss_solve(system, pivot="first")
-        for c1, c2 in zip(sol_min, sol_first):
+        assert len(sol_min) == len(sol_first) == len(system.shifts)
+        [t0_min] = gauss_solve(system, pivot="min_order", want=[0])
+        [t0_first] = gauss_solve(system, pivot="first", want=[0])
+        for c1, c2 in list(zip(sol_min, sol_first)) + [(t0_min, t0_first)]:
             for x, y in zip(c1.coeff_a + c1.coeff_b, c2.coeff_a + c2.coeff_b):
                 assert se.eq_to_prec(x, y)[0]
+
+
+def _admissible_pairs(rng, count):
+    pairs = []
+    while len(pairs) < count:
+        a, b = rand_fraction(rng), rand_fraction(rng)
+        if a not in (b, -b) and a * b != 1:
+            pairs.append((a, b))
+    return pairs
+
+
+def _full_gauss_jordan(system, pivot):
+    # reference Gauss-Jordan that back-eliminates every pivot row; one
+    # combination per shift, in shifts order
+    n = len(system.shifts)
+    p = system.prec
+    rows = [list(row) + [se.one(p) if i == j else se.zero(p) for j in range(n)]
+            for i, row in enumerate(system.matrix)]
+    free = list(range(n))
+    where = []
+    for c in range(n):
+        cand = [r for r in free if not rows[r][c].is_zero]
+        best = cand[0] if pivot == "first" else min(cand, key=lambda r: (rows[r][c].order(), r))
+        free.remove(best)
+        where.append(best)
+        ip = se.invert(rows[best][c])
+        rows[best] = [se.mul(x, ip) for x in rows[best]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != best and not f.is_zero:
+                rows[r] = [se.sub(x, se.mul(f, y)) for x, y in zip(rows[r], rows[best])]
+    combos = []
+    for r in where:
+        half = dict(zip(system.rhs_labels, rows[r][n:]))
+        combos.append(ThetaCombination(system.m, [half["a", j] for j in range(system.m - 1)],
+                                       [half["b", j] for j in range(system.m - 1)]))
+    return combos
+
+
+def test_wanted_unknowns_equal_full_solve():
+    # solving for some unknowns skips back-elimination of the other pivot
+    # rows; each returned combination must be structurally the full one's
+    rng = random.Random(31)
+    for m in range(2, 7):
+        for a, b in [(Fraction(2), Fraction(3))] + _admissible_pairs(rng, 2 if m < 5 else 1):
+            system = build_system(m, a, b, 16)
+            for pivot in ("min_order", "first"):
+                full = _full_gauss_jordan(system, pivot)
+                assert gauss_solve(system, pivot=pivot) == full
+                for t, combo in zip(system.shifts, full):
+                    [alone] = gauss_solve(system, pivot=pivot, want=[t])
+                    assert alone == combo, (m, a, b, pivot, t)
+                picked = [system.shifts[-1], system.shifts[0]]
+                assert gauss_solve(system, pivot=pivot, want=picked) == [full[-1], full[0]]
+
+
+def test_express_pm_skips_unwanted_back_elimination(monkeypatch):
+    a, b = Fraction(2), Fraction(3)
+    system = build_system(6, a, b, 6 + eliminator.GUARD_PER_M * 6 + 8)
+    calls = [0]
+    real_mul = se.mul
+
+    def counting_mul(x, y):
+        calls[0] += 1
+        return real_mul(x, y)
+
+    monkeypatch.setattr(se, "mul", counting_mul)
+    gauss_solve(system)
+    full_solve = calls[0]
+    calls[0] = 0
+    express_pm(6, a, b, 6)  # builds, solves for t = 0 and checks
+    assert calls[0] < full_solve
+
+
+def test_wanted_shift_validated():
+    system = build_system(3, Fraction(2), Fraction(3), 12)
+    for want, shift in (([3], "t=3"), ([0, 5], "t=5"), ([1, -1, 1], "t=1"), ([0, 0], "t=0")):
+        with pytest.raises(DomainError, match=shift):
+            gauss_solve(system, want=want)
+
+
+def test_express_pm_rejects_nonpositive_precision():
+    for prec in (0, -3):
+        with pytest.raises(PrecisionError, match="express_pm needs precision >= 1"):
+            express_pm(3, Fraction(2), Fraction(3), prec)
 
 
 def test_unknown_pivot_rejected():
