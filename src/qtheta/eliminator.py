@@ -97,7 +97,9 @@ def gauss_solve(system, pivot="min_order", want=None):
     back-eliminated.  A pivot row is read only at its own column's step, so
     leaving an unwanted one stale changes nothing else: every returned
     entry goes through the same ring operations on the same operands as in
-    the full solve and is equal to it, precision included.
+    the full solve and is equal to it, precision included.  Likewise the
+    step for column c scales and updates only the columns after c and the
+    right half: entries in columns <= c are never read again.
 
     Pivoting picks the eligible entry of minimal q-order ("min_order",
     the default: a pivot of order d costs 2d precision digits) or the
@@ -129,12 +131,16 @@ def gauss_solve(system, pivot="min_order", want=None):
         best = cand[0] if pivot == "first" else min(cand, key=lambda r: (rows[r][c].order(), r))
         free.remove(best)
         where.append(best)
-        ip = se.invert(rows[best][c])
-        rows[best] = [se.mul(x, ip) for x in rows[best]]
+        # Columns <= c are never read again, so only the later columns and
+        # the right half are scaled and updated.
+        piv = rows[best]
+        ip = se.invert(piv[c])
+        piv[c + 1:] = [se.mul(x, ip) for x in piv[c + 1:]]
         for r in live:
             f = rows[r][c]
             if r != best and not f.is_zero:
-                rows[r] = [se.sub(x, se.mul(f, y)) for x, y in zip(rows[r], rows[best])]
+                rows[r][c + 1:] = [se.sub(x, se.mul(f, y))
+                                   for x, y in zip(rows[r][c + 1:], piv[c + 1:])]
         if c not in cols:
             live.remove(best)
     combos = []

@@ -425,7 +425,8 @@ class _Evaluator:
 
     def terms(self, node, ienv, count, finite):
         """The terms of a sum: the t_k of ratio_terms started at H_lo,
-        times R_n when the body has a residual."""
+        times R_n when the body has a residual.  An infinite pure-H_n sum
+        builds each term only to the precision the truncated sum keeps."""
         prec = self.prec
         var = node.var
         h, r, num, den, z, sr, n_term = self.split(
@@ -467,7 +468,8 @@ class _Evaluator:
                 n, dip = ratio_stop(num, den, z, sr, prec - dc, count - 1)
         else:
             n, dip = ratio_stop(num, den, z, sr, prec - dc, n_term)
-        return ratio_terms(num, den, z, sr, self.start(c, prec - dc - dip, h, ienv), n)
+        return ratio_terms(num, den, z, sr, self.start(c, prec - dc - dip, h, ienv), n,
+                           None if finite else prec)
 
 
 def evaluate(ast, binding, prec):

@@ -17,6 +17,13 @@ Pochhammer symbol are each one call of it.  It sums its terms once, into
 one running block over one running denominator (``series.add_all``),
 and normalizes the sum once.  ``qpoch_capped`` is the one finite product.
 
+A truncated sum builds each term only to the precision it keeps.  The
+order bounds cum_k of ``ratio_orders`` say how far each step moves a
+term's precision, so term k is capped at top + cum_k - min_(j>=k) cum_j:
+every later term made from it still reaches the target top, and no
+coefficient below top changes.  This is "compute only what is needed" in
+the sense of van der Hoeven's relaxed series, derived statically.
+
 Exact arguments also choose the arithmetic.  A factor 1 - c*q^e with
 exact c is a two-term integer update of a coefficient block over one
 shared denominator (``_times_one_minus``, used by ``qpoch_capped`` and
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import (
     DegenerateParameterError,
@@ -327,21 +335,36 @@ def theta_full(x, prec):
 # -- basic hypergeometric series ----------------------------------------------
 
 
+def _lift(v):
+    """How far the denominator factor 1 - v*q^e, e = -ord(v), rises above
+    its order bound min(0, ord(v) + e) = 0: its order when v is a series
+    with leading coefficient 1, else 0.  A factor that vanishes to
+    precision counts 0; ratio_terms raises on it."""
+    d = ord_of(v)
+    if isinstance(v, QMonomial) or d is None or v.coeff(d) != 1:
+        return 0
+    return ord_of(one_minus(v, -d, v.prec)) or 0
+
+
 def ratio_orders(num, den, z, sr):
     """Yield (cum_k, settled_k) for k = 0, 1, ... for the terms of ratio_terms.
 
     step(k) bounds the order the k-th ratio adds from below, so cum_k, the
-    sum of step(0..k-1), bounds ord(t_k).  From stab on no factor has
-    negative order and step(k) = ord(z) + sr*k never falls again;
-    settled_k says k >= stab and step(k) >= 0, so cum never falls after k.
+    sum of step(0..k-1), bounds ord(t_k), and a step moves a term's
+    precision by at least step(k).  A denominator factor 1 - v*q^e counts
+    min(0, ord(v) + e), or its true order where that is higher (_lift).
+    From stab on no factor has negative order and step(k) = ord(z) + sr*k
+    never falls again; settled_k says k >= stab and step(k) >= 0, so cum
+    never falls after k.
     """
     dz = ord_of(z)
-    signed = ([(1, i, j, ord_of(v)) for v, i, j in num]
-              + [(-1, i, j, ord_of(v)) for v, i, j, _ in den])
-    stab = max([0] + [-((d + j) // i) for _, i, j, d in signed if d is not None])
+    signed = ([(1, i, j, ord_of(v), 0) for v, i, j in num]
+              + [(-1, i, j, ord_of(v), _lift(v)) for v, i, j, _ in den])
+    stab = max([0] + [-((d + j) // i) for _, i, j, d, _ in signed if d is not None])
     k = cum = 0
     while True:
-        step = dz + sr * k + sum(s * _m0(d, i * k + j) for s, i, j, d in signed)
+        step = dz + sr * k + sum(s * _m0(d, i * k + j) - (x if x and i * k + j == -d else 0)
+                                 for s, i, j, d, x in signed)
         yield cum, k >= stab and step >= 0
         cum += step
         k += 1
@@ -363,9 +386,17 @@ def ratio_stop(num, den, z, sr, prec, n_term=None):
     return n, dip
 
 
-def ratio_terms(num, den, z, sr, t0, n):
+def ratio_terms(num, den, z, sr, t0, n, top=None):
     """Yield t_0 = t0, t_1, ..., t_(n-1) (t_0 alone when n < 2), where
     t_(k+1)/t_k = z (-1)^sr q^(sr*k) N_k/D_k as in ratio_sum.
+
+    Given ``top``, term k is built only to precision
+    top + cum_k - min_(k<=j<n) cum_j (see ratio_orders), when its own is
+    higher: a term j >= k made from the capped t_k moves by at least
+    cum_j - cum_k, so every term still reaches top, and no coefficient
+    below top changes.  The suffix minimum covers a cum that falls before
+    it settles.  A sum truncated to top passes it; a terminating sum,
+    whose precision is the minimum over its terms, does not.
 
     When z and every factor value are exact monomials, each step runs on the
     raw term (lo, T, D, P): the block T at q^lo over the denominator D, of
@@ -378,12 +409,20 @@ def ratio_terms(num, den, z, sr, t0, n):
     denominator factor to P - d, a vanishing numerator factor gives mul's
     zero series, and a vanishing denominator factor raises.
     """
+    caps = [None] * max(n, 1)
+    if top is not None:
+        cums = [cum for cum, _ in islice(ratio_orders(num, den, z, sr), len(caps))]
+        low = cums[-1]
+        for k in reversed(range(len(cums))):
+            low = min(low, cums[k])
+            caps[k] = top + cums[k] - low
+        t0 = se.cap(t0, caps[0])
     if isinstance(z, QMonomial) and all(isinstance(f[0], QMonomial) for f in num + den):
-        return _exact_terms(num, den, z, sr, t0, n)
-    return _ring_terms(num, den, z, sr, t0, n)
+        return _exact_terms(num, den, z, sr, t0, n, caps)
+    return _ring_terms(num, den, z, sr, t0, n, caps)
 
 
-def _exact_terms(num, den, z, sr, t, n):
+def _exact_terms(num, den, z, sr, t, n, caps):
     num = [(v.coef.numerator, v.coef.denominator, v.exp, i, j) for v, i, j in num if v.coef]
     den = [(v.coef.numerator, v.coef.denominator, v.exp, i, j, what)
            for v, i, j, what in den if v.coef]
@@ -429,11 +468,13 @@ def _exact_terms(num, den, z, sr, t, n):
                 T += [0] * (P - lo - len(T))
                 T, m = _over_one_minus(T, cn, cd, e)
                 D *= cd ** m
+        if caps[k + 1] is not None:
+            P = min(P, caps[k + 1])
         t = se._make(lo, T, D, P)
         yield t
 
 
-def _ring_terms(num, den, z, sr, t, n):
+def _ring_terms(num, den, z, sr, t, n, caps):
     num = [(v, i, j, ord_of(v)) for v, i, j in num]
     den = [(v, i, j, ord_of(v), what) for v, i, j, what in den]
     yield t
@@ -449,6 +490,8 @@ def _ring_terms(num, den, z, sr, t, n):
                 raise DegenerateParameterError(
                     "%s: factor 1 - v*q^%d vanishes" % (what, i * k + j))
             t = se.divide(t, g)
+        if caps[k + 1] is not None:
+            t = se.cap(t, caps[k + 1])
         yield t
 
 
@@ -465,13 +508,17 @@ def ratio_sum(num, den, z, sr, prec, n_term=None):
     precision prec - dip + 2, where dip <= 0 is the lowest cum_k of a
     summed term (see ratio_orders).  The terms come from ratio_terms: on
     raw integers when z and every v are exact monomials, by ring
-    operations when any is a series, with identical results.  They are
+    operations when any is a series, with identical results.  A
+    truncated sum asks ratio_terms for each term only to the precision
+    it keeps (``top`` = prec), so its last term, capped at prec, already
+    truncates the sum.  A terminating sum passes no cap: its precision is
+    the minimum over its terms, which a cap could move.  The terms are
     summed once over one running denominator by series.add_all, as they
     are made, and the sum is normalized once.
     """
     n, dip = ratio_stop(num, den, z, sr, prec, n_term)
-    acc = se.add_all(ratio_terms(num, den, z, sr, se.one(prec - dip + 2), n))
-    return acc if n_term is not None else se.cap(acc, prec)
+    top = prec if n_term is None else None
+    return se.add_all(ratio_terms(num, den, z, sr, se.one(prec - dip + 2), n, top))
 
 
 def bhs(upper, lower, z, prec):

@@ -428,13 +428,24 @@ def test_bhs_zero_argument():
     assert str(bhs([qmon(2)], [qmon(3)], qmon(0), 9)) == "1 + O(q^9)"
 
 
+def test_denominator_factor_above_its_order_bound():
+    # 1 - l has order 1, above its bound min(0, ord l) = 0, so t_1 has
+    # order 0, not ord z = 1: the stop and the term caps must count it.
+    l = se.add(se.one(60), se.monomial(1, 1, 60))
+    args = ([qmon(2), qmon(3)], [l], qmon(1, 1))
+    for prec in (5, 8, 12):
+        got = bhs(*args, prec)
+        assert got.prec == prec
+        assert got == se.cap(bhs(*args, prec + 10), prec)
+
+
 # -- ratio_sum's running sum ------------------------------------------------------------
 
 
 def test_ratio_sum_normalizes_its_sum_once(monkeypatch):
     # The terms go into one running block: series.add is never called, and
-    # the sum adds at most two _make calls (its normalization and the cap)
-    # to the terms' own, which are one per term when every factor is exact.
+    # the sum adds at most two _make calls to the terms' own, which are one
+    # per term (t_0's cap included) when every factor is exact.
     a, b = Fraction(3, 2), Fraction(-5, 7)
     abm = qmon(a * b, 1 - 3)
     pm3 = ([(abm, 2, 0), (abm, 2, 1)],
@@ -451,8 +462,9 @@ def test_ratio_sum_normalizes_its_sum_once(monkeypatch):
     for (num, den, z, sr), exact in ((pm3, True), (theta, False)):
         n, dip = ratio_stop(num, den, z, sr, 20)
         makes.clear()
-        terms = list(ratio_terms(num, den, z, sr, se.one(22 - dip), n))
+        list(ratio_terms(num, den, z, sr, se.one(22 - dip), n, 20))
         per_terms = len(makes)
+        terms = list(ratio_terms(num, den, z, sr, se.one(22 - dip), n))
         makes.clear()
         got = ratio_sum(num, den, z, sr, 20)
         assert n > 5 and len(makes) <= per_terms + 2
