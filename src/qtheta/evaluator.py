@@ -4,7 +4,10 @@ Series-sort nodes evaluate to exact monomials (QMonomial) while they stay
 exact and to LaurentSeries otherwise; integer-sort nodes evaluate to ints.
 Each sum body splits into its q-hypergeometric part H_n, whose term ratio
 drives ``kernels.ratio_terms``, and a residual R_n evaluated term by term;
-the ``dsl`` docstring gives the split and the stop rules.
+the ``dsl`` docstring gives the split and the stop rules.  Within one
+evaluation, a builtin call whose evaluated arguments equal an earlier
+call's is computed once, and the repeat gets a result structurally
+identical to a fresh call.
 """
 
 from __future__ import annotations
@@ -112,6 +115,8 @@ class _Evaluator:
     def __init__(self, binding, prec):
         self.binding = binding
         self.prec = prec
+        # (builtin name, evaluated arguments) -> kernel result; prec is fixed.
+        self.memo = {}
 
     def run(self, node):
         return to_series(self.value(node, {}), self.prec)
@@ -235,9 +240,16 @@ class _Evaluator:
             return QMonomial(Fraction(self.int_value(node, ienv)), 0)
         try:
             if node.name == "phi":
-                upper, lower, (z,) = ([self.value(x, ienv) for x in g] for g in node.groups)
-                return b.kernel(upper, lower, z, p=self.prec)
-            return b.kernel(*self.args(node, ienv), p=self.prec)
+                args = tuple(tuple(self.value(x, ienv) for x in g) for g in node.groups)
+            else:
+                args = tuple(self.args(node, ienv))
+            key = (node.name, args)
+            v = self.memo.get(key)
+            if v is None:
+                kargs = ((list(args[0]), list(args[1]), args[2][0]) if node.name == "phi"
+                         else args)
+                v = self.memo[key] = b.kernel(*kargs, p=self.prec)
+            return v
         except EvalError:
             raise
         except QThetaError as exc:

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from qtheta import series as se
-from qtheta import dsl
+from qtheta import dsl, sums
 from qtheta.dsl import BinOp, Call, Lit, Neg, Pow, Ref, Sum, INF, parse, render
+from qtheta.evaluator import _Evaluator
 from qtheta.errors import (
     BoundViolationError,
     EvalError,
@@ -169,6 +170,91 @@ def test_eval_sum_without_terms_is_zero_to_target():
     # An exact zero H_lo leaves no terms to add.
     for text in ("sum(k, 0, 3, a*q^k)", "sum(n, 0, inf, a*q^n, n)"):
         assert dsl.evaluate(parse(text), {"a": Fraction(0)}, 6) == se.zero(6)
+
+
+# -- one kernel run per builtin call and evaluation ------------------------------------
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record the arguments of every call to module.name."""
+    seen = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def test_cor22_lhs_runs_each_pm_once(monkeypatch):
+    # Both k-sums of corollary 2.2's left-hand side call Pm(3, a*q^k, b*q^k)
+    # for k = 0, 1, 2.
+    lhs = {i.name: i for i in load_registry()}["cor2.2-3"].lhs
+    binding = {"a": Fraction(2, 3), "b": Fraction(-3, 5)}
+    seen = _count_calls(monkeypatch, sums, "pmsum")
+    got = dsl.evaluate(lhs, binding, 20)
+    assert len(seen) == 3
+    factors = [dsl.evaluate(side, binding, 20) for side in (lhs.left, lhs.right)]
+    assert len(seen) == 9
+    assert got == se.mul(*factors)
+
+
+def test_equal_phi_calls_run_bhs_once(monkeypatch):
+    seen = _count_calls(monkeypatch, dsl, "bhs")
+    binding = {"a": Fraction(2), "b": Fraction(3), "c": Fraction(5)}
+    got = dsl.evaluate(parse("phi(a, b; c; q) * phi(a, b; c; q)"), binding, 12)
+    assert len(seen) == 1
+    one = bhs([qmon(2), qmon(3)], [qmon(5)], qmon(1, 1), 12)
+    assert got == se.mul(one, one)
+
+
+def test_residual_call_runs_once_per_index(monkeypatch):
+    # theta(a*q^n) sits in R_n, so each index has its own arguments.
+    seen = _count_calls(monkeypatch, dsl, "theta_partial")
+    dsl.evaluate(parse("sum(n, 0, inf, theta(a*q^n) * q^(n*n), n*n)"), {"a": Fraction(2)}, 16)
+    assert [x for x, _ in seen] == [qmon(2, n) for n in range(4)]
+
+
+def test_calls_with_other_arguments_stay_apart():
+    got = dsl.evaluate(parse("theta(a) - theta(b)"), {"a": Fraction(2), "b": Fraction(3)}, 15)
+    assert got == se.sub(theta_partial(Fraction(2), 15), theta_partial(Fraction(3), 15))
+    assert not got.is_zero
+
+
+def test_calls_on_series_of_other_precision_stay_apart():
+    # Equal coefficients, different precision: theta's result keeps the
+    # lower one, so the sum's precision depends on which call is which.
+    low = se.from_string("2 + q + O(q^8)")
+    high = se.from_string("2 + q + O(q^30)")
+    assert list(low.terms()) == list(high.terms()) and low != high
+    node = parse("theta(a) + theta(b)")
+    for a, b in ((low, high), (high, low)):
+        got = dsl.evaluate(node, {"a": a, "b": b}, 20)
+        assert got == se.add(theta_partial(a, 20), theta_partial(b, 20))
+        assert got.prec == 8
+
+
+def test_start_reevaluates_with_its_own_calls():
+    # t_0 = theta(a)*q^-2 falls short at prec 20, so start re-evaluates it
+    # at a higher precision; a theta(a) run at prec 20 must not answer there.
+    got = dsl.evaluate(parse("sum(n, 0, inf, theta(a) * q^(n*n - 3*n), n*n - 3*n)"),
+                       {"a": Fraction(2)}, 20)
+    assert got.prec == 20
+
+
+def test_failing_call_raises_at_its_position_every_time():
+    node = parse("theta(a) + poch(a, -1)")
+    ev = _Evaluator({"a": Fraction(2)}, 8)
+    for _ in range(2):
+        with pytest.raises(EvalError) as info:
+            ev.run(node)
+        assert info.value.pos == 11
+    assert [name for name, _ in ev.memo] == ["theta"]
+    with pytest.raises(EvalError) as info:
+        dsl.evaluate(parse("poch(a, -1) * theta(a) + poch(a, -1)"), {"a": Fraction(2)}, 8)
+    assert info.value.pos == 0
 
 
 # -- DSL / native agreement for every builtin --------------------------------------------
