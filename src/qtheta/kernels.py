@@ -10,12 +10,15 @@ through the ring rules and the result honestly reports what survived.
 Infinite sums and products never stop on "term looks small": they stop
 only once a mechanically derived lower bound on the q-order of all
 remaining terms is at or above the target precision, and the result is
-truncated to that target.  ``ratio_sum`` is the one such loop: bhs, the
-partial theta function and, through Euler's identity
+truncated to that target.  ``ratio_terms`` is the one such term loop,
+and ``ratio_stop`` its stop.  ``ratio_sum`` runs them from t_0 = 1: bhs,
+the partial theta function and, through Euler's identity
 (x;q)_inf = sum_n (-1)^n q^C(n,2) x^n / (q;q)_n, the infinite
-Pochhammer symbol are each one call of it.  It sums its terms once, into
-one running block over one running denominator (``series.add_all``),
-and normalizes the sum once.  ``qpoch_capped`` is the one finite product.
+Pochhammer symbol are each one call of it.  The P_m family
+(``sums._pfamily``) and the DSL's sums call ``ratio_terms`` with their
+own t_0.  Each sums its terms once, into one running block over one
+running denominator (``series.add_all``), and normalizes the sum once.
+``qpoch_capped`` is the one finite product.
 
 A truncated sum builds each term only to the precision it keeps.  The
 order bounds cum_k of ``ratio_orders`` say how far each step moves a
@@ -205,17 +208,20 @@ def _times_one_minus(num, lo, cn, cd, e, top):
 
 def _over_one_minus(num, cn, cd, e):
     """num / (1 - (cn/cd)*q^e) for e > 0, to len(num) terms, as (s, m) with
-    quotient s/cd^m.  S_j = num_j*cd^(j//e) + cn*S_(j-e) is the quotient
-    times cd^(j//e), so every S_j is an integer; m = (len(num)-1)//e."""
+    quotient s/cd^m and m = (len(num)-1)//e.  One scaling pass:
+    s_j = num_j*cd^m + cn*(s_(j-e) // cd) is the quotient times cd^m.  The
+    division is exact, because quotient coefficient j - e has denominator
+    cd^((j-e)//e), so s_(j-e) carries cd^(m - (j-e)//e), at least cd."""
     m = (len(num) - 1) // e
-    pw = [1]
-    for _ in range(m):
-        pw.append(pw[-1] * cd)
-    s = [a * pw[j // e] for j, a in enumerate(num)] if cd != 1 else list(num)
+    if cd == 1:
+        s = list(num)
+        for j in range(e, len(s)):
+            s[j] += cn * s[j - e]
+        return s, m
+    c = cd ** m
+    s = [a * c for a in num]
     for j in range(e, len(s)):
-        s[j] += cn * s[j - e]
-    if cd != 1:
-        s = [a * pw[m - j // e] for j, a in enumerate(s)]
+        s[j] += cn * (s[j - e] // cd)
     return s, m
 
 

@@ -9,6 +9,10 @@ and its arguments' q-orders: what its divisions and shifts lose by the
 ring rules, and how far its terms dip below q^0 (theta_dip, u_dip,
 thetak_dip).  Exact arguments therefore reach the requested precision;
 series arguments propagate honestly.
+
+P_m and S start their terms at (q,a,b;q)_inf: term n is then
+(q^(n+1), aq^n, bq^n;q)_inf (abq^(n-m);q)_n q^(zexp*n), a product with
+small coefficients, and no final product is taken.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from .kernels import (
     ord_of,
     qpoch_finite,  # unused; bench/selftest.py checks that the tracer wraps this binding
     qpoch_multi,
-    ratio_sum,
+    ratio_stop,
+    ratio_terms,
     theta_dip,
     theta_partial,
     to_series,
@@ -146,7 +151,9 @@ def lam(m, k, b, prec):
 
 def _pfamily(m, a, b, prec, zexp, what):
     """(q,a,b;q)_inf * sum_n (ab/q^m;q)_(2n) q^(zexp*n)
-    / ((q;q)_n (a;q)_n (b;q)_n (ab/q^m;q)_n), by term ratios."""
+    / ((q;q)_n (a;q)_n (b;q)_n (ab/q^m;q)_n), by term ratios from
+    t_0 = (q,a,b;q)_inf, built to prec - dip, where ratio_terms caps t_0.
+    Term k has order >= cum_k - extra, so the stop target is prec + extra."""
     av, bv = as_value(a), as_value(b)
     _check_poch_invertible(av, None, what + ": (a;q)_n")
     _check_poch_invertible(bv, None, what + ": (b;q)_n")
@@ -155,14 +162,13 @@ def _pfamily(m, a, b, prec, zexp, what):
     _check_poch_invertible(abm, None, what + ": (ab/q^%d;q)_n" % m)
     da, db = ord_of(av), ord_of(bv)
     extra = -(negord(da, max(0, -(da or 0))) + negord(db, max(0, -(db or 0))))
-    acc = ratio_sum(
-        [(abm, 2, 0), (abm, 2, 1)],
-        [(_QMON, 1, 0, what + ": (q;q)_n"), (av, 1, 0, what + ": (a;q)_n"),
-         (bv, 1, 0, what + ": (b;q)_n"), (abm, 1, 0, what + ": (ab/q^%d;q)_n" % m)],
-        QMonomial(Fraction(1), zexp), 0, prec + extra,
-    )
-    pre = qpoch_multi([_QMON, av, bv], prec + max(0, -acc._ord()))
-    return se.cap(se.mul(pre, acc), prec)
+    num = [(abm, 2, 0), (abm, 2, 1)]
+    den = [(_QMON, 1, 0, what + ": (q;q)_n"), (av, 1, 0, what + ": (a;q)_n"),
+           (bv, 1, 0, what + ": (b;q)_n"), (abm, 1, 0, what + ": (ab/q^%d;q)_n" % m)]
+    z = QMonomial(Fraction(1), zexp)
+    n, dip = ratio_stop(num, den, z, 0, prec + extra)
+    pre = qpoch_multi([_QMON, av, bv], prec - dip)
+    return se.add_all(ratio_terms(num, den, z, 0, pre, n, prec))
 
 
 def pmsum(m, a, b, prec):

@@ -10,6 +10,7 @@ import pytest
 from qtheta import series as se
 from qtheta.errors import DegenerateParameterError, DomainError, FormalDivergenceError
 from qtheta.kernels import (
+    _over_one_minus,
     bhs,
     qpoch_capped,
     qpoch_finite,
@@ -470,3 +471,23 @@ def test_ratio_sum_normalizes_its_sum_once(monkeypatch):
         assert n > 5 and len(makes) <= per_terms + 2
         assert per_terms <= n if exact else per_terms > 0
         assert got == se.cap(reduce(add, terms), 20)
+
+
+# -- division by 1 - c*q^e --------------------------------------------------------------
+
+
+def test_over_one_minus_matches_long_division():
+    # u_j = num_j + c*u_(j-e) is the quotient coefficient by coefficient;
+    # the kernel returns it as s/cd^m with m = (len(num) - 1) // e.
+    rng = random.Random(17)
+    for cd, sign, e in itertools.product((1, 2, 3, 24), (1, -1), (1, 2, 5, None)):
+        for _ in range(3):
+            num = [rng.randint(-50, 50) for _ in range(rng.randint(1, 14))]
+            cn = sign * rng.randint(1, 9)
+            f = e or len(num)
+            u = []
+            for j, a in enumerate(num):
+                u.append(a + (Fraction(cn, cd) * u[j - f] if j >= f else 0))
+            s, m = _over_one_minus(num, cn, cd, f)
+            assert m == (len(num) - 1) // f
+            assert [Fraction(x, cd ** m) for x in s] == u

@@ -1,5 +1,6 @@
 """Named sums against brute-force term-by-term oracles and stated relations."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,8 +9,22 @@ import pytest
 
 from qtheta import series as se
 from qtheta import sums
-from qtheta.errors import DegenerateParameterError, DomainError
-from qtheta.kernels import bhs, qpoch_infinite, theta_full, theta_partial
+from qtheta.errors import DegenerateParameterError, DomainError, QThetaError
+from qtheta.kernels import (
+    QMonomial,
+    _check_poch_invertible,
+    _val_mul,
+    _val_shift,
+    as_value,
+    bhs,
+    negord,
+    ord_of,
+    qpoch_infinite,
+    qpoch_multi,
+    ratio_sum,
+    theta_full,
+    theta_partial,
+)
 from qtheta.sums import lam, omega, pmsum, qcap, ssum, thetak, tsum, usum, vsum
 
 from helpers import (
@@ -370,6 +385,68 @@ def test_s_symmetric():
 def test_s_brute_a_zero():
     got = ssum(Fraction(0), Fraction(2), 12)
     assert_eq_series(got, _brute_pfamily(3, Fraction(0), Fraction(2), 12, 2), 12)
+
+
+# -- P_m and S: the prefactor is the first term ---------------------------------------
+
+
+def _pfamily_times_prefactor(m, a, b, prec, zexp, what):
+    # The bare sum first, to prec + extra, then one product with
+    # (q,a,b;q)_inf at the precision the sum's order asks for.
+    av, bv = as_value(a), as_value(b)
+    _check_poch_invertible(av, None, what + ": (a;q)_n")
+    _check_poch_invertible(bv, None, what + ": (b;q)_n")
+    abm = _val_shift(_val_mul(av, bv), -m)
+    _check_poch_invertible(abm, None, what + ": (ab/q^%d;q)_n" % m)
+    da, db = ord_of(av), ord_of(bv)
+    extra = -(negord(da, max(0, -(da or 0))) + negord(db, max(0, -(db or 0))))
+    q = qmon(1, 1)
+    acc = ratio_sum(
+        [(abm, 2, 0), (abm, 2, 1)],
+        [(q, 1, 0, what + ": (q;q)_n"), (av, 1, 0, what + ": (a;q)_n"),
+         (bv, 1, 0, what + ": (b;q)_n"), (abm, 1, 0, what + ": (ab/q^%d;q)_n" % m)],
+        QMonomial(Fraction(1), zexp), 0, prec + extra,
+    )
+    pre = qpoch_multi([q, av, bv], prec + max(0, -acc._ord()))
+    return se.cap(se.mul(pre, acc), prec)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except QThetaError as e:
+        return type(e), str(e)
+
+
+def test_pfamily_equals_sum_times_prefactor():
+    # Starting the terms at (q,a,b;q)_inf gives the same series, precision
+    # included, and the same errors, for exact and series a and b.
+    cs = [Fraction(3, 2), Fraction(-5, 7), Fraction(1, 3)]
+    exact = [qmon(c, e) for c in cs for e in range(-2, 2)]
+    series = [se.add(se.monomial(c, e, e + p), se.monomial(2, e + 1, e + p))
+              for c, e in zip(cs, (-2, 0, 1)) for p in (3, 12)]
+    series.append(se.add(se.one(12), se.monomial(Fraction(1, 2), 1, 12)))
+    pairs = (list(itertools.product(exact, exact))
+             + [(s, x) for s in series for x in exact[::3]]
+             + [(x, s) for s in series for x in exact[1::3]]
+             + list(itertools.product(series[::2], series[1::2])))
+    errors = 0
+    for (a, b), prec, (m, zexp, what) in itertools.product(
+            pairs, (5, 17), ((2, 1, "Pm"), (3, 1, "Pm"), (3, 2, "S"))):
+        want = _outcome(_pfamily_times_prefactor, m, a, b, prec, zexp, what)
+        assert _outcome(sums._pfamily, m, a, b, prec, zexp, what) == want, (m, a, b, prec, what)
+        errors += isinstance(want, tuple)
+    assert errors > 0
+
+
+def test_pm_multiplies_only_inside_the_prefactor(monkeypatch):
+    # The prefactor's three infinite products take two series.mul calls;
+    # the terms start at their product, so no final product is left.
+    calls = []
+    mul = se.mul
+    monkeypatch.setattr(se, "mul", lambda x, y: calls.append(1) or mul(x, y))
+    pmsum(3, Fraction(-7, 3), Fraction(5, 8), 40)
+    assert len(calls) == 2
 
 
 # -- Omega -------------------------------------------------------------------------------
