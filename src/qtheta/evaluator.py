@@ -8,12 +8,21 @@ the ``dsl`` docstring gives the split and the stop rules.  Within one
 evaluation, a builtin call whose evaluated arguments equal an earlier
 call's is computed once, and the repeat gets a result structurally
 identical to a fresh call.
+
+An infinite sum multiplier starts at t_0 = (every other multiplier of
+q-order exactly 0) * H_lo, as ``sums._pfamily`` starts P_m at
+(q,a,b;q)_inf, using the values already evaluated.  Order 0 moves
+neither the stop nor the precision.  A negative order would lower every
+term while a residual sum still stops where its bound says, claiming
+coefficients it never added; a positive order would stop the sum early,
+and a later division would cost precision.  Other factors multiply after.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 
 from .errors import BoundViolationError, EvalError, QThetaError
 from . import series as se
@@ -35,6 +44,11 @@ __all__ = ["evaluate", "evaluate_value"]
 
 _ITER_SLACK = 100
 _ONE = QMonomial(Fraction(1), 0)
+
+
+def _folds(f, div_pos):
+    """Whether a factor is an infinite sum that multiplies."""
+    return div_pos is None and isinstance(f, Sum) and f.hi is INF
 
 
 def _mul_factors(node, div_pos=None):
@@ -175,9 +189,12 @@ class _Evaluator:
         if isinstance(node, Neg):
             return _val_neg(self.value(node.operand, ienv))
         if isinstance(node, BinOp):
-            if node.op == "/":
+            if node.op == "/" or node.op == "*" and any(
+                    _folds(f, d) for f, d in _mul_factors(node)):
                 # Divide through product denominators factor by factor:
-                # same field value, smaller divisions.
+                # same field value, smaller divisions.  A product with an
+                # infinite sum multiplier goes factor by factor too, so
+                # that the sum can start at its order-0 prefactor.
                 return self.product(_mul_factors(node), ienv)
             a = self.value(node.left, ienv)
             b = self.value(node.right, ienv)
@@ -212,11 +229,23 @@ class _Evaluator:
         raise TypeError("unknown node %r" % (node,))
 
     def product(self, factors, ienv):
-        """The product of (factor, div_pos) pairs from _mul_factors."""
+        """The product of (factor, div_pos) pairs from _mul_factors.  The
+        first infinite Sum multiplier starts at the product of the other
+        multipliers of q-order 0 that do not mention its index (see
+        sum); every other factor multiplies in order."""
+        factors = list(factors)
+        s = next((i for i, (f, d) in enumerate(factors) if _folds(f, d)), None)
+        if s is not None:
+            node = factors[s][0]
+            xs = {i: self.value(f, ienv) for i, (f, _) in enumerate(factors) if i != s}
+            fold = [i for i in xs if factors[i][1] is None and ord_of(xs[i]) == 0
+                    and node.var not in free_params(factors[i][0])]
+            xs[s] = self.sum(node, ienv, [(factors[i][0], xs.pop(i)) for i in fold])
         v = _ONE
-        for f, div_pos in factors:
-            x = self.value(f, ienv)
-            v = _val_mul(v, x) if div_pos is None else self.div(v, x, div_pos)
+        for i, (f, div_pos) in enumerate(factors):
+            x = self.value(f, ienv) if s is None else xs.get(i)
+            if x is not None:
+                v = _val_mul(v, x) if div_pos is None else self.div(v, x, div_pos)
         return v
 
     def div(self, a, b, pos):
@@ -404,8 +433,9 @@ class _Evaluator:
         return i - lo
 
     def start(self, c, rel, h, ienv):
-        """t_0 = c = H_lo at relative precision rel + 2, re-evaluated once
-        at a higher precision when c carries less than rel."""
+        """t_0 = c, the product of h, at relative precision rel + 2,
+        re-evaluated once at a higher precision when c carries less than
+        rel."""
         rel = max(rel, -1)
         if isinstance(c, QMonomial):
             return se.monomial(c.coef, c.exp, c.exp + rel + 2)
@@ -414,7 +444,7 @@ class _Evaluator:
             c = _Evaluator(self.binding, self.prec + rel - got).product(h, ienv)
         return se.cap(c, c._ord() + rel + 2)
 
-    def sum(self, node, ienv):
+    def sum(self, node, ienv, fold=()):
         lo = self.int_value(node.lo, ienv)
         finite = node.hi is not INF
         inner = dict(ienv)
@@ -427,7 +457,7 @@ class _Evaluator:
             count = self.bound_count(node, inner)
         try:
             acc = se.add_all((to_series(t, self.prec)
-                              for t in self.terms(node, inner, count, finite)),
+                              for t in self.terms(node, inner, count, finite, fold)),
                              se.zero(self.prec))
         except EvalError:
             raise
@@ -435,15 +465,17 @@ class _Evaluator:
             raise EvalError(str(exc), node.pos) from exc
         return acc if finite else se.cap(acc, self.prec)
 
-    def terms(self, node, ienv, count, finite):
-        """The terms of a sum: the t_k of ratio_terms started at H_lo,
-        times R_n when the body has a residual.  An infinite pure-H_n sum
-        builds each term only to the precision the truncated sum keeps."""
+    def terms(self, node, ienv, count, finite, fold):
+        """The terms of a sum: the t_k of ratio_terms started at the
+        product of the (factor, value) pairs in fold and H_lo, times R_n
+        when the body has a residual.  An infinite pure-H_n sum builds
+        each term only to the precision the truncated sum keeps."""
         prec = self.prec
         var = node.var
         h, r, num, den, z, sr, n_term = self.split(
             node.body, var, ienv, count - 1 if finite else None)
-        c = self.product(h, ienv)
+        c = reduce(_val_mul, [x for _, x in fold] + [self.product(h, ienv)])
+        h = [(f, None) for f, _ in fold] + h
         if isinstance(c, QMonomial) and c.coef == 0:
             return []
         dc = _ord_rel(c)[0]

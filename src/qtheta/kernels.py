@@ -32,6 +32,8 @@ exact c is a two-term integer update of a coefficient block over one
 shared denominator (``_times_one_minus``, used by ``qpoch_capped`` and
 ``ratio_terms``), and a division by it is an integer recurrence
 (``_over_one_minus``); the block is normalized once per result or term.
+Both build only the entries they keep: the update stops at the cap, and
+a division whose shift e reaches past the block returns it unchanged.
 Series arguments go through the ring operations of ``series``.  The two
 give structurally equal results, with the same precisions and errors.
 """
@@ -195,15 +197,17 @@ def _check_poch_invertible(v, n, what):
 
 def _times_one_minus(num, lo, cn, cd, e, top):
     """The block num at q^lo times cd - cn*q^e, kept below q^top: the
-    two-term update num'[j] = cd*num[j] - cn*num[j-e].  Returns (num', lo')."""
-    z = [0] * abs(e)
-    if e >= 0:
-        num = [cd * a - cn * b for a, b in zip(num + z, z + num)]
-    else:
-        num = [cd * a - cn * b for a, b in zip(z + num, num + z)]
+    two-term update num'[j] = cd*num[j] - cn*num[j-e], computed only for
+    the kept j.  Returns (num', lo')."""
+    if e < 0:
+        # cd - cn*q^e = q^e * (-cn - (-cd)*q^-e)
         lo += e
-    del num[max(0, top - lo):]
-    return num, lo
+        cn, cd, e = -cd, -cn, -e
+    keep = max(0, min(len(num) + e, top - lo))
+    out = [cd * a for a in num[:keep]]
+    out += [0] * (keep - len(out))
+    out[e:] = [a - cn * b for a, b in zip(out[e:], num)]
+    return out, lo
 
 
 def _over_one_minus(num, cn, cd, e):
@@ -211,7 +215,10 @@ def _over_one_minus(num, cn, cd, e):
     quotient s/cd^m and m = (len(num)-1)//e.  One scaling pass:
     s_j = num_j*cd^m + cn*(s_(j-e) // cd) is the quotient times cd^m.  The
     division is exact, because quotient coefficient j - e has denominator
-    cd^((j-e)//e), so s_(j-e) carries cd^(m - (j-e)//e), at least cd."""
+    cd^((j-e)//e), so s_(j-e) carries cd^(m - (j-e)//e), at least cd.  For
+    e >= len(num) the quotient is num itself, with m = 0."""
+    if e >= len(num):
+        return num, 0
     m = (len(num) - 1) // e
     if cd == 1:
         s = list(num)

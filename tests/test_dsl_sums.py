@@ -1,17 +1,19 @@
 """DSL sums: the H_n / R_n split, the stop rules, and agreement with the
 term-by-term evaluation of the body (helpers.sum_by_terms)."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtheta import dsl
+from qtheta import dsl, evaluator
 from qtheta import series as se
 from qtheta.dsl import Sum, parse
 from qtheta.errors import BoundViolationError, EvalError, QThetaError
 from qtheta.evaluator import _Evaluator
 from qtheta.identities import load_registry
+from qtheta.kernels import QMonomial, _val_mul, to_series
 from qtheta.verifier import full_binding, sample_params
 
 from helpers import assert_eq_series, sum_by_terms
@@ -199,3 +201,109 @@ def test_random_hypergeometric_bodies_match_term_by_term(text, prec, a, b):
     # A finite sum is not capped, so its precision follows its factors'.
     assert_eq_series(got, want, min(prec, want.prec))
     assert got.prec >= min(prec, want.prec)
+
+
+# -- order-0 prefactors start an infinite sum ------------------------------------------
+
+
+_FOLD_SUMS = [
+    "sum(n, 0, inf, poch(a, n) * q^n / poch(q, n), n)",
+    "sum(n, 0, inf, poch(a/q^2, n) * q^n / poch(q, n), n - 2)",
+    "sum(n, 0, inf, theta(a*q^n) * q^n / poch(q, n), n)",
+    "sum(n, 0, inf, binom2(n+2) * q^n / poch(a, n+1), n)",
+]
+# A product of factors (text, divides), "S" standing for the sum.
+_FOLD_PRODUCTS = [
+    [("x", False), ("S", False)],
+    [("S", False), ("x", False)],
+    [("x", False), ("pochinf(q)", False), ("S", False)],
+    [("x", False), ("S", False), ("pochinf(a)", True)],
+    [("pochinf(a)", False), ("S", True), ("x", False)],
+    [("2", False), ("S", False), ("S", False)],
+]
+
+
+def _unfolded(parts, binding, prec):
+    """The product without the fold: each factor, the sum included,
+    evaluated alone, then multiplied or divided in order."""
+    ev = _Evaluator(binding, prec)
+    v = QMonomial(Fraction(1), 0)
+    for text, divides in parts:
+        x = ev.value(parse(text), {})
+        v = ev.div(v, x, 0) if divides else _val_mul(v, x)
+    return to_series(v, prec)
+
+
+def _order_k(k, prec, series):
+    """A binding of order k: 3/2*q^k exact, or 3/2*q^k - q^(k+1) + O(q^(k+prec))."""
+    if not series:
+        return QMonomial(Fraction(3, 2), k)
+    return se.add(se.monomial(Fraction(3, 2), k, k + prec), se.monomial(-1, k + 1, k + prec))
+
+
+@pytest.mark.parametrize("sum_text", _FOLD_SUMS)
+def test_folded_prefactor_matches_the_unfolded_product(sum_text):
+    # Factors of order -2..2, exact and series bindings, pure H_n and
+    # residual bodies: the fold changes no coefficient and loses no
+    # precision against the sum evaluated alone and multiplied after.
+    prec = 8
+    for parts, k, a_series, x_series in itertools.product(
+            _FOLD_PRODUCTS, range(-2, 3), (False, True), (False, True)):
+        binding = {
+            "a": (se.add(se.from_rational(Fraction(2, 3), prec + 6), se.monomial(1, 1, prec + 6))
+                  if a_series else Fraction(2, 3)),
+            "x": _order_k(k, prec + 4, x_series)}
+        parts = [(sum_text if t == "S" else t, d) for t, d in parts]
+        text = "".join(("/" if d else "*") * bool(i) + "(%s)" % t for i, (t, d) in enumerate(parts))
+        got = dsl.evaluate(parse(text), binding, prec)
+        want = _unfolded(parts, binding, prec)
+        case = (text, k, a_series, x_series)
+        assert se.eq_to_prec(got, want)[0], case
+        assert got.prec >= want.prec, case
+
+
+def test_fold_leaves_a_negative_order_factor_outside():
+    # Folded, q^-3 would lower every term by 3 while the orderbound n
+    # still stopped the residual sum at the tenth term: O(q^10) without
+    # 45q^7 + 55q^8 + 66q^9.  Outside the sum it costs 3 orders, honestly.
+    got = dsl.evaluate(parse("q^(0-3) * sum(n, 0, inf, binom2(n) * q^n, n)"), {}, 10)
+    want = se.add_all([se.monomial(n * (n - 1) // 2, n - 3, got.prec) for n in range(2, got.prec + 3)],
+                      se.zero(got.prec))
+    assert got == want and got.prec == 7
+
+
+def test_fold_leaves_a_positive_order_factor_outside():
+    # Folded, q^2 would stop the sum at its order-8 term: O(q^8) after
+    # the division by q^2.
+    got = dsl.evaluate(parse("q^2 * sum(n, 0, inf, q^n / poch(q, n), n) / q^2"), {}, 10)
+    assert got == dsl.evaluate(parse("sum(n, 0, inf, q^n / poch(q, n), n)"), {}, 10)
+    assert got.prec == 10
+
+
+def test_andrews_warnaar_sum_starts_at_its_prefactor(monkeypatch):
+    # pochinf(q) * pochinf(a) * pochinf(b) has order 0, so it is t_0 of the
+    # sum's term loop (as in sums._pfamily), not a product taken after it.
+    rhs = {i.name: i for i in load_registry()}["andrews-warnaar-1.5"].rhs
+    binding = {"a": Fraction(5, 8), "b": Fraction(-3, 2)}
+    t0s = []
+    ratio_terms = evaluator.ratio_terms
+    monkeypatch.setattr(evaluator, "ratio_terms",
+                        lambda num, den, z, sr, t0, *rest:
+                        t0s.append(t0) or ratio_terms(num, den, z, sr, t0, *rest))
+    got = dsl.evaluate(rhs, binding, 20)
+    pre = dsl.evaluate(parse("pochinf(q) * pochinf(a) * pochinf(b)"), binding, 20)
+    [t0] = t0s
+    assert t0 == pre
+    sum_node = next(_sums(rhs))
+    assert se.eq_to_prec(got, se.mul(pre, dsl.evaluate(sum_node, binding, 20))) == (True, 20)
+
+
+def test_fold_skips_a_factor_naming_the_index():
+    # The parameter n outside the sum is not the index n inside it, so
+    # pochinf(n) stays outside: the sum's t_0, which needs one order more
+    # than pochinf(n) carries here, is re-evaluated with n bound to lo.
+    sum_text = "sum(n, 0, inf, poch(a/q^2, n) * q^n / poch(q, n), n - 2)"
+    binding = {"a": Fraction(2, 3), "n": Fraction(-5, 4)}
+    got = dsl.evaluate(parse("pochinf(n) * " + sum_text), binding, 8)
+    want = _unfolded([("pochinf(n)", False), (sum_text, False)], binding, 8)
+    assert se.eq_to_prec(got, want)[0] and got.prec >= want.prec

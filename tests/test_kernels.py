@@ -11,6 +11,7 @@ from qtheta import series as se
 from qtheta.errors import DegenerateParameterError, DomainError, FormalDivergenceError
 from qtheta.kernels import (
     _over_one_minus,
+    _times_one_minus,
     bhs,
     qpoch_capped,
     qpoch_finite,
@@ -491,3 +492,52 @@ def test_over_one_minus_matches_long_division():
             s, m = _over_one_minus(num, cn, cd, f)
             assert m == (len(num) - 1) // f
             assert [Fraction(x, cd ** m) for x in s] == u
+
+
+def test_over_one_minus_returns_a_short_block_unchanged():
+    # For e >= len(num) no quotient coefficient reaches back e places.
+    for num in ([], [3], [4, -1, 7]):
+        for e in (len(num), len(num) + 2):
+            if e:
+                assert _over_one_minus(num, -5, 3, e) == (num, 0)
+
+
+# -- multiplication by cd - cn*q^e ---------------------------------------------------
+
+
+def _times_one_minus_full(num, lo, cn, cd, e, top):
+    """The whole product block, built before the entries at or above top
+    are dropped."""
+    z = [0] * abs(e)
+    if e >= 0:
+        num = [cd * a - cn * b for a, b in zip(num + z, z + num)]
+    else:
+        num = [cd * a - cn * b for a, b in zip(z + num, num + z)]
+        lo += e
+    del num[max(0, top - lo):]
+    return num, lo
+
+
+class _Counted(int):
+    """An int that counts the products it takes part in."""
+
+    products = [0]
+
+    def __mul__(self, other):
+        self.products[0] += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def test_times_one_minus_builds_only_the_kept_entries():
+    rng = random.Random(23)
+    for size in (0, 1, 4, 9):
+        num = [_Counted(rng.randint(-40, 40)) for _ in range(size)]
+        for e, lo, top in itertools.product((-11, -3, -1, 0, 1, 3, size, size + 4),
+                                            (-2, 0, 5), (-20, -1, 2, 6, 40)):
+            cn, cd = _Counted(rng.choice((-7, 1, 5))), _Counted(rng.choice((1, 3)))
+            _Counted.products[0] = 0
+            got = _times_one_minus(num, lo, cn, cd, e, top)
+            assert _Counted.products[0] <= 2 * len(got[0])
+            assert got == _times_one_minus_full(num, lo, cn, cd, e, top)
