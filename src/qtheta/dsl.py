@@ -18,7 +18,9 @@ Grammar (precedence ^ > unary - > * / > + -, ^ right-associative):
 Calls take comma-separated arguments; ``phi`` alone takes three
 semicolon-separated groups (upper list; lower list; argument).  Trees
 are evaluated by ``evaluator``, whose ``evaluate`` and ``evaluate_value``
-this module re-exports.
+this module re-exports.  ``int_value`` is the one integer interpreter:
+the evaluator and the static guard estimate ``neg_shift`` both call it.
+A ``*``/``/`` tree is one product, evaluated factor by factor.
 
 A sum body's ``*``/``/`` factors split in two.  The q-hypergeometric part
 H_n is every factor free of the index n, ``poch(x*q^(a*n+b), g*n+d[, s])``
@@ -45,7 +47,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .errors import ParseError, SortError, UnknownNameError
+from .errors import EvalError, ParseError, SortError, UnknownNameError
 from . import sums
 from .kernels import (
     bhs,
@@ -56,8 +58,8 @@ from .kernels import (
     theta_partial,
 )
 
-__all__ = ["parse", "render", "evaluate", "evaluate_value", "free_params", "neg_shift",
-           "Lit", "Ref", "BinOp", "Neg", "Pow", "Call", "Sum", "INF"]
+__all__ = ["parse", "render", "evaluate", "evaluate_value", "free_params", "int_value",
+           "neg_shift", "Lit", "Ref", "BinOp", "Neg", "Pow", "Call", "Sum", "INF"]
 
 
 # -- AST ----------------------------------------------------------------------
@@ -135,8 +137,8 @@ def _neg_arg(o, n):
 # function up in the module globals at call time so that a wrapper
 # installed there (bench/tracer.py) sees the call.  An integer kernel takes
 # integers only.  guard(o, n) bounds the most negative q-power a call
-# injects, from its arguments' q-orders o and integer estimates n.  Only
-# phi (argument groups) keeps its own branch in _Evaluator.call.
+# injects, from its arguments' q-orders o and values n (None for a series
+# argument).  phi's kernel takes its three evaluated groups as they come.
 _BUILTINS = {
     "theta": _Builtin("S", ("S",), lambda x, p: theta_partial(x, p),
                       lambda o, n: theta_dip(o[0])),
@@ -146,7 +148,7 @@ _BUILTINS = {
                      lambda x, n, step=1, *, p: qpoch_capped(x, n, p + 16, step), _neg_arg),
     "pochinf": _Builtin("S", ("S",), lambda x, p: qpoch_infinite(x, p),
                         lambda o, n: theta_dip(o[0])),
-    "phi": _Builtin("S", ("S", "S", "S"), lambda u, l, z, p: bhs(u, l, z, p),
+    "phi": _Builtin("S", ("S", "S", "S"), lambda u, l, z, p: bhs(u, l, z[0], p),
                     _neg_arg),
     "Pm": _Builtin("S", ("I", "S", "S"), lambda m, a, b, p: sums.pmsum(m, a, b, p),
                    _neg_arg),
@@ -367,6 +369,32 @@ class _Parser:
 # -- sort checking ------------------------------------------------------------
 
 
+def _arg_sorts(node):
+    """A call's arguments paired with their sorts, "S" or "I"; phi takes one
+    sort per ';' group."""
+    sig = _BUILTINS[node.name].args
+    if node.name == "phi":
+        return [(arg, sort) for group, sort in zip(node.groups, sig) for arg in group]
+    return [(arg, sort.lstrip("?")) for arg, sort in zip(node.args, sig)]
+
+
+def int_value(node, ienv):
+    """The value of a sort-checked integer tree whose sum indices ienv binds:
+    the one integer interpreter, for the evaluator and the guard estimate."""
+    if isinstance(node, Lit):
+        return node.value
+    if isinstance(node, Ref):
+        return ienv[node.name]
+    if isinstance(node, Neg):
+        return -int_value(node.operand, ienv)
+    if isinstance(node, BinOp):
+        a, b = int_value(node.left, ienv), int_value(node.right, ienv)
+        return a + b if node.op == "+" else a - b if node.op == "-" else a * b
+    if isinstance(node, Call) and _BUILTINS[node.name].sort == "I":
+        return _BUILTINS[node.name].kernel(*(int_value(a, ienv) for a in node.args))
+    raise EvalError("not an integer expression", getattr(node, "pos", None))
+
+
 def _check(node, want, ivars, text):
     if isinstance(node, Lit):
         return
@@ -402,12 +430,8 @@ def _check(node, want, ivars, text):
         if want == "I" and b.sort != "I":
             raise SortError("series-valued %s(...) in an integer position" % node.name,
                             node.pos, text)
-        if node.name == "phi":  # one sort per ';' group
-            pairs = [(arg, sort) for group, sort in zip(node.groups, b.args) for arg in group]
-        else:
-            pairs = zip(node.args, b.args)
-        for arg, sort in pairs:
-            _check(arg, sort.lstrip("?"), ivars, text)
+        for arg, sort in _arg_sorts(node):
+            _check(arg, sort, ivars, text)
         return
     if isinstance(node, Sum):
         if want == "I":
@@ -491,21 +515,6 @@ def sum_indices(node):
 # -- static guard estimate ------------------------------------------------------
 
 
-def _int_est(node, ienv):
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Ref):
-        return ienv.get(node.name, 0)
-    if isinstance(node, Neg):
-        return -_int_est(node.operand, ienv)
-    if isinstance(node, BinOp):
-        a, b = _int_est(node.left, ienv), _int_est(node.right, ienv)
-        return a + b if node.op == "+" else a - b if node.op == "-" else a * b
-    if isinstance(node, Call) and _BUILTINS[node.name].sort == "I":
-        return _BUILTINS[node.name].kernel(*(_int_est(a, ienv) for a in node.args))
-    return 0
-
-
 def _scan(node, ienv):
     """(order estimate, worst injected negative shift) for a subtree."""
     if isinstance(node, Lit):
@@ -526,18 +535,19 @@ def _scan(node, ienv):
         return o, max(dip, -o)
     if isinstance(node, Pow):
         bo, bd = _scan(node.base, ienv)
-        e = _int_est(node.exp, ienv)
+        e = int_value(node.exp, ienv)
         o = bo * e if bo else 0
         return o, max(bd * max(e, 1), -o)
     if isinstance(node, Sum):
         inner = dict(ienv)
-        inner[node.var] = _int_est(node.lo, ienv)
+        inner[node.var] = int_value(node.lo, ienv)
         _, d = _scan(node.body, inner)
         return 0, d
     if isinstance(node, Call):
-        args = [arg for group in node.groups for arg in group]
-        ords, dips = zip(*(_scan(arg, ienv) for arg in args))
-        guard = _BUILTINS[node.name].guard(ords, [_int_est(arg, ienv) for arg in args])
+        pairs = _arg_sorts(node)
+        ords, dips = zip(*(_scan(arg, ienv) for arg, _ in pairs))
+        guard = _BUILTINS[node.name].guard(
+            ords, [int_value(arg, ienv) if sort == "I" else None for arg, sort in pairs])
         return 0, max(max(dips), guard)
     raise TypeError("unknown node %r" % (node,))
 

@@ -29,9 +29,9 @@ GUARD_PER_M = 2  # working precision = target + 2m + 8
 class SeriesLinearSystem:
     """A square system over truncated series.
 
-    Row r reads: sum_c matrix[r][c] * X_{shifts[c]} = rhs_values[r], where
-    X_t stands for P_m(a q^t, b q^t) and rhs_labels[r] is ('a'|'b', j) for
-    the value theta(q, a/q^j) resp. theta(q, b/q^j).
+    Row r reads: sum_c matrix[r][c] * X_{shifts[c]} = theta(q, v/q^j) for
+    rhs_labels[r] = (v, j), v being 'a' or 'b', where X_t stands for
+    P_m(a q^t, b q^t).  The theta values are left to ThetaCombination.
     """
 
     m: int
@@ -40,7 +40,6 @@ class SeriesLinearSystem:
     prec: int
     shifts: list
     matrix: list
-    rhs_values: list
     rhs_labels: list
 
 
@@ -68,17 +67,15 @@ def build_system(m, a, b, prec):
     shifts = list(range(-(m - 2), m))
     col = {t: i for i, t in enumerate(shifts)}
     matrix = []
-    rhs_values = []
     rhs_labels = []
     for j in range(m - 1):
-        for kind, pval, tval in (("a", bv, av), ("b", av, bv)):
+        for kind, pval in (("a", bv), ("b", av)):
             row = [se.zero(prec)] * (2 * (m - 1))
             for k in range(m):
                 row[col[k - j]] = lam(m, k, _val_shift(pval, -j), prec)
             matrix.append(row)
-            rhs_values.append(theta_partial(_val_shift(tval, -j), prec))
             rhs_labels.append((kind, j))
-    return SeriesLinearSystem(m, av, bv, prec, shifts, matrix, rhs_values, rhs_labels)
+    return SeriesLinearSystem(m, av, bv, prec, shifts, matrix, rhs_labels)
 
 
 def gauss_solve(system, pivot="min_order", want=None):

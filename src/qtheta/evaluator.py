@@ -1,10 +1,14 @@
 """Evaluation of DSL expression trees (see ``dsl`` for the language).
 
 Series-sort nodes evaluate to exact monomials (QMonomial) while they stay
-exact and to LaurentSeries otherwise; integer-sort nodes evaluate to ints.
-Each sum body splits into its q-hypergeometric part H_n, whose term ratio
-drives ``kernels.ratio_terms``, and a residual R_n evaluated term by term;
-the ``dsl`` docstring gives the split and the stop rules.  Within one
+exact and to LaurentSeries otherwise; integer-sort nodes evaluate to ints
+through ``dsl.int_value``, the one integer interpreter.  Every ``*``/``/``
+tree is one product, taken factor by factor from the left: ``a*(b/c)`` is
+``(a*b)/c``, which for nonzero values is the same value and precision, as
+the precision rules of ``mul`` and ``divide`` compose.  Each sum body
+splits into its q-hypergeometric part H_n, whose term ratio drives
+``kernels.ratio_terms``, and a residual R_n evaluated term by term; the
+``dsl`` docstring gives the split and the stop rules.  Within one
 evaluation, a builtin call whose evaluated arguments equal an earlier
 call's is computed once, and the repeat gets a result structurally
 identical to a fresh call.
@@ -26,9 +30,11 @@ from functools import reduce
 
 from .errors import BoundViolationError, EvalError, QThetaError
 from . import series as se
-from .dsl import _BUILTINS, INF, BinOp, Call, Lit, Neg, Pow, Ref, Sum, free_params, render
+from .dsl import (_BUILTINS, INF, BinOp, Call, Lit, Neg, Pow, Ref, Sum, _arg_sorts,
+                  free_params, int_value, render)
 from .kernels import (
     QMonomial,
+    as_value,
     ord_of,
     ratio_orders,
     ratio_stop,
@@ -44,11 +50,6 @@ __all__ = ["evaluate", "evaluate_value"]
 
 _ITER_SLACK = 100
 _ONE = QMonomial(Fraction(1), 0)
-
-
-def _folds(f, div_pos):
-    """Whether a factor is an infinite sum that multiplies."""
-    return div_pos is None and isinstance(f, Sum) and f.hi is INF
 
 
 def _mul_factors(node, div_pos=None):
@@ -137,21 +138,6 @@ class _Evaluator:
 
     # integer sort ------------------------------------------------------------
 
-    def int_value(self, node, ienv):
-        if isinstance(node, Lit):
-            return node.value
-        if isinstance(node, Ref):
-            return ienv[node.name]
-        if isinstance(node, Neg):
-            return -self.int_value(node.operand, ienv)
-        if isinstance(node, BinOp):
-            a = self.int_value(node.left, ienv)
-            b = self.int_value(node.right, ienv)
-            return a + b if node.op == "+" else a - b if node.op == "-" else a * b
-        if isinstance(node, Call) and _BUILTINS[node.name].sort == "I":
-            return _BUILTINS[node.name].kernel(*(self.int_value(a, ienv) for a in node.args))
-        raise EvalError("not an integer expression", getattr(node, "pos", None))
-
     def kpoly(self, node, var, ienv):
         """An integer expression as a polynomial in k = var - ienv[var]."""
         if isinstance(node, Ref) and node.name == var:
@@ -167,39 +153,30 @@ class _Evaluator:
         if isinstance(node, Call) and node.name == "binom2":
             a = self.kpoly(node.args[0], var, ienv)
             return [Fraction(c, 2) for c in _pmul(a, _padd(a, [-1]))]
-        return [self.int_value(node, ienv)]
+        return [int_value(node, ienv)]
 
     # series sort ---------------------------------------------------------------
 
     def value(self, node, ienv):
         if isinstance(node, Lit):
-            return QMonomial(Fraction(node.value), 0)
+            return as_value(node.value)
         if isinstance(node, Ref):
             if node.name == "q":
                 return QMonomial(Fraction(1), 1)
             if node.name in ienv:
-                return QMonomial(Fraction(ienv[node.name]), 0)
+                return as_value(ienv[node.name])
             try:
                 v = self.binding[node.name]
             except KeyError:
                 raise EvalError("unbound parameter %r" % node.name, node.pos) from None
-            if isinstance(v, (LaurentSeries, QMonomial)):
-                return v
-            return QMonomial(Fraction(v), 0)
+            return as_value(v)
         if isinstance(node, Neg):
             return _val_neg(self.value(node.operand, ienv))
         if isinstance(node, BinOp):
-            if node.op == "/" or node.op == "*" and any(
-                    _folds(f, d) for f, d in _mul_factors(node)):
-                # Divide through product denominators factor by factor:
-                # same field value, smaller divisions.  A product with an
-                # infinite sum multiplier goes factor by factor too, so
-                # that the sum can start at its order-0 prefactor.
+            if node.op in "*/":
                 return self.product(_mul_factors(node), ienv)
             a = self.value(node.left, ienv)
             b = self.value(node.right, ienv)
-            if node.op == "*":
-                return _val_mul(a, b)
             if isinstance(a, QMonomial) and isinstance(b, QMonomial):
                 if a.coef == 0 or b.coef == 0 or a.exp == b.exp:
                     e = b.exp if a.coef == 0 else a.exp
@@ -210,7 +187,7 @@ class _Evaluator:
             sa, sb = to_series(a, p), to_series(b, p)
             return se.add(sa, sb) if node.op == "+" else se.sub(sa, sb)
         if isinstance(node, Pow):
-            n = self.int_value(node.exp, ienv)
+            n = int_value(node.exp, ienv)
             v = self.value(node.base, ienv)
             if isinstance(v, QMonomial):
                 if v.coef == 0:
@@ -234,7 +211,8 @@ class _Evaluator:
         multipliers of q-order 0 that do not mention its index (see
         sum); every other factor multiplies in order."""
         factors = list(factors)
-        s = next((i for i, (f, d) in enumerate(factors) if _folds(f, d)), None)
+        s = next((i for i, (f, d) in enumerate(factors)
+                  if d is None and isinstance(f, Sum) and f.hi is INF), None)
         if s is not None:
             node = factors[s][0]
             xs = {i: self.value(f, ienv) for i, (f, _) in enumerate(factors) if i != s}
@@ -266,28 +244,22 @@ class _Evaluator:
     def call(self, node, ienv):
         b = _BUILTINS[node.name]
         if b.sort == "I":
-            return QMonomial(Fraction(self.int_value(node, ienv)), 0)
+            return as_value(int_value(node, ienv))
         try:
             if node.name == "phi":
                 args = tuple(tuple(self.value(x, ienv) for x in g) for g in node.groups)
             else:
-                args = tuple(self.args(node, ienv))
+                args = tuple(int_value(a, ienv) if sort == "I" else self.value(a, ienv)
+                             for a, sort in _arg_sorts(node))
             key = (node.name, args)
             v = self.memo.get(key)
             if v is None:
-                kargs = ((list(args[0]), list(args[1]), args[2][0]) if node.name == "phi"
-                         else args)
-                v = self.memo[key] = b.kernel(*kargs, p=self.prec)
+                v = self.memo[key] = b.kernel(*args, p=self.prec)
             return v
         except EvalError:
             raise
         except QThetaError as exc:
             raise EvalError(str(exc), node.pos) from exc
-
-    def args(self, node, ienv):
-        """The evaluated arguments of a single-group call, each in its sort."""
-        return [self.int_value(a, ienv) if sort.endswith("I") else self.value(a, ienv)
-                for a, sort in zip(node.args, _BUILTINS[node.name].args)]
 
     # sums ------------------------------------------------------------------------
     #
@@ -351,7 +323,7 @@ class _Evaluator:
             x, length, *step = node.args
             if step and var in free_params(step[0]):
                 return None
-            s = self.int_value(step[0], ienv) if step else 1
+            s = int_value(step[0], ienv) if step else 1
             lp = self.kpoly(length, var, ienv)
             l0, g = int(_coef(lp, 0)), int(_coef(lp, 1))
             if _deg(lp) > 1 or l0 < 0 or g < 0 or s < 1:
@@ -424,7 +396,7 @@ class _Evaluator:
         limit = 10 * prec + _ITER_SLACK
         inner = dict(ienv)
         i = lo
-        while self.int_value(node.bound, inner) < prec:
+        while int_value(node.bound, inner) < prec:
             if i - lo > limit:
                 raise BoundViolationError(
                     "orderbound below %d after %d iterations" % (prec, limit), node.pos)
@@ -445,12 +417,12 @@ class _Evaluator:
         return se.cap(c, c._ord() + rel + 2)
 
     def sum(self, node, ienv, fold=()):
-        lo = self.int_value(node.lo, ienv)
+        lo = int_value(node.lo, ienv)
         finite = node.hi is not INF
         inner = dict(ienv)
         inner[node.var] = lo
         if finite:
-            count = self.int_value(node.hi, ienv) - lo + 1
+            count = int_value(node.hi, ienv) - lo + 1
             if count <= 0:
                 return se.zero(self.prec)
         else:

@@ -18,7 +18,8 @@ Pochhammer symbol are each one call of it.  The P_m family
 (``sums._pfamily``) and the DSL's sums call ``ratio_terms`` with their
 own t_0.  Each sums its terms once, into one running block over one
 running denominator (``series.add_all``), and normalizes the sum once.
-``qpoch_capped`` is the one finite product.
+``qpoch_capped`` is the one exact finite product; over a series argument
+it is the last term of the ring term loop of ``ratio_terms``.
 
 A truncated sum builds each term only to the precision it keeps.  The
 order bounds cum_k of ``ratio_orders`` say how far each step moves a
@@ -248,9 +249,7 @@ def qpoch_finite(x, n, prec, step=1):
         # The whole product lies below q^(top+1), so nothing is dropped.
         top = sum(max(0, v.exp + step * i) for i in range(n))
         return qpoch_capped(v, n, max(prec, top + 1), step)
-    acc = se.one(v.prec)
-    for i in range(n):
-        acc = se.mul(acc, one_minus(v, step * i, v.prec + step * i))
+    *_, acc = ratio_terms([(v, step, 0)], [], QMonomial(Fraction(1), 0), 0, se.one(v.prec), n + 1)
     return acc
 
 
@@ -294,17 +293,14 @@ def qpoch_infinite(x, prec):
     return ratio_sum([], [(QMonomial(Fraction(1), 0), 1, 1, "(q;q)_n")], v, 1, prec)
 
 
-def qpoch_multi(xs, prec, n=None):
-    """Product of (x;q)_n over a list of arguments (n=None means infinite)."""
-    deltas = []
-    for x in xs:
-        d = ord_of(as_value(x))
-        deltas.append(negord(d, n if n is not None else (max(0, -d) if d is not None else 0)))
+def qpoch_multi(xs, prec):
+    """Product of (x;q)_inf over a list of arguments."""
+    ords = [ord_of(as_value(x)) for x in xs]
+    deltas = [0 if d is None else negord(d, -d) for d in ords]
     total = sum(deltas)
     acc = None
     for x, dd in zip(xs, deltas):
-        p = prec - (total - dd)
-        f = qpoch_finite(x, n, p) if n is not None else qpoch_infinite(x, p)
+        f = qpoch_infinite(x, prec - (total - dd))
         acc = f if acc is None else se.mul(acc, f)
     return acc if acc is not None else se.one(prec)
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import reduce
 
 from qtheta import series as se
-from qtheta.dsl import INF
+from qtheta.dsl import INF, int_value
 from qtheta.evaluator import _Evaluator
 from qtheta.errors import DegenerateParameterError
 from qtheta.kernels import (
@@ -165,11 +165,11 @@ def sum_by_terms(node, binding, prec, ienv=None):
     up; an infinite sum runs while its orderbound is below prec."""
     ev = _Evaluator(binding, prec)
     ienv = dict(ienv or {})
-    ienv[node.var] = ev.int_value(node.lo, ienv)
-    hi = None if node.hi is INF else ev.int_value(node.hi, ienv)
+    ienv[node.var] = int_value(node.lo, ienv)
+    hi = None if node.hi is INF else int_value(node.hi, ienv)
     acc = None
     while (ienv[node.var] <= hi if hi is not None
-           else ev.int_value(node.bound, ienv) < prec):
+           else int_value(node.bound, ienv) < prec):
         term = to_series(ev.value(node.body, ienv), prec)
         acc = term if acc is None else se.add(acc, term)
         ienv[node.var] += 1

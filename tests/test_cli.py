@@ -113,6 +113,21 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert "FAIL broken" in out and "first bad coefficient" in out
 
 
+def test_verify_error_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.qid"
+    bad.write_text(
+        'identity broken ; params a ; lhs theta(a) / (a - a) ; rhs theta(a) ;'
+        ' source "divides by zero on purpose"',
+        encoding="utf-8",
+    )
+    code = main(["verify", "broken", "--order", "10", "--trials", "1",
+                 "--file", str(bad)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("FAIL broken ")
+    assert "error: division by zero (at offset 9)" in out.splitlines()[0]
+
+
 def test_text_and_json_agree_on_outcome(tmp_path, capsys):
     args = ["verify", "thm2.1-2", "--order", "10", "--trials", "1", "--seed", "4"]
     code_text = main(args)

@@ -1,5 +1,7 @@
 """DSL: parsing, sorts, rendering round trips, evaluation, native agreement."""
 
+import collections
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -15,11 +17,13 @@ from qtheta.errors import (
     BoundViolationError,
     EvalError,
     ParseError,
+    QThetaError,
     SortError,
     UnknownNameError,
 )
 from qtheta.identities import load_registry
-from qtheta.kernels import bhs, qpoch_finite, qpoch_infinite, theta_full, theta_partial
+from qtheta.kernels import (QMonomial, _val_mul, bhs, qpoch_finite, qpoch_infinite,
+                            theta_full, theta_partial)
 from qtheta.sums import lam, omega, pmsum, qcap, ssum, thetak, tsum, usum, vsum
 from qtheta.verifier import max_neg_shift
 
@@ -170,6 +174,85 @@ def test_eval_sum_without_terms_is_zero_to_target():
     # An exact zero H_lo leaves no terms to add.
     for text in ("sum(k, 0, 3, a*q^k)", "sum(n, 0, inf, a*q^n, n)"):
         assert dsl.evaluate(parse(text), {"a": Fraction(0)}, 6) == se.zero(6)
+
+
+# -- one product path -------------------------------------------------------------------
+
+
+def _flat_factors(node, div_pos=None):
+    """The leaves of a '*'/'/' tree, each with the '/' that divides by it."""
+    if isinstance(node, BinOp) and node.op in "*/":
+        yield from _flat_factors(node.left, div_pos)
+        if node.op == "/":
+            div_pos = node.pos if div_pos is None else None
+        yield from _flat_factors(node.right, div_pos)
+    else:
+        yield node, div_pos
+
+
+def _pairwise(ev, node):
+    """The pairwise reference for a '*'/'/' tree: a '*' node multiplies its
+    two evaluated sides, and a tree whose root is '/' goes factor by factor
+    through its flattened factors."""
+    if isinstance(node, BinOp) and node.op == "*":
+        return _val_mul(_pairwise(ev, node.left), _pairwise(ev, node.right))
+    if isinstance(node, BinOp) and node.op == "/":
+        v = qmon(1)
+        for f, div_pos in _flat_factors(node):
+            x = ev.value(f, {})
+            v = _val_mul(v, x) if div_pos is None else ev.div(v, x, div_pos)
+        return v
+    return ev.value(node, {})
+
+
+def _outcome(run):
+    try:
+        return run()
+    except QThetaError as exc:
+        return type(exc), str(exc)
+
+
+def _zero_divisor(outcome):
+    return (isinstance(outcome, tuple) and outcome[0] is EvalError
+            and "a series that is zero to" in outcome[1])
+
+
+def test_products_regroup_without_changing_the_value():
+    # Every grouping of three factors is one left-to-right product.  Against
+    # the pairwise evaluation it gives the same value and precision, also
+    # with zero-to-precision factors, except where the pairwise results
+    # themselves depended on the grouping: an exact zero's exponent, the
+    # wording of a zero-divisor error, and 0*(y/z), which raised where
+    # (0*y)/z gave 0.
+    def series(k, p):
+        return se.add(se.monomial(Fraction(3, 2), k, k + p), se.monomial(-1, k + 1, k + p))
+
+    def is_zero(v):
+        return isinstance(v, QMonomial) and v.coef == 0
+
+    values = [qmon(Fraction(3, 2), -1), qmon(-2, 2), qmon(0), series(0, 5), series(-2, 4),
+              series(1, 7), se.zero(3), se.zero(-1)]
+    kinds = collections.Counter()
+    for (o1, o2), shape in itertools.product(itertools.product("*/", repeat=2),
+                                             ("(x %s y) %s z", "x %s (y %s z)")):
+        node = parse(shape % (o1, o2))
+        left = parse("(x %s y) %s z" % (o1, o2))
+        for x, y, z in itertools.product(values, repeat=3):
+            binding = {"x": x, "y": y, "z": z}
+            got = _outcome(lambda: _Evaluator(binding, 6).value(node, {}))
+            want = _outcome(lambda: _pairwise(_Evaluator(binding, 6), node))
+            case = (render(node), x, y, z, got, want)
+            if got == want:
+                kinds["same"] += 1
+            elif is_zero(got) and is_zero(want):
+                kinds["zero exponent"] += 1
+            elif is_zero(got) and _zero_divisor(want):
+                assert got == _pairwise(_Evaluator(binding, 6), left), case
+                kinds["0*(y/z)"] += 1
+            else:
+                assert _zero_divisor(got) and _zero_divisor(want), case
+                kinds["error wording"] += 1
+    assert kinds == {"same": 3992, "zero exponent": 70, "0*(y/z)": 14, "error wording": 20}
 
 
 # -- one kernel run per builtin call and evaluation ------------------------------------

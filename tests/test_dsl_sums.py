@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtheta import dsl, evaluator
 from qtheta import series as se
@@ -152,7 +152,10 @@ _SHIFT = st.integers(-2, 2)
 @st.composite
 def _factor(draw, divisor=False):
     c, beta = draw(_COEF), draw(_SHIFT)
-    kinds = ["poch", "poch2", "cpow", "sign", "binom", "residual"] + ([] if divisor else ["qpow"])
+    # qpow, negpow and divpow grow like q^(2n) or faster, so as divisors
+    # they would make the sum diverge.
+    kinds = ["poch", "poch2", "cpow", "sign", "binom", "residual", "index"] + (
+        [] if divisor else ["qpow", "negpow", "divpow"])
     kind = draw(st.sampled_from(kinds))
     if kind == "poch":
         return "poch(%s*q^(%d*n+%d), %d*n+%d)" % (c, draw(_SMALL), beta, draw(_SMALL), draw(_SMALL))
@@ -166,6 +169,12 @@ def _factor(draw, divisor=False):
                                  draw(st.integers(-1, 2)), draw(_SMALL))
     if kind == "sign":
         return "(-1)^n"
+    if kind == "negpow":
+        return "(-q^(n+%d))^2" % beta
+    if kind == "divpow":
+        return "(q^n/%s)^2" % c
+    if kind == "index":
+        return "n"
     if kind == "binom":
         return "(1 %s %s*q^(%d*n+%d))" % (draw(st.sampled_from("-+")), c, draw(st.integers(1, 2)),
                                          beta)
@@ -188,6 +197,10 @@ def _sum_text(draw):
 @given(_sum_text(), st.sampled_from([1, 5, 12]),
        st.sampled_from([Fraction(-7, 3), Fraction(2, 3), Fraction(5, 3)]),
        st.sampled_from([Fraction(-3, 5), Fraction(4, 5)]))
+@example("sum(n, 1, inf, q^n*(-q^(n+-2))^2*n/(poch(a*q^(1*n+0), 1*n+1)), n - 20)",
+         12, Fraction(2, 3), Fraction(4, 5))
+@example("sum(n, 0, 4, q^n*(q^n/b)^2*(-1)^n)", 5, Fraction(2, 3), Fraction(-3, 5))
+@example("sum(n, 2, inf, q^n*(q^n/(0-3))^2/(n), n - 20)", 12, Fraction(5, 3), Fraction(4, 5))
 def test_random_hypergeometric_bodies_match_term_by_term(text, prec, a, b):
     node = parse(text)
     binding = {"a": a, "b": b}

@@ -15,7 +15,6 @@ from qtheta.eliminator import (
     express_pm,
     gauss_solve,
 )
-from qtheta.kernels import theta_partial
 from qtheta.sums import pmsum
 
 from helpers import assert_eq_series, qmon, rand_fraction
@@ -31,8 +30,6 @@ def test_build_system_m2_shape():
     assert sys2.matrix[0][1].constant_value() == b
     assert sys2.matrix[1][0].constant_value() == 1
     assert sys2.matrix[1][1].constant_value() == a
-    assert_eq_series(sys2.rhs_values[0], theta_partial(a, 20))
-    assert_eq_series(sys2.rhs_values[1], theta_partial(b, 20))
 
 
 def test_build_system_m3_shape():
@@ -53,10 +50,9 @@ def test_identity_matrix_system():
     n = 4
     matrix = [[se.one(prec) if i == j else se.zero(prec) for j in range(n)]
               for i in range(n)]
-    rhs = [theta_partial(qmon(Fraction(2), -j), prec) for j in (0, 0, 1, 1)]
     labels = [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
     system = SeriesLinearSystem(3, qmon(2), qmon(2), prec, [-1, 0, 1, 2],
-                                matrix, rhs, labels)
+                                matrix, labels)
     combos = gauss_solve(system)
     for i, combo in enumerate(combos):
         kind, j = labels[i]

@@ -8,11 +8,13 @@ from functools import reduce
 import pytest
 
 from qtheta import series as se
-from qtheta.errors import DegenerateParameterError, DomainError, FormalDivergenceError
+from qtheta.errors import (DegenerateParameterError, DomainError, FormalDivergenceError,
+                           QThetaError)
 from qtheta.kernels import (
     _over_one_minus,
     _times_one_minus,
     bhs,
+    one_minus,
     qpoch_capped,
     qpoch_finite,
     qpoch_infinite,
@@ -81,6 +83,36 @@ def test_poch_splice_property():
 def test_poch_brute_oracle_series_argument():
     x = se.from_string("q^-1 + 2 + O(q^9)")
     assert_eq_series(qpoch_finite(x, 3, 9), brute_poch(x, 3, 9))
+
+
+def _qpoch_by_loop(v, n, step):
+    """(v;q^step)_n for a series v as a running product of its factors,
+    i.e. the former series branch of kernels.qpoch_finite."""
+    acc = se.one(v.prec)
+    for i in range(n):
+        acc = se.mul(acc, one_minus(v, step * i, v.prec + step * i))
+    return acc
+
+
+def test_poch_series_argument_matches_the_factor_loop():
+    # Series arguments of order -2..2, with leading coefficient 1 (so a
+    # factor can lose its low terms) or not, and zero to precision: the
+    # ring term loop gives structurally the same product, capped or not,
+    # and the same error where O(q^-1) has no constant term 1.
+    def outcome(run):
+        try:
+            return run()
+        except QThetaError as exc:
+            return type(exc), str(exc)
+
+    xs = [se.zero(p) for p in (-1, 0, 4)]
+    for c, d, p in itertools.product((Fraction(1), Fraction(-5, 2)), range(-2, 3), (3, 8)):
+        xs.append(se.add(se.monomial(c, d, d + p), se.monomial(Fraction(2, 3), d + 1, d + p)))
+    for x, n, step, prec in itertools.product(xs, range(7), (1, 2, 3), (-2, 5, 12)):
+        want = outcome(lambda: _qpoch_by_loop(x, n, step) if n else se.one(max(prec, 1)))
+        capped = want if isinstance(want, tuple) else se.cap(want, prec)
+        assert outcome(lambda: qpoch_finite(x, n, prec, step)) == want, (x, n, step, prec)
+        assert outcome(lambda: qpoch_capped(x, n, prec, step)) == capped, (x, n, step, prec)
 
 
 def test_poch_step_two():

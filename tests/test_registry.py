@@ -142,6 +142,24 @@ def test_sampling_error_when_unsatisfiable():
         sample_params(ident, 0, 0)
 
 
+def test_distinct_on_a_series_valued_derived_parameter():
+    # c is a series, so distinct(a, c) compares a and c as series to
+    # SAMPLE_PREC: a/(1-q) differs from a at q^1, a*(1-q)/(1-q) never does.
+    record = ('identity %s ; params a ; derive c := %s ; require distinct(a, c) ;'
+              ' lhs theta(c) ; rhs theta(c) ; source "s"')
+    holds = parse_identities(record % ("holds", "a/(1 - q)"))[0]
+    never = parse_identities(record % ("never", "a*(1 - q)/(1 - q)"))[0]
+    for ident in (holds, never):
+        assert isinstance(full_binding(ident, {"a": Fraction(2, 3)}, 20)["c"], LaurentSeries)
+    assert set(sample_params(holds, 0, 0)) == {"a"}
+    assert verify_identity(holds, 10, 2, 0).passed
+    with pytest.raises(SamplingError):
+        sample_params(never, 0, 0)
+    report = verify_identity(never, 10, 1, 0)
+    assert not report.passed and report.trials[0].status == "error"
+    assert "no admissible binding" in report.trials[0].error
+
+
 def test_derived_binding_is_exact_series():
     ident = BY_NAME["cor3.4"]
     base = sample_params(ident, 3, 0)
