@@ -48,7 +48,7 @@ from .kernels import (
     theta_full,
     theta_partial,
 )
-from .sums import lam, omega, pmsum, qcap, ssum, thetak, tsum, usum, vsum
+from .sums import lam, omega, pmfamily, pmsum, qcap, ssum, thetak, tsum, usum, vsum
 from .eliminator import (
     SeriesLinearSystem,
     ThetaCombination,
@@ -75,7 +75,7 @@ __all__ = [
     "truncate", "pow_int", "eq_to_prec",
     "QMonomial", "qpoch_finite", "qpoch_infinite", "qpoch_multi",
     "theta_partial", "theta_full", "bhs",
-    "usum", "vsum", "qcap", "lam", "pmsum", "ssum", "omega", "thetak", "tsum",
+    "usum", "vsum", "qcap", "lam", "pmsum", "pmfamily", "ssum", "omega", "thetak", "tsum",
     "SeriesLinearSystem", "ThetaCombination", "build_system", "gauss_solve",
     "express_pm",
     "parse", "render", "evaluate", "evaluate_value",

@@ -11,7 +11,12 @@ splits into its q-hypergeometric part H_n, whose term ratio drives
 ``dsl`` docstring gives the split and the stop rules.  Within one
 evaluation, a builtin call whose evaluated arguments equal an earlier
 call's is computed once, and the repeat gets a result structurally
-identical to a fresh call.
+identical to a fresh call.  Before a finite sum evaluates its residual,
+each top-level ``Pm`` factor whose evaluated arguments are
+(m, x*q^k, y*q^k) over the sum's indices, with exact x and y, gets all
+its values from one ``sums.pmfamily`` call, stored in the memo under the
+keys the calls build; each equals the fresh call.  A family call that
+raises stores nothing, so each call then raises as it would alone.
 
 An infinite sum multiplier starts at t_0 = (every other multiplier of
 q-order exactly 0) * H_lo, as ``sums._pfamily`` starts P_m at
@@ -30,6 +35,7 @@ from functools import reduce
 
 from .errors import BoundViolationError, EvalError, QThetaError
 from . import series as se
+from . import sums
 from .dsl import (_BUILTINS, INF, BinOp, Call, Lit, Neg, Pow, Ref, Sum, _arg_sorts,
                   free_params, int_value, render)
 from .kernels import (
@@ -235,31 +241,58 @@ class _Evaluator:
             return se.mul_monomial(a, 1 / b.coef, -b.exp)
         try:
             if isinstance(a, QMonomial):
-                return se.mul_monomial(se.invert(b), a.coef, a.exp) if a.coef \
-                    else QMonomial(Fraction(0), 0)
+                # Also an exact zero dividend: a divisor zero to precision raises.
+                inv = se.invert(b)
+                return se.mul_monomial(inv, a.coef, a.exp) if a.coef else QMonomial(Fraction(0), 0)
             return se.divide(a, b)
         except QThetaError as exc:
             raise EvalError(str(exc), pos) from exc
+
+    def key(self, node, ienv):
+        """The memo key of a series-sort builtin call: its name and its
+        evaluated arguments."""
+        if node.name == "phi":
+            return node.name, tuple(tuple(self.value(x, ienv) for x in g) for g in node.groups)
+        return node.name, tuple(int_value(a, ienv) if sort == "I" else self.value(a, ienv)
+                                for a, sort in _arg_sorts(node))
 
     def call(self, node, ienv):
         b = _BUILTINS[node.name]
         if b.sort == "I":
             return as_value(int_value(node, ienv))
         try:
-            if node.name == "phi":
-                args = tuple(tuple(self.value(x, ienv) for x in g) for g in node.groups)
-            else:
-                args = tuple(int_value(a, ienv) if sort == "I" else self.value(a, ienv)
-                             for a, sort in _arg_sorts(node))
-            key = (node.name, args)
+            key = self.key(node, ienv)
             v = self.memo.get(key)
             if v is None:
-                v = self.memo[key] = b.kernel(*args, p=self.prec)
+                v = self.memo[key] = b.kernel(*key[1], p=self.prec)
             return v
         except EvalError:
             raise
         except QThetaError as exc:
             raise EvalError(str(exc), node.pos) from exc
+
+    def prefetch(self, node, var, ienv, count):
+        """Put Pm(m, x*q^k, y*q^k) for the indices k < count of var into
+        the memo from one sums.pmfamily call, when the evaluated arguments
+        are exact monomials of that shape and some key is missing.  A
+        failure stores nothing and leaves each call to raise for itself."""
+        try:
+            keys = []
+            for k in range(count):
+                inner = dict(ienv)
+                inner[var] = ienv[var] + k
+                keys.append(self.key(node, inner))
+            m, a, b = keys[0][1]
+            if (not all(isinstance(x, QMonomial) for x in (a, b))
+                    or all(key in self.memo for key in keys)
+                    or any(key[1] != (m, _val_shift(a, k), _val_shift(b, k))
+                           for k, key in enumerate(keys))):
+                return
+            values = sums.pmfamily(m, a, b, count, self.prec)
+        except QThetaError:
+            return
+        for key, v in zip(keys, values):
+            self.memo.setdefault(key, v)
 
     # sums ------------------------------------------------------------------------
     #
@@ -457,6 +490,10 @@ class _Evaluator:
             # still divide by zero.  R_n comes first so that t_0's
             # precision covers every term's order and, in a finite sum,
             # R_n's relative precision.
+            if finite and count > 1:
+                for f, _ in r:
+                    if isinstance(f, Call) and f.name == "Pm":
+                        self.prefetch(f, var, ienv, count)
             rs = []
             for k in range(count):
                 inner = dict(ienv)

@@ -33,6 +33,8 @@ exact c is a two-term integer update of a coefficient block over one
 shared denominator (``_times_one_minus``, used by ``qpoch_capped`` and
 ``ratio_terms``), and a division by it is an integer recurrence
 (``_over_one_minus``); the block is normalized once per result or term.
+One such step on a raw term is ``_exact_step``, which ``sums._pfamily``
+also takes for the step between shifted P_m members.
 Both build only the entries they keep: the update stops at the cap, and
 a division whose shift e reaches past the block returns it unchanged.
 Series arguments go through the ring operations of ``series``.  The two
@@ -109,7 +111,8 @@ def _val_shift(v, k):
 
 def _val_mul(x, y):
     if isinstance(x, QMonomial) and isinstance(y, QMonomial):
-        return QMonomial(x.coef * y.coef, x.exp + y.exp)
+        c = x.coef * y.coef
+        return QMonomial(c, x.exp + y.exp) if c else QMonomial(Fraction(0), 0)
     if isinstance(x, QMonomial):
         return se.mul_monomial(y, x.coef, x.exp) if x.coef else QMonomial(Fraction(0), 0)
     if isinstance(y, QMonomial):
@@ -431,55 +434,71 @@ def ratio_terms(num, den, z, sr, t0, n, top=None):
     return _ring_terms(num, den, z, sr, t0, n, caps)
 
 
+def _raw_factors(num, den):
+    """The factor lists of ratio_terms, with exact values, as the raw
+    tuples of _exact_step: (cn, cd, ve, i, j) for 1 - (cn/cd) q^(ve+i*k+j),
+    and (cn, cd, ve, i, j, what) in ``den``.  A zero value is the factor 1
+    and is left out."""
+    return ([(v.coef.numerator, v.coef.denominator, v.exp, i, j) for v, i, j in num if v.coef],
+            [(v.coef.numerator, v.coef.denominator, v.exp, i, j, what)
+             for v, i, j, what in den if v.coef])
+
+
+def _exact_step(t, num, den, k, shift, zn, zd, cap):
+    """Step k of an exact ratio on the raw term (lo, T, D, P) of t: t times
+    the factors of ``num``, times (zn/zd) q^shift, over the factors of
+    ``den`` (_raw_factors' lists, with exponents at k), with the precision
+    lowered to ``cap`` (None: not lowered).  Normalized once."""
+    lo, T, D, P = t.min_exp, list(t._num), t._den, t.prec
+    for cn, cd, ve, i, j in num:
+        e = ve + i * k + j
+        if e == 0 and cn == cd:
+            # mul by the zero factor O(q^(P - min(0, ord t) + 4)) of _factor.
+            P += 4 + max(0, lo if T else P)
+            T = []
+            continue
+        if T:
+            T, lo = _times_one_minus(T, lo, cn, cd, e, P + min(0, e))
+            D *= cd
+        P += min(0, e)
+    lo += shift
+    P += shift
+    if zn != 1:
+        T = [zn * a for a in T] if zn else []
+    D *= zd
+    for cn, cd, ve, i, j, what in den:
+        e = ve + i * k + j
+        if e == 0 and cn == cd:
+            raise DegenerateParameterError(
+                "%s: factor 1 - v*q^%d vanishes" % (what, i * k + j))
+        if e < 0:
+            # 1 - c*q^e = -c*q^e * (1 - q^-e/c)
+            lo -= e
+            P -= e
+            if cd != 1:
+                T = [cd * a for a in T]
+            D *= -cn
+            cn, cd, e = cd, cn, -e
+        if not T:
+            continue
+        if e == 0:
+            T = [cd * a for a in T]
+            D *= cd - cn
+        else:
+            T += [0] * (P - lo - len(T))
+            T, m = _over_one_minus(T, cn, cd, e)
+            D *= cd ** m
+    if cap is not None:
+        P = min(P, cap)
+    return se._make(lo, T, D, P)
+
+
 def _exact_terms(num, den, z, sr, t, n, caps):
-    num = [(v.coef.numerator, v.coef.denominator, v.exp, i, j) for v, i, j in num if v.coef]
-    den = [(v.coef.numerator, v.coef.denominator, v.exp, i, j, what)
-           for v, i, j, what in den if v.coef]
+    num, den = _raw_factors(num, den)
     zn = -z.coef.numerator if sr % 2 else z.coef.numerator
     yield t
     for k in range(n - 1):
-        lo, T, D, P = t.min_exp, list(t._num), t._den, t.prec
-        for cn, cd, ve, i, j in num:
-            e = ve + i * k + j
-            if e == 0 and cn == cd:
-                # mul by the zero factor O(q^(P - min(0, ord t) + 4)) of _factor.
-                P += 4 + max(0, lo if T else P)
-                T = []
-                continue
-            if T:
-                T, lo = _times_one_minus(T, lo, cn, cd, e, P + min(0, e))
-                D *= cd
-            P += min(0, e)
-        lo += z.exp + sr * k
-        P += z.exp + sr * k
-        if zn != 1:
-            T = [zn * a for a in T] if zn else []
-        D *= z.coef.denominator
-        for cn, cd, ve, i, j, what in den:
-            e = ve + i * k + j
-            if e == 0 and cn == cd:
-                raise DegenerateParameterError(
-                    "%s: factor 1 - v*q^%d vanishes" % (what, i * k + j))
-            if e < 0:
-                # 1 - c*q^e = -c*q^e * (1 - q^-e/c)
-                lo -= e
-                P -= e
-                if cd != 1:
-                    T = [cd * a for a in T]
-                D *= -cn
-                cn, cd, e = cd, cn, -e
-            if not T:
-                continue
-            if e == 0:
-                T = [cd * a for a in T]
-                D *= cd - cn
-            else:
-                T += [0] * (P - lo - len(T))
-                T, m = _over_one_minus(T, cn, cd, e)
-                D *= cd ** m
-        if caps[k + 1] is not None:
-            P = min(P, caps[k + 1])
-        t = se._make(lo, T, D, P)
+        t = _exact_step(t, num, den, k, z.exp + sr * k, zn, z.coef.denominator, caps[k + 1])
         yield t
 
 

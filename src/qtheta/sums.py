@@ -11,8 +11,21 @@ thetak_dip).  Exact arguments therefore reach the requested precision;
 series arguments propagate honestly.
 
 P_m and S start their terms at (q,a,b;q)_inf: term n is then
-(q^(n+1), aq^n, bq^n;q)_inf (abq^(n-m);q)_n q^(zexp*n), a product with
-small coefficients, and no final product is taken.
+T_n(a,b) = (q^(n+1), aq^n, bq^n;q)_inf (abq^(n-m);q)_n q^(zexp*n), a
+product with small coefficients, and no final product is taken.
+
+Theorem 2.1 and Corollary 2.2 need P_m at m consecutive shifts.  Since
+T_n(aq,bq) (1 - abq^(n+1-m)) = q^(-zexp) (1 - q^(n+1)) T_(n+1)(a,b),
+
+    P_m(aq, bq) = q^(-zexp) sum_(n>=1) T_n(a,b) (1 - q^n) / (1 - abq^(n-m)),
+
+so ``pmfamily`` streams the terms of P_m(a,b) once and makes each shift
+from the one before with one exact step per term.  Of that step only
+the shift q^(-zexp) lowers a term's precision (a division by a factor of
+negative order raises it), so for count members the base terms are
+built to prec + zexp*(count-1), the raise.  Each member stops where its
+own call would, at prec + extra for its own arguments, and is capped at
+prec: it equals the direct call.
 """
 
 from __future__ import annotations
@@ -36,7 +49,9 @@ from .kernels import (
     to_series,
     bhs,
     _check_poch_invertible,
+    _exact_step,
     _over_one_minus,
+    _raw_factors,
     _times_one_minus,
     _mul_value,
     _val_mul,
@@ -44,7 +59,7 @@ from .kernels import (
     _val_shift,
 )
 
-__all__ = ["usum", "vsum", "qcap", "lam", "pmsum", "ssum", "omega", "thetak", "tsum"]
+__all__ = ["usum", "vsum", "qcap", "lam", "pmsum", "pmfamily", "ssum", "omega", "thetak", "tsum"]
 
 _QMON = QMonomial(Fraction(1), 1)
 
@@ -149,43 +164,88 @@ def lam(m, k, b, prec):
 # -- the P_m family, S, Omega, Theta_k and T -----------------------------------
 
 
-def _pfamily(m, a, b, prec, zexp, what):
-    """(q,a,b;q)_inf * sum_n (ab/q^m;q)_(2n) q^(zexp*n)
-    / ((q;q)_n (a;q)_n (b;q)_n (ab/q^m;q)_n), by term ratios from
-    t_0 = (q,a,b;q)_inf, built to prec - dip, where ratio_terms caps t_0.
-    Term k has order >= cum_k - extra, so the stop target is prec + extra."""
-    av, bv = as_value(a), as_value(b)
+def _pfactors(m, av, bv, what):
+    """The term ratio of (ab/q^m;q)_(2n) / ((q;q)_n (a;q)_n (b;q)_n
+    (ab/q^m;q)_n) as ratio_terms' factor lists, after the eager checks,
+    and extra: term k has order >= cum_k - extra."""
     _check_poch_invertible(av, None, what + ": (a;q)_n")
     _check_poch_invertible(bv, None, what + ": (b;q)_n")
-    ab = _val_mul(av, bv)
-    abm = _val_shift(ab, -m)
+    abm = _val_shift(_val_mul(av, bv), -m)
     _check_poch_invertible(abm, None, what + ": (ab/q^%d;q)_n" % m)
     da, db = ord_of(av), ord_of(bv)
     extra = -(negord(da, max(0, -(da or 0))) + negord(db, max(0, -(db or 0))))
     num = [(abm, 2, 0), (abm, 2, 1)]
     den = [(_QMON, 1, 0, what + ": (q;q)_n"), (av, 1, 0, what + ": (a;q)_n"),
            (bv, 1, 0, what + ": (b;q)_n"), (abm, 1, 0, what + ": (ab/q^%d;q)_n" % m)]
+    return num, den, extra
+
+
+def _pfamily(m, a, b, prec, zexp, what, count=1):
+    """The members k < count of (q,a,b;q)_inf * sum_n (ab/q^m;q)_(2n)
+    q^(zexp*n) / ((q;q)_n (a;q)_n (b;q)_n (ab/q^m;q)_n) at (aq^k, bq^k),
+    each equal to the direct call (count = 1) there.  Member 0 runs by term
+    ratios from t_0 = (q,a,b;q)_inf, built to top - dip, where ratio_terms
+    caps t_0; member k stops at its own ratio_stop to prec + extra_k, and
+    comes from member k-1 by the shift step of the module docstring, with
+    the raise top = prec + zexp*(count-1).  Exact a and b when count > 1."""
+    av, bv = as_value(a), as_value(b)
     z = QMonomial(Fraction(1), zexp)
-    n, dip = ratio_stop(num, den, z, 0, prec + extra)
-    pre = qpoch_multi([_QMON, av, bv], prec - dip)
-    return se.add_all(ratio_terms(num, den, z, 0, pre, n, prec))
+    stops = []
+    for k in range(count):
+        num, den, extra = _pfactors(m, _val_shift(av, k), _val_shift(bv, k), what)
+        n, dip = ratio_stop(num, den, z, 0, prec + extra)
+        stops.append(n)
+        if k == 0:
+            base = num, den, dip
+    # Term n of member k comes from term n+1 of member k-1.
+    lengths = list(stops)
+    for k in reversed(range(count - 1)):
+        lengths[k] = max(lengths[k], lengths[k + 1] + 1)
+    num, den, dip = base
+    top = prec + zexp * (count - 1)
+    # Past the stop cum_k >= prec + extra > 0, so dip is also the lowest
+    # cum_k of the longer base run.
+    pre = qpoch_multi([_QMON, av, bv], top - dip)
+    terms = list(ratio_terms(num, den, z, 0, pre, lengths[0], top))
+    out = [se.cap(se.add_all(terms[:stops[0]]), prec)]
+    ab = _val_mul(av, bv)
+    for k in range(1, count):
+        snum, sden = _raw_factors(
+            [(QMonomial(Fraction(1), 0), 1, 0)],
+            [(_val_shift(ab, 2 * k - 2 - m), 1, 0, what + ": (ab/q^%d;q)_n" % m)])
+        # Each later step lowers the precision by zexp at most.
+        terms = [_exact_step(terms[n + 1], snum, sden, n + 1, -zexp, 1, 1,
+                             prec + zexp * (count - 1 - k)) for n in range(lengths[k])]
+        out.append(se.cap(se.add_all(terms[:stops[k]]), prec))
+    return out
+
+
+def pmfamily(m, a, b, count, prec):
+    """[P_m(a*q^k, b*q^k) for k < count] from one stream of P_m(a, b)'s
+    terms (see _pfamily); member k equals pmsum(m, a*q^k, b*q^k, prec).
+    For count > 1, a and b must be exact."""
+    if m < 2:
+        raise DomainError("pmsum needs m >= 2")
+    if prec < 1:
+        raise PrecisionError("pmsum needs precision >= 1")
+    if count < 1:
+        raise DomainError("pmfamily needs count >= 1")
+    if count > 1 and not all(isinstance(as_value(x), QMonomial) for x in (a, b)):
+        raise DomainError("pmfamily needs exact a and b for count > 1")
+    return _pfamily(m, a, b, prec, 1, "Pm", count)
 
 
 def pmsum(m, a, b, prec):
     """P_m(a,b) = (q,a,b;q)_inf sum_n (ab/q^m;q)_(2n) q^n
     / ((q,a,b,ab/q^m;q)_n), for m >= 2."""
-    if m < 2:
-        raise DomainError("pmsum needs m >= 2")
-    if prec < 1:
-        raise PrecisionError("pmsum needs precision >= 1")
-    return _pfamily(m, a, b, prec, 1, "Pm")
+    return pmfamily(m, a, b, 1, prec)[0]
 
 
 def ssum(a, b, prec):
     """S(a,b) = (q,a,b;q)_inf sum_n (ab/q^3;q)_(2n) q^(2n) / ((q,a,b,ab/q^3;q)_n)."""
     if prec < 1:
         raise PrecisionError("ssum needs precision >= 1")
-    return _pfamily(3, a, b, prec, 2, "S")
+    return _pfamily(3, a, b, prec, 2, "S")[0]
 
 
 def omega(a, b, prec):

@@ -221,9 +221,8 @@ def test_products_regroup_without_changing_the_value():
     # Every grouping of three factors is one left-to-right product.  Against
     # the pairwise evaluation it gives the same value and precision, also
     # with zero-to-precision factors, except where the pairwise results
-    # themselves depended on the grouping: an exact zero's exponent, the
-    # wording of a zero-divisor error, and 0*(y/z), which raised where
-    # (0*y)/z gave 0.
+    # themselves depended on the grouping: the exponent an exact zero
+    # quotient 0/(c*q^e) keeps, and the wording of a zero-divisor error.
     def series(k, p):
         return se.add(se.monomial(Fraction(3, 2), k, k + p), se.monomial(-1, k + 1, k + p))
 
@@ -236,7 +235,6 @@ def test_products_regroup_without_changing_the_value():
     for (o1, o2), shape in itertools.product(itertools.product("*/", repeat=2),
                                              ("(x %s y) %s z", "x %s (y %s z)")):
         node = parse(shape % (o1, o2))
-        left = parse("(x %s y) %s z" % (o1, o2))
         for x, y, z in itertools.product(values, repeat=3):
             binding = {"x": x, "y": y, "z": z}
             got = _outcome(lambda: _Evaluator(binding, 6).value(node, {}))
@@ -246,13 +244,29 @@ def test_products_regroup_without_changing_the_value():
                 kinds["same"] += 1
             elif is_zero(got) and is_zero(want):
                 kinds["zero exponent"] += 1
-            elif is_zero(got) and _zero_divisor(want):
-                assert got == _pairwise(_Evaluator(binding, 6), left), case
-                kinds["0*(y/z)"] += 1
             else:
                 assert _zero_divisor(got) and _zero_divisor(want), case
                 kinds["error wording"] += 1
-    assert kinds == {"same": 3992, "zero exponent": 70, "0*(y/z)": 14, "error wording": 20}
+    assert kinds == {"same": 4036, "zero exponent": 30, "error wording": 30}
+
+
+def test_zero_dividend_does_not_hide_a_zero_divisor():
+    # theta(a) - theta(a) is zero to precision; dividing 0 by it raises as
+    # dividing 1 by it does, at the same '/'.
+    binding = {"a": Fraction(2)}
+    for text in ("0/(theta(a)-theta(a))", "1/(theta(a)-theta(a))"):
+        with pytest.raises(EvalError) as exc:
+            dsl.evaluate(parse(text), binding, 8)
+        assert exc.value.pos == 1
+        assert "inversion of a series that is zero to O(q^8)" in str(exc.value)
+
+
+def test_zero_products_of_exact_monomials_carry_no_exponent():
+    # A zero product has exponent 0 however it was built, so a term made
+    # from it has the precision of a zero times a series.
+    assert _val_mul(qmon(0, -1), qmon(0, 2)) == qmon(0)
+    assert _val_mul(qmon(3, 4), qmon(0, -2)) == qmon(0)
+    assert _val_mul(qmon(0, -1), se.one(5)) == qmon(0)
 
 
 # -- one kernel run per builtin call and evaluation ------------------------------------
@@ -273,15 +287,51 @@ def _count_calls(monkeypatch, module, name):
 
 def test_cor22_lhs_runs_each_pm_once(monkeypatch):
     # Both k-sums of corollary 2.2's left-hand side call Pm(3, a*q^k, b*q^k)
-    # for k = 0, 1, 2.
+    # for k = 0, 1, 2: the first sum makes all three from one family call,
+    # and the second finds them in the memo.
     lhs = {i.name: i for i in load_registry()}["cor2.2-3"].lhs
     binding = {"a": Fraction(2, 3), "b": Fraction(-3, 5)}
-    seen = _count_calls(monkeypatch, sums, "pmsum")
+    family = _count_calls(monkeypatch, sums, "pmfamily")
     got = dsl.evaluate(lhs, binding, 20)
-    assert len(seen) == 3
+    assert family == [(3, qmon(Fraction(2, 3)), qmon(Fraction(-3, 5)), 3, 20)]
     factors = [dsl.evaluate(side, binding, 20) for side in (lhs.left, lhs.right)]
-    assert len(seen) == 9
+    assert len(family) == 3
     assert got == se.mul(*factors)
+
+
+def test_cor22_lhs_makes_one_family_call_and_no_pm_call(monkeypatch):
+    # cor2.2-4 calls Pm(4, a*q^k, b*q^k) for k = 0..3 in each k-sum.
+    lhs = {i.name: i for i in load_registry()}["cor2.2-4"].lhs
+    binding = {"a": Fraction(-7, 3), "b": Fraction(5, 8)}
+    family = _count_calls(monkeypatch, sums, "pmfamily")
+    direct = _count_calls(monkeypatch, sums, "pmsum")
+    got = dsl.evaluate(lhs, binding, 24)
+    assert len(family) == 1 and direct == []
+    want = se.mul(*(sum(_Evaluator(binding, 24).value(f, {"k": k}) for k in range(4))
+                    for f in (lhs.left.body, lhs.right.body)))
+    assert got == se.cap(want, 24)
+
+
+def test_degenerate_family_leaves_the_per_call_error(monkeypatch):
+    # Member 0 of each family is degenerate: (a;q)_n at a = q^-2, and
+    # (ab/q^2;q)_n at ab = q^-1.  The family call raises and stores nothing,
+    # so the first call raises as it does without the family, at its own
+    # position, also as a divisor after another factor.
+    family = _count_calls(monkeypatch, sums, "pmfamily")
+    binding = {"a": Fraction(1), "b": Fraction(3, 2)}
+    cases = [
+        ("sum(k, 0, 3, Pm(2, a*q^(k-2), b*q^k) * theta(a*q^k))",
+         "Pm: (a;q)_n: factor 1 - q^0 vanishes in (1*q^-2;q)_inf", 13),
+        ("sum(k, 0, 3, theta(b*q^k) / Pm(2, a*b*q^k, q^(k-1)/b))",
+         "Pm: (ab/q^2;q)_n: factor 1 - q^0 vanishes in (1*q^-3;q)_inf", 28),
+    ]
+    for text, message, pos in cases:
+        with pytest.raises(EvalError) as exc:
+            dsl.evaluate(parse(text), binding, 10)
+        assert str(exc.value) == "%s (at offset %d)" % (message, pos)
+        assert exc.value.pos == pos
+    # Per case: the family of four, then pmsum's own family of one at k = 0.
+    assert [args[3] for args in family] == [4, 1, 4, 1]
 
 
 def test_equal_phi_calls_run_bhs_once(monkeypatch):

@@ -434,7 +434,8 @@ def test_pfamily_equals_sum_times_prefactor():
     for (a, b), prec, (m, zexp, what) in itertools.product(
             pairs, (5, 17), ((2, 1, "Pm"), (3, 1, "Pm"), (3, 2, "S"))):
         want = _outcome(_pfamily_times_prefactor, m, a, b, prec, zexp, what)
-        assert _outcome(sums._pfamily, m, a, b, prec, zexp, what) == want, (m, a, b, prec, what)
+        got = _outcome(lambda: sums._pfamily(m, a, b, prec, zexp, what)[0])
+        assert got == want, (m, a, b, prec, what)
         errors += isinstance(want, tuple)
     assert errors > 0
 
@@ -447,6 +448,51 @@ def test_pm_multiplies_only_inside_the_prefactor(monkeypatch):
     monkeypatch.setattr(se, "mul", lambda x, y: calls.append(1) or mul(x, y))
     pmsum(3, Fraction(-7, 3), Fraction(5, 8), 40)
     assert len(calls) == 2
+
+
+def test_family_members_equal_the_direct_calls():
+    # Member k of a family over (a, b) = (c*q^ea, d*q^eb) equals the direct
+    # call at (a*q^k, b*q^k), precision included.  A family that raises
+    # raises as its member 0 does.  Base exponents -2..2 make members whose
+    # terms get no lift from the shift identity, so a raise one short of
+    # zexp*(count-1) leaves them a power short.
+    rng = random.Random(20)
+    coefs = [Fraction(3, 2), Fraction(-5, 7), Fraction(1), Fraction(2, 3), Fraction(-1),
+             Fraction(4, 9)]
+    precs = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 120]
+    kinds = [(m, 1, "Pm") for m in range(2, 7)] + [(3, 2, "S")]
+    checked = errors = 0
+    for i, ((m, zexp, what), ea, eb, _) in enumerate(
+            itertools.product(kinds, range(-2, 3), range(-2, 3), range(3))):
+        c, d = rng.choice(coefs), rng.choice(coefs)
+        count = 1 + i % m
+        prec = precs[i % len(precs)]
+
+        def direct(k):
+            a, b = qmon(c, ea + k), qmon(d, eb + k)
+            return pmsum(m, a, b, prec) if what == "Pm" else ssum(a, b, prec)
+
+        fam = _outcome(sums._pfamily, m, qmon(c, ea), qmon(d, eb), prec, zexp, what, count)
+        if isinstance(fam, tuple):
+            assert _outcome(direct, 0) == fam
+            errors += 1
+            continue
+        assert len(fam) == count
+        for k, got in enumerate(fam):
+            assert got == direct(k), (what, m, c, ea, d, eb, count, prec, k)
+            checked += 1
+    assert checked > 700 and errors > 100
+
+
+def test_pmfamily_checks_its_arguments():
+    with pytest.raises(DomainError):
+        sums.pmfamily(3, Fraction(2), Fraction(3), 0, 10)
+    with pytest.raises(DomainError):
+        sums.pmfamily(1, Fraction(2), Fraction(3), 2, 10)
+    with pytest.raises(DomainError):
+        sums.pmfamily(3, se.from_rational(2, 10), Fraction(3), 2, 10)
+    a = se.from_rational(2, 10)
+    assert sums.pmfamily(3, a, Fraction(3), 1, 10) == [pmsum(3, a, Fraction(3), 10)]
 
 
 # -- Omega -------------------------------------------------------------------------------
