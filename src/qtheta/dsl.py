@@ -16,9 +16,13 @@ Grammar (precedence ^ > unary - > * / > + -, ^ right-associative):
     atom   := NUMBER | NAME | NAME '(' groups ')' | '(' expr ')'
 
 Calls take comma-separated arguments; ``phi`` alone takes three
-semicolon-separated groups (upper list; lower list; argument).  Trees
-are evaluated by ``evaluator``, whose ``evaluate`` and ``evaluate_value``
-this module re-exports.  ``int_value`` is the one integer interpreter:
+semicolon-separated groups (upper list; lower list; argument).  Names and
+digits are ASCII.  The one lexer also yields the strings, ':=' and '.' of
+identity files, which no expression accepts: ``identities`` and
+``series.from_string`` drive this parser over their whole text, so a
+node's position is an offset into that text.  Trees are evaluated by
+``evaluator``, whose ``evaluate`` and ``evaluate_value`` this module
+re-exports.  ``int_value`` is the one integer interpreter:
 the evaluator and the static guard estimate ``neg_shift`` both call it.
 A ``*``/``/`` tree is one product, evaluated factor by factor.
 
@@ -44,6 +48,7 @@ multiplier such as ``poch(q^-m, n)`` ends the sum at n = m.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -174,38 +179,30 @@ _RESERVED = set(_BUILTINS) | {"q", "inf", "sum"}
 
 # -- lexer --------------------------------------------------------------------
 
-_SYMBOLS = "+-*/^(),;"
+# One pattern reads every text qtheta takes: DSL expressions, identity files
+# and series literals.  Whitespace and '#' comments are skipped; strings,
+# ':=' and '.' belong to identity files, and no expression accepts them.
+# Names, digits and symbols are ASCII; any other character is an error.
+_TOKEN = re.compile(r"""
+    \s+ | \#[^\n]*
+  | (?P<NUM>[0-9]+)
+  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<STR>"[^"]*")
+  | (?P<SYM>:=|[-+*/^(),;.])
+  | (?P<BAD>.)
+""", re.VERBOSE | re.ASCII | re.DOTALL)
 
 
-def _lex(text):
+def _lex(text, where=None):
+    """(kind, text, offset) tokens, ending with EOF; a symbol is its own kind."""
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("NUM", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("NAME", text[i:j], i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, i, text)
-    toks.append(("EOF", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "BAD":
+            raise ParseError("unexpected character %r" % m.group(), m.start(), text, where)
+        if kind:
+            toks.append((m.group() if kind == "SYM" else kind, m.group(), m.start()))
+    toks.append(("EOF", "", len(text)))
     return toks
 
 
@@ -219,21 +216,26 @@ def _lex(text):
 MAX_DEPTH = 100
 
 
-def _too_deep(pos, text):
-    return ParseError("expression nested deeper than %d levels" % MAX_DEPTH, pos, text)
+def _too_deep(pos, src):
+    return ParseError("expression nested deeper than %d levels" % MAX_DEPTH, pos, *src)
 
 
 class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.toks = _lex(text)
+    """A recursive-descent parser over the tokens of one text.  ``parse``
+    reads a whole text as one expression; ``identities`` and
+    ``series.from_string`` take expressions from one parser as they go.
+    where names the file in error messages."""
+
+    def __init__(self, text, where=None):
+        self.src = (text, where)
+        self.toks = _lex(text, where)
         self.i = 0
         self.depth = 0
 
     def enter(self):
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise _too_deep(self.peek()[2], self.text)
+            raise _too_deep(self.peek()[2], self.src)
 
     def peek(self):
         return self.toks[self.i]
@@ -242,9 +244,23 @@ class _Parser:
         tok = self.toks[self.i]
         if kind is not None and tok[0] != kind:
             raise ParseError("expected %s, found %r" % (kind, tok[1] or "end of input"),
-                             tok[2], self.text)
-        self.i += 1
+                             tok[2], *self.src)
+        if tok[0] != "EOF":
+            self.i += 1
         return tok
+
+    def check(self, node):
+        """node after the depth and sort checks of parse."""
+        # A chain such as 1+1+...+1 parses in a loop but nests one level per
+        # operator, so the tree's depth is checked before any recursive pass.
+        stack = [(node, 1)]
+        while stack:
+            sub, depth = stack.pop()
+            if depth > MAX_DEPTH:
+                raise _too_deep(sub.pos, self.src)
+            stack.extend((c, depth + 1) for c in _children(sub))
+        _check(node, "S", frozenset(), self.src)
+        return node
 
     def expr(self):
         node = self.term()
@@ -301,67 +317,69 @@ class _Parser:
             if textv == "q" or textv == "inf":
                 return Ref(textv, pos)
             if textv in _RESERVED:
-                raise ParseError("builtin %r used without arguments" % textv, pos, self.text)
+                raise ParseError("builtin %r used without arguments" % textv, pos, *self.src)
             if len(textv) == 1 and textv.islower():
                 return Ref(textv, pos)
-            raise UnknownNameError("unknown name %r" % textv, pos, self.text)
-        raise ParseError("unexpected token %r" % (textv or "end of input"), pos, self.text)
+            raise UnknownNameError("unknown name %r" % textv, pos, *self.src)
+        raise ParseError("unexpected token %r" % (textv or "end of input"), pos, *self.src)
 
     def call(self, name, pos):
-        self.take("(")
+        if name != "sum" and name not in _BUILTINS:
+            raise UnknownNameError("unknown function %r" % name, pos, *self.src)
+        paren = self.take("(")[2]
         groups = [[]]
         if self.peek()[0] != ")":
             while True:
                 if name == "sum" and len(groups) == 1 and not groups[0]:
                     tok = self.peek()
                     if tok[0] != "NAME":
-                        raise ParseError("sum needs an index variable", tok[2], self.text)
+                        raise ParseError("sum needs an index variable", tok[2], *self.src)
                 groups[-1].append(self.expr())
                 nxt = self.peek()[0]
                 if nxt == ",":
                     self.take()
                     continue
                 if nxt == ";":
+                    # A ';' that no group takes often means a missing ')'
+                    # in a file, so the error points at the '('.
+                    if name != "phi":
+                        raise ParseError("%r does not take ';' groups" % name, paren, *self.src)
+                    if len(groups) == 3:
+                        raise ParseError("phi needs (upper list; lower list; argument)",
+                                         paren, *self.src)
                     self.take()
                     groups.append([])
                     continue
                 break
         self.take(")")
         if name == "sum":
-            return self.make_sum(groups, pos)
+            return self.make_sum(groups[0], pos)
         if name == "phi":
             if len(groups) != 3 or len(groups[2]) != 1 or not groups[0] or not groups[1]:
-                raise ParseError("phi needs (upper list; lower list; argument)", pos, self.text)
+                raise ParseError("phi needs (upper list; lower list; argument)", pos, *self.src)
             return Call("phi", tuple(tuple(g) for g in groups), pos)
-        if len(groups) != 1:
-            raise ParseError("%r does not take ';' groups" % name, pos, self.text)
         args = groups[0]
-        if name not in _BUILTINS:
-            raise UnknownNameError("unknown function %r" % name, pos, self.text)
         sig = _BUILTINS[name].args
         req = [s for s in sig if not s.startswith("?")]
         if not (len(req) <= len(args) <= len(sig)):
             raise ParseError(
                 "%s expects %d%s argument(s), got %d"
                 % (name, len(req), "" if len(req) == len(sig) else " to %d" % len(sig), len(args)),
-                pos, self.text)
+                pos, *self.src)
         return Call(name, (tuple(args),), pos)
 
-    def make_sum(self, groups, pos):
-        if len(groups) != 1:
-            raise ParseError("sum does not take ';' groups", pos, self.text)
-        args = groups[0]
+    def make_sum(self, args, pos):
         if not 4 <= len(args) <= 5:
-            raise ParseError("sum expects (var, lo, hi, body[, orderbound])", pos, self.text)
+            raise ParseError("sum expects (var, lo, hi, body[, orderbound])", pos, *self.src)
         var = args[0]
         if not isinstance(var, Ref) or var.name == "q":
-            raise ParseError("sum index must be a fresh lowercase name", pos, self.text)
+            raise ParseError("sum index must be a fresh lowercase name", pos, *self.src)
         hi = args[2]
         infinite = isinstance(hi, Ref) and hi.name == "inf"
         if infinite:
             hi = INF
             if len(args) != 5:
-                raise ParseError("infinite sum without an orderbound", pos, self.text)
+                raise ParseError("infinite sum without an orderbound", pos, *self.src)
         bound = args[4] if len(args) == 5 else None
         return Sum(var.name, args[1], hi, args[3], bound, pos)
 
@@ -395,56 +413,56 @@ def int_value(node, ienv):
     raise EvalError("not an integer expression", getattr(node, "pos", None))
 
 
-def _check(node, want, ivars, text):
+def _check(node, want, ivars, src):
     if isinstance(node, Lit):
         return
     if isinstance(node, Ref):
         if node.name == "inf":
-            raise SortError("'inf' is only valid as a sum upper limit", node.pos, text)
+            raise SortError("'inf' is only valid as a sum upper limit", node.pos, *src)
         if node.name == "q":
             if want == "I":
-                raise SortError("q in an integer position", node.pos, text)
+                raise SortError("q in an integer position", node.pos, *src)
             return
         if node.name in ivars:
             return
         if want == "I":
-            raise SortError("parameter %r in an integer position" % node.name, node.pos, text)
+            raise SortError("parameter %r in an integer position" % node.name, node.pos, *src)
         return
     if isinstance(node, Neg):
-        _check(node.operand, want, ivars, text)
+        _check(node.operand, want, ivars, src)
         return
     if isinstance(node, BinOp):
         if node.op == "/" and want == "I":
-            raise SortError("division is not allowed in integer expressions", node.pos, text)
-        _check(node.left, want, ivars, text)
-        _check(node.right, want, ivars, text)
+            raise SortError("division is not allowed in integer expressions", node.pos, *src)
+        _check(node.left, want, ivars, src)
+        _check(node.right, want, ivars, src)
         return
     if isinstance(node, Pow):
         if want == "I":
-            raise SortError("'^' is not allowed in integer expressions", node.pos, text)
-        _check(node.base, "S", ivars, text)
-        _check(node.exp, "I", ivars, text)
+            raise SortError("'^' is not allowed in integer expressions", node.pos, *src)
+        _check(node.base, "S", ivars, src)
+        _check(node.exp, "I", ivars, src)
         return
     if isinstance(node, Call):
         b = _BUILTINS[node.name]
         if want == "I" and b.sort != "I":
             raise SortError("series-valued %s(...) in an integer position" % node.name,
-                            node.pos, text)
+                            node.pos, *src)
         for arg, sort in _arg_sorts(node):
-            _check(arg, sort, ivars, text)
+            _check(arg, sort, ivars, src)
         return
     if isinstance(node, Sum):
         if want == "I":
-            raise SortError("sum(...) in an integer position", node.pos, text)
+            raise SortError("sum(...) in an integer position", node.pos, *src)
         if node.var in ivars:
-            raise SortError("sum index %r shadows an enclosing index" % node.var, node.pos, text)
-        _check(node.lo, "I", ivars, text)
+            raise SortError("sum index %r shadows an enclosing index" % node.var, node.pos, *src)
+        _check(node.lo, "I", ivars, src)
         if node.hi is not INF:
-            _check(node.hi, "I", ivars, text)
+            _check(node.hi, "I", ivars, src)
         inner = ivars | {node.var}
-        _check(node.body, "S", inner, text)
+        _check(node.body, "S", inner, src)
         if node.bound is not None:
-            _check(node.bound, "I", inner, text)
+            _check(node.bound, "I", inner, src)
         return
     raise TypeError("unknown node %r" % (node,))
 
@@ -454,16 +472,7 @@ def parse(text):
     p = _Parser(text)
     node = p.expr()
     p.take("EOF")
-    # A chain such as 1+1+...+1 parses in a loop but nests one level per
-    # operator, so the tree's depth is checked before any recursive pass.
-    stack = [(node, 1)]
-    while stack:
-        sub, depth = stack.pop()
-        if depth > MAX_DEPTH:
-            raise _too_deep(sub.pos, text)
-        stack.extend((c, depth + 1) for c in _children(sub))
-    _check(node, "S", frozenset(), text)
-    return node
+    return p.check(node)
 
 
 def _children(node):

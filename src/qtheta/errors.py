@@ -29,15 +29,24 @@ class EliminationError(QThetaError):
     """The series linear system is singular to working precision."""
 
 
-class ParseError(QThetaError):
-    """Lex or syntax error in DSL text, with a source position."""
+def line_of(text, pos):
+    """The 1-based line of offset pos in text."""
+    return text.count("\n", 0, pos) + 1
 
-    def __init__(self, message, pos=None, text=None):
+
+class ParseError(QThetaError):
+    """Lex or syntax error in DSL text, with a source position.  Text read
+    from a file, named by where, reports "where:line:col: message"."""
+
+    def __init__(self, message, pos=None, text=None, where=None):
         self.pos = pos
         if pos is not None and text is not None:
-            line = text.count("\n", 0, pos) + 1
+            line = line_of(text, pos)
             col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-            message = "%s (line %d, col %d)" % (message, line, col)
+            if where is None:
+                message = "%s (line %d, col %d)" % (message, line, col)
+            else:
+                message = "%s:%d:%d: %s" % (where, line, col, message)
         super().__init__(message)
 
 

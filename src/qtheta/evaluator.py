@@ -237,7 +237,8 @@ class _Evaluator:
             if b.coef == 0:
                 raise EvalError("division by zero", pos)
             if isinstance(a, QMonomial):
-                return QMonomial(a.coef / b.coef, a.exp - b.exp)
+                # An exact zero quotient has exponent 0, as _val_mul's has.
+                return QMonomial(a.coef / b.coef, a.exp - b.exp if a.coef else 0)
             return se.mul_monomial(a, 1 / b.coef, -b.exp)
         try:
             if isinstance(a, QMonomial):

@@ -1,21 +1,31 @@
 """Identity records and the identity file format.
 
-One record per identity, fields separated by ';' at top level (semicolons
-inside parentheses belong to phi argument groups):
+One record per identity:
 
     identity <name> ;
       params <p1> <p2> ... ;
-      require <constraint>, <constraint>, ... ;   # optional
+      require <constraint>, <constraint>, ... ;   # optional, repeatable
       derive <name> := <expr> ;                   # optional, repeatable
       lhs <expr> ;
       rhs <expr> ;
       source "<tag>"
 
+Fields after ``identity`` come in any order, separated by ';' (semicolons
+inside parentheses belong to phi argument groups).  A record ends at the
+next ``identity`` keyword, which may follow the source string without a
+';'.  Repeated ``require`` lists add up, as ``derive`` bindings do; any
+other repeated field is an error.  '#' starts a comment outside quotes, and
+names and digits are ASCII.
+
 Constraints: nonzero(e), notone(e), invertible(e) with e a DSL expression,
-and distinct(p1, p2) on parameter names.  '#' starts a comment outside
-quotes.  Derived bindings are evaluated after the base parameters are
-sampled; they may be full series (for example a rational function of a
-and q).
+and distinct(p1, p2) on parameter names.  Derived bindings are evaluated
+after the base parameters are sampled; they may be full series (for example
+a rational function of a and q).
+
+A file is read in one pass by ``dsl``'s lexer and parser: every expression
+is taken from the file's token stream and gets the checks of ``dsl.parse``,
+so tree positions, and the offsets of EvalErrors raised at them, are file
+offsets.  Every error in a malformed file names the file and the line.
 """
 
 from __future__ import annotations
@@ -24,13 +34,12 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import RegistryError
+from .errors import RegistryError, line_of
 from . import dsl
 
 __all__ = ["Constraint", "IdentityDef", "parse_identities", "load_registry", "builtin_text"]
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
-_CONSTRAINT_RE = re.compile(r"^(nonzero|notone|invertible|distinct)\s*\((.*)\)$", re.S)
+_NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
 
 @dataclass(frozen=True)
@@ -54,161 +63,155 @@ class IdentityDef:
     source: str
 
 
-def _strip_comments(text):
+def _error(p, message, pos):
+    text, where = p.src
+    return RegistryError("%s:%d: %s" % (where, line_of(text, pos), message))
+
+
+def _is_param(name):
+    return len(name) == 1 and name.islower() and name != "q"
+
+
+def _name(p, pos):
+    """An identity name: the tokens up to the field's end, with nothing
+    between them."""
+    toks = []
+    while p.peek()[0] not in (";", "EOF"):
+        toks.append(p.take())
+    name = p.src[0][toks[0][2]:toks[-1][2] + len(toks[-1][1])] if toks else ""
+    if not _NAME_RE.fullmatch(name):
+        raise _error(p, "bad identity name %r" % name, pos)
+    return name
+
+
+def _params(p):
+    params = []
+    while p.peek()[0] not in (";", "EOF"):
+        _, name, pos = p.take()
+        if not _is_param(name):
+            raise _error(p, "bad parameter name %r" % name, pos)
+        if name in params:
+            raise _error(p, "duplicate parameter %r" % name, pos)
+        params.append(name)
+    return tuple(params)
+
+
+def _require(p):
+    """A comma-separated list of kind(e) for a value kind, or distinct(p1, p2)."""
     out = []
-    in_quote = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == '"':
-            in_quote = not in_quote
-            out.append(ch)
-        elif ch == "#" and not in_quote:
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
+    while p.peek()[0] not in (";", "EOF"):
+        _, kind, pos = p.take()
+        if kind not in ("nonzero", "notone", "invertible", "distinct") or p.peek()[0] != "(":
+            raise _error(p, "unrecognized constraint %r" % kind, pos)
+        p.take()
+        args = [p.expr()]
+        while p.peek()[0] == ",":
+            p.take()
+            args.append(p.expr())
+        text = p.src[0][pos:p.take(")")[2] + 1]
+        if kind == "distinct":
+            if len(args) != 2 or not all(isinstance(a, dsl.Ref) and _is_param(a.name)
+                                         for a in args):
+                raise _error(p, "distinct(...) needs two parameter names: %r" % text, pos)
+            out.append(Constraint(kind, tuple(a.name for a in args), text))
+        elif len(args) == 1:
+            out.append(Constraint(kind, p.check(args[0]), text))
         else:
-            out.append(ch)
-        i += 1
-    return "".join(out)
+            raise _error(p, "%s(...) takes one expression: %r" % (kind, text), pos)
+        if p.peek()[0] != ",":
+            break
+        p.take()
+    return out
 
 
-def _split_top(text, sep):
-    parts = []
-    depth = 0
-    in_quote = False
-    cur = []
-    for ch in text:
-        if ch == '"':
-            in_quote = not in_quote
-        elif not in_quote:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == sep and depth == 0:
-                parts.append("".join(cur))
-                cur = []
-                continue
-        cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+def _derive(p, pos):
+    _, name, _ = p.take()
+    if not _is_param(name) or p.peek()[0] != ":=":
+        raise _error(p, "bad derive field", pos)
+    p.take()
+    return name, p.check(p.expr())
 
 
-def _parse_constraint(text):
-    text = text.strip()
-    m = _CONSTRAINT_RE.match(text)
-    if not m:
-        raise RegistryError("unrecognized constraint %r" % text)
-    kind, inner = m.group(1), m.group(2)
-    if kind == "distinct":
-        names = [p.strip() for p in inner.split(",")]
-        if len(names) != 2 or not all(len(n) == 1 and n.islower() for n in names):
-            raise RegistryError("distinct(...) needs two parameter names: %r" % text)
-        return Constraint(kind, tuple(names), text)
-    return Constraint(kind, dsl.parse(inner), text)
-
-
-def _finish_record(fields, where):
-    got = {k for k, _ in fields}
-    for req in ("identity", "params", "lhs", "rhs", "source"):
-        if req not in got:
-            raise RegistryError("%s: record missing %r field" % (where, req))
-    name = params = lhs = rhs = source = None
-    constraints = []
-    derives = []
-    for key, rest in fields:
-        if key == "identity":
-            name = rest.strip()
-            if not _NAME_RE.match(name):
-                raise RegistryError("%s: bad identity name %r" % (where, name))
-        elif key == "params":
-            params = tuple(rest.split())
-            for p in params:
-                if len(p) != 1 or not p.islower() or p == "q":
-                    raise RegistryError("%s: bad parameter name %r" % (where, p))
-            if len(set(params)) != len(params):
-                raise RegistryError("%s: duplicate parameter" % where)
+def _record(p):
+    """The record that starts at the parser's next token."""
+    _, word, start = p.take()
+    if word != "identity":
+        raise _error(p, "expected 'identity', found %r" % (word or "end of input"), start)
+    fields = {"identity": _name(p, start)}
+    constraints, derives = [], []
+    while True:
+        while p.peek()[0] == ";":
+            p.take()
+        kind, key, pos = p.peek()
+        if kind == "EOF" or key == "identity":
+            break
+        p.take()
+        if key in fields:
+            raise _error(p, "repeated %r field" % key, pos)
+        if key == "params":
+            fields[key] = _params(p)
         elif key == "require":
-            constraints = [_parse_constraint(c) for c in _split_top(rest, ",") if c.strip()]
+            constraints += _require(p)
         elif key == "derive":
-            lhs_name, _, expr = rest.partition(":=")
-            dname = lhs_name.strip()
-            if len(dname) != 1 or not dname.islower() or dname == "q" or not expr.strip():
-                raise RegistryError("%s: bad derive field %r" % (where, rest.strip()))
-            derives.append((dname, dsl.parse(expr)))
-        elif key == "lhs":
-            lhs = dsl.parse(rest)
-        elif key == "rhs":
-            rhs = dsl.parse(rest)
+            derives.append(_derive(p, pos))
+        elif key in ("lhs", "rhs"):
+            fields[key] = p.check(p.expr())
         elif key == "source":
-            source = rest.strip()
-            if not (source.startswith('"') and source.endswith('"') and len(source) >= 2):
-                raise RegistryError("%s: source must be a quoted string" % where)
-            source = source[1:-1]
+            kind, word, _ = p.take()
+            if kind != "STR":
+                raise _error(p, "source must be a quoted string", pos)
+            fields[key] = word[1:-1]
         else:
-            raise RegistryError("%s: unknown field %r" % (where, key))
-    ident = IdentityDef(name, params, tuple(constraints), tuple(derives), lhs, rhs, source)
-    _validate(ident, where)
+            raise _error(p, "unknown field %r" % key, pos)
+        kind, word, end = p.peek()
+        if kind not in (";", "EOF") and not (key == "source" and word == "identity"):
+            raise _error(p, "expected ';' after the %s field, found %r" % (key, word), end)
+    for req in ("params", "lhs", "rhs", "source"):
+        if req not in fields:
+            raise _error(p, "record missing %r field" % req, start)
+    ident = IdentityDef(fields["identity"], fields["params"], tuple(constraints),
+                        tuple(derives), fields["lhs"], fields["rhs"], fields["source"])
+    _validate(ident, p, start)
     return ident
 
 
-def _validate(ident, where):
+def _validate(ident, p, start):
     known = set(ident.params) | {d for d, _ in ident.derives}
     if len(known) != len(ident.params) + len(ident.derives):
-        raise RegistryError("%s: derived name collides with a parameter" % where)
+        raise _error(p, "derived name collides with a parameter", start)
     trees = [ident.lhs, ident.rhs]
     trees += [ast for _, ast in ident.derives]
     trees += [c.expr for c in ident.constraints if c.kind != "distinct"]
     for tree in trees:
         missing = dsl.free_params(tree) - known
         if missing:
-            raise RegistryError(
-                "%s: undeclared parameter(s) %s" % (where, ", ".join(sorted(missing))))
+            raise _error(p, "undeclared parameter(s) %s" % ", ".join(sorted(missing)), tree.pos)
         clash = dsl.sum_indices(tree) & known
         if clash:
-            raise RegistryError(
-                "%s: sum index shadows parameter(s) %s" % (where, ", ".join(sorted(clash))))
+            raise _error(p, "sum index shadows parameter(s) %s" % ", ".join(sorted(clash)),
+                         tree.pos)
     for c in ident.constraints:
         if c.kind == "distinct" and not set(c.expr) <= known:
-            raise RegistryError("%s: distinct(...) names an unknown parameter" % where)
+            raise _error(p, "distinct(...) names an unknown parameter", start)
     seen = set()
     for dname, ast in ident.derives:
         bad = dsl.free_params(ast) - set(ident.params) - seen
         if bad:
-            raise RegistryError(
-                "%s: derive %r uses %s before definition" % (where, dname, sorted(bad)))
+            raise _error(p, "derive %r uses %s before definition" % (dname, sorted(bad)),
+                         ast.pos)
         seen.add(dname)
 
 
 def parse_identities(text, where="<string>"):
-    """Parse identity records from file text."""
-    text = _strip_comments(text)
+    """Parse identity records from file text; errors name where and the line."""
+    p = dsl._Parser(text, where)
     records = []
-    fields = []
-    pending = list(_split_top(text, ";"))
-    pending.reverse()
-    while pending:
-        body = pending.pop().strip()
-        if not body:
-            continue
-        key, _, rest = body.partition(" ")
-        key = key.strip()
-        if key == "identity" and fields:
-            records.append(_finish_record(fields, where))
-            fields = []
-        if key == "source":
-            # A record ends at its source string; anything after the
-            # closing quote begins the next record.
-            opn = rest.find('"')
-            cls = rest.find('"', opn + 1) if opn >= 0 else -1
-            if cls >= 0 and rest[cls + 1:].strip():
-                pending.append(rest[cls + 1:])
-                rest = rest[: cls + 1]
-        fields.append((key, rest))
-    if fields:
-        records.append(_finish_record(fields, where))
-    return records
+    while True:
+        while p.peek()[0] == ";":
+            p.take()
+        if p.peek()[0] == "EOF":
+            return records
+        records.append(_record(p))
 
 
 def builtin_text():
@@ -217,13 +220,15 @@ def builtin_text():
 
 def load_registry(paths=()):
     """Built-in corpus plus identities from the given files; names unique."""
-    idents = parse_identities(builtin_text(), "builtin corpus")
+    texts = [("builtin corpus", builtin_text())]
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
-            idents += parse_identities(fh.read(), str(path))
-    seen = {}
-    for ident in idents:
-        if ident.name in seen:
-            raise RegistryError("duplicate identity name %r" % ident.name)
-        seen[ident.name] = ident
+            texts.append((str(path), fh.read()))
+    idents, seen = [], set()
+    for where, text in texts:
+        for ident in parse_identities(text, where):
+            if ident.name in seen:
+                raise RegistryError("%s: duplicate identity name %r" % (where, ident.name))
+            seen.add(ident.name)
+            idents.append(ident)
     return idents

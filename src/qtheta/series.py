@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .errors import PrecisionError, SeriesZeroDivision
+from .errors import ParseError, PrecisionError, QThetaError, SeriesZeroDivision
 
 __all__ = [
     "LaurentSeries",
@@ -478,68 +478,34 @@ def eq_to_prec(x, y):
 
 # -- round-trippable text form ------------------------------------------------
 
-_TERM_RE = re.compile(
-    r"""^(?:
-          O\(q\^(?P<op>-?\d+)\)
-        | (?P<coef>\d+(?:/\d+)?)(?:\*q(?:\^(?P<e1>-?\d+))?)?
-        | q(?:\^(?P<e2>-?\d+))?
-        )$""",
-    re.VERBOSE,
-)
-
-
-def _split_terms(s):
-    # Split on top-level + and -, keeping signs.  A '-' directly after '^'
-    # belongs to an exponent, not a term separator.
-    out = []
-    cur = []
-    sign = 1
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch in "+-" and cur and cur[-1] not in "^(":
-            out.append((sign, "".join(cur).strip()))
-            sign = 1 if ch == "+" else -1
-            cur = []
-        elif ch in "+-" and not "".join(cur).strip():
-            sign = sign if ch == "+" else -sign
-        else:
-            cur.append(ch)
-        i += 1
-    out.append((sign, "".join(cur).strip()))
-    return [(sg, t) for sg, t in out if t]
+_MARKER = re.compile(r"(?:(.*)\+)?\s*O\(q\^(-?[0-9]+)\)\s*", re.S)
 
 
 def from_string(s):
-    """Parse the rendering produced by str(); inverse of the text form."""
-    entries = {}
-    prec = None
-    for sign, term in _split_terms(s.replace(" ", "")):
-        m = _TERM_RE.match(term)
-        if not m:
-            raise ValueError("unparseable series term: %r" % term)
-        if m.group("op") is not None:
-            prec = int(m.group("op"))
-            continue
-        if m.group("coef") is not None:
-            c = Fraction(m.group("coef"))
-            e = m.group("e1")
-            e = int(e) if e is not None else (1 if "q" in term else 0)
-            if "q" not in term:
-                e = 0
-        else:
-            c = Fraction(1)
-            e = int(m.group("e2")) if m.group("e2") is not None else 1
-        entries[e] = entries.get(e, Fraction(0)) + sign * c
-    if prec is None:
-        raise ValueError("series text lacks an O(q^p) precision marker")
-    if not entries:
-        return zero(prec)
-    lo = min(entries)
-    den = 1
-    for c in entries.values():
-        den = den // gcd(den, c.denominator) * c.denominator
-    num = [0] * (max(entries) - lo + 1)
-    for e, c in entries.items():
-        num[e - lo] = c.numerator * (den // c.denominator)
-    return _make(lo, num, den, prec)
+    """Parse the rendering produced by str(); inverse of the text form.
+
+    The text is a sum of parameter-free ``dsl`` terms such as 3/2*q^-1,
+    then '+ O(q^p)'.  Each term is parsed and evaluated on its own, so a
+    long series does not nest deeper than dsl.MAX_DEPTH.  Raises ValueError
+    on anything else.
+    """
+    from . import dsl  # dsl evaluates through this module
+
+    m = _MARKER.fullmatch(s)
+    if m is None:
+        raise ValueError("series text lacks a final '+ O(q^p)' precision marker: %r" % s)
+    acc = zero(int(m.group(2)))
+    if m.group(1) is None:
+        return acc
+    try:
+        p = dsl._Parser(m.group(1))
+        op = "+"
+        while op != "EOF":
+            term = dsl.evaluate(p.check(p.term()), {}, acc.prec)
+            acc = add(acc, term) if op == "+" else sub(acc, term)
+            op, word, pos = p.take()
+            if op not in ("+", "-", "EOF"):
+                raise ParseError("expected '+' or '-', found %r" % word, pos, *p.src)
+    except QThetaError as exc:
+        raise ValueError("unparseable series text %r: %s" % (s, exc)) from None
+    return acc

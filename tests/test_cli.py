@@ -37,6 +37,13 @@ def test_eval_error_exit_code(capsys):
         assert err.startswith("error: %s (at offset " % msg), err
 
 
+def test_eval_non_ascii_digit_exit_code(capsys):
+    # str.isdigit accepts '\u00b2'; the lexer does not, so this is a
+    # ParseError at the character, not a traceback.
+    assert main(["eval", "q^\u00b2"]) == 2
+    assert capsys.readouterr().err == "error: unexpected character '\u00b2' (line 1, col 3)\n"
+
+
 def test_eval_unbound_exit_code(capsys):
     assert main(["eval", "theta(a)"]) == 2
 
@@ -114,18 +121,18 @@ def test_verify_failure_exit_code(tmp_path, capsys):
 
 
 def test_verify_error_exit_code(tmp_path, capsys):
+    text = ('identity broken ; params a ; lhs theta(a) / (a - a) ; rhs theta(a) ;'
+            ' source "divides by zero on purpose"')
     bad = tmp_path / "bad.qid"
-    bad.write_text(
-        'identity broken ; params a ; lhs theta(a) / (a - a) ; rhs theta(a) ;'
-        ' source "divides by zero on purpose"',
-        encoding="utf-8",
-    )
+    bad.write_text(text, encoding="utf-8")
     code = main(["verify", "broken", "--order", "10", "--trials", "1",
                  "--file", str(bad)])
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("FAIL broken ")
-    assert "error: division by zero (at offset 9)" in out.splitlines()[0]
+    # Tree positions are offsets into the file: this one is the '/'.
+    assert ("error: division by zero (at offset %d)" % text.index("/")
+            in out.splitlines()[0])
 
 
 def test_text_and_json_agree_on_outcome(tmp_path, capsys):
@@ -211,3 +218,15 @@ def test_too_deep_identity_file(tmp_path, capsys):
                     % _NESTINGS["parens"](1000), encoding="utf-8")
     assert main(["verify", "deep", "--order", "5", "--file", str(deep)]) == 2
     assert "nested deeper than %d levels" % dsl.MAX_DEPTH in capsys.readouterr().err
+
+
+def test_malformed_second_record_names_file_and_line(tmp_path, capsys):
+    path = tmp_path / "two.qid"
+    path.write_text('identity one ; params a ; lhs theta(a) ; rhs theta(a) ; source "s"\n'
+                    '\n'
+                    'identity two ; params a ;\n'
+                    '  lhs theta(a) * ;\n'
+                    '  rhs theta(a) ; source "s"\n', encoding="utf-8")
+    assert main(["verify", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s:4:" % path) and "Traceback" not in err, err

@@ -1,15 +1,17 @@
 """Registry and verifier: corpus, sampling, verification, reports."""
 
 import dataclasses
+import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from qtheta import dsl
 from qtheta import series as se
-from qtheta.errors import RegistryError, SamplingError
+from qtheta.errors import QThetaError, RegistryError, SamplingError
 from qtheta.identities import load_registry, parse_identities
 from qtheta.series import LaurentSeries
 from qtheta.verifier import (
@@ -52,6 +54,23 @@ def test_corpus_names_unique_and_expected():
     assert sum(1 for n in names if n.startswith("cor2.2-")) == 4
 
 
+# sha256 over every built-in record as parsed: its name, params,
+# constraints, rendered derives, rendered lhs and rhs, and source.
+CORPUS_TREE_SHA256 = "5ff2c894412ccf2f08fa1a55109cecb8c1cac51680496bda5486fde3a3503772"
+
+
+def test_parsed_corpus_is_pinned():
+    h = hashlib.sha256()
+    for ident in REGISTRY:
+        fields = [ident.name, " ".join(ident.params)]
+        fields += ["%s %s %s" % (c.kind, c.text, ",".join(c.expr) if c.kind == "distinct"
+                                 else dsl.render(c.expr)) for c in ident.constraints]
+        fields += ["%s := %s" % (d, dsl.render(t)) for d, t in ident.derives]
+        fields += [dsl.render(ident.lhs), dsl.render(ident.rhs), ident.source]
+        h.update(("\n".join(fields) + "\n\n").encode("utf-8"))
+    assert h.hexdigest() == CORPUS_TREE_SHA256
+
+
 def test_user_file_extends_corpus(tmp_path):
     path = tmp_path / "extra.qid"
     path.write_text(
@@ -73,25 +92,67 @@ def test_duplicate_name_rejected(tmp_path):
         'identity jacobi ; params a ; lhs theta(a) ; rhs theta(a) ; source "x"',
         encoding="utf-8",
     )
-    with pytest.raises(RegistryError, match="jacobi"):
+    with pytest.raises(RegistryError,
+                       match=re.escape("%s: duplicate identity name 'jacobi'" % path)):
         load_registry([str(path)])
 
 
 def test_record_validation_errors():
-    with pytest.raises(RegistryError, match="missing"):
+    # Each message starts with the file and the line.
+    with pytest.raises(RegistryError, match="^<string>:1: record missing 'rhs'"):
         parse_identities('identity x ; params a ; lhs theta(a) ; source "s"')
-    with pytest.raises(RegistryError, match="undeclared"):
+    with pytest.raises(RegistryError, match="^<string>:1: undeclared"):
         parse_identities(
             'identity x ; params a ; lhs theta(b) ; rhs theta(a) ; source "s"')
-    with pytest.raises(RegistryError, match="shadows"):
+    with pytest.raises(RegistryError, match="^<string>:1: sum index shadows"):
         parse_identities(
             'identity x ; params a n ; lhs sum(n,0,3,a^n) ; rhs theta(a) ; source "s"')
-    with pytest.raises(RegistryError, match="constraint"):
+    with pytest.raises(RegistryError, match="^<string>:1: unrecognized constraint"):
         parse_identities(
             'identity x ; params a ; require wobbly(a) ;'
             ' lhs theta(a) ; rhs theta(a) ; source "s"')
-    with pytest.raises(RegistryError, match="quoted"):
+    with pytest.raises(RegistryError, match="^<string>:1: source must be a quoted"):
         parse_identities('identity x ; params a ; lhs theta(a) ; rhs theta(a) ; source s')
+
+
+_RECORD = ('identity x ; params a b ;\n'
+           '  lhs theta(a) ;\n'
+           '  rhs theta(a) ;\n'
+           '  source "s" ;\n')
+
+
+def test_repeated_require_fields_accumulate():
+    ident = parse_identities(_RECORD + '  require notone(a*b) ;\n  require nonzero(a+b)\n')[0]
+    assert [c.text for c in ident.constraints] == ["notone(a*b)", "nonzero(a+b)"]
+
+
+@pytest.mark.parametrize("field", ["params a", "lhs theta(b)", "rhs theta(b)", 'source "t"'])
+def test_other_repeated_fields_are_errors(field):
+    with pytest.raises(RegistryError, match="^extra.qid:6: repeated '%s' field" % field.split()[0]):
+        parse_identities(_RECORD + "  derive c := a ;\n  %s\n" % field, "extra.qid")
+
+
+@pytest.mark.parametrize("text, message", [
+    # An unclosed call: the ';' that theta does not take points at its '('.
+    ('identity y ; params a ;\n  lhs theta(a ; rhs theta(a) ; source "s"',
+     "extra.qid:7:12: 'theta' does not take ';' groups"),
+    ('identity y ; params a ;\n\n  lhs ;\n  rhs theta(a) ; source "s"',
+     "extra.qid:8:7: unexpected token ';'"),
+    ('identity y ; params a ;\n  require distinct(a) ;\n'
+     '  lhs theta(a) ; rhs theta(a) ; source "s"',
+     "extra.qid:7: distinct(...) needs two parameter names"),
+])
+def test_errors_in_a_second_record_name_the_file_and_line(text, message):
+    # The second record starts on line 6 of the file.
+    with pytest.raises(QThetaError, match="^" + re.escape(message)):
+        parse_identities(_RECORD + "\n" + text, "extra.qid")
+
+
+def test_tree_positions_are_file_offsets():
+    text = _RECORD + '# a comment\nidentity y ; params a ; lhs 1/theta(a) ; rhs 1 ; source "s"'
+    ident = parse_identities(text)[1]
+    assert ident.lhs.pos == text.index("/theta")
+    assert ident.lhs.right.pos == text.index("theta(a) ; rhs 1")
 
 
 def test_distinct_constraint():

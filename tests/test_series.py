@@ -418,8 +418,15 @@ def test_render_format():
     assert str(se.zero(6)) == "O(q^6)"
 
 
+def test_from_string_reads_a_series_longer_than_the_parse_depth():
+    # Each term is parsed on its own, so 300 terms do not nest 300 deep.
+    x = se._make(-3, [(-1) ** i * (i + 1) for i in range(300)], 7, 297)
+    assert se.from_string(str(x)) == x
+
+
 def test_from_string_rejects_garbage():
-    with pytest.raises(ValueError):
-        se.from_string("1 + q")  # no precision marker
-    with pytest.raises(ValueError):
-        se.from_string("1 + banana + O(q^5)")
+    for text in ("1 + q",  # no precision marker
+                 "1 + banana + O(q^5)", "1 + a + O(q^5)", "1 2 + O(q^5)",
+                 "\u0663*q + O(q^5)", "q^\u00b2 + O(q^5)"):
+        with pytest.raises(ValueError):
+            se.from_string(text)

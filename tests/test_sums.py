@@ -9,7 +9,7 @@ import pytest
 
 from qtheta import series as se
 from qtheta import sums
-from qtheta.errors import DegenerateParameterError, DomainError, QThetaError
+from qtheta.errors import DegenerateParameterError, DomainError, PrecisionError, QThetaError
 from qtheta.kernels import (
     QMonomial,
     _check_poch_invertible,
@@ -709,3 +709,21 @@ def test_exact_arguments_reach_prec(name):
                     if got.prec < p:
                         short.append((e, f, p, got.prec))
     assert short == []
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT))
+def test_precision_below_one_is_rejected(name):
+    for p in (0, -3):
+        with pytest.raises(PrecisionError, match="precision >= 1"):
+            _CONTRACT[name](qmon(_A), qmon(_B), p)
+
+
+def test_indices_out_of_range_are_domain_errors():
+    a, b = qmon(_A), qmon(_B)
+    for call, message in [(lambda: usum(-1, b, 10), "usum needs m >= 0"),
+                          (lambda: vsum(-1, 2, a, b, 10), "vsum needs m, n >= 0"),
+                          (lambda: vsum(2, -1, a, b, 10), "vsum needs m, n >= 0"),
+                          (lambda: qcap(1, b, 10), "qcap needs m >= 2"),
+                          (lambda: thetak(-1, a, b, 10), "thetak needs k >= 0")]:
+        with pytest.raises(DomainError, match=message):
+            call()
