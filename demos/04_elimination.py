@@ -1,11 +1,12 @@
-"""Expressing P_m(a,b) through partial theta values by linear algebra.
+"""Expressing P_m(a,b) through partial theta values by exact linear algebra.
 
 The relation theta(q,a) = sum_k lam(m,k,b) P_m(a q^k, b q^k), instantiated
 at shifted parameters and with a and b swapped, gives a square linear
-system over the series field whose unknowns are the shifted P_m values.
-Gauss-Jordan on [A | I] with minimal-order pivots solves it exactly: the
-right half of each unknown's pivot row is its combination of theta
-values.  The t = 0 unknown is P_m(a,b) itself.
+system whose unknowns are the shifted P_m values.  Each row is scaled so
+that its entries are integer polynomials in q.  The solve takes det B and
+the adjugate row of the t = 0 unknown, P_m(a,b) itself, modulo one large
+prime at integer points, interpolates and lifts them, and certifies the
+result exactly over Z[q] before any coefficient is expanded as a series.
 Run: python3 demos/04_elimination.py
 """
 
@@ -32,22 +33,25 @@ for k, c in enumerate(combo.coeff_b):
     print("  theta(b/q^%d):" % k, c)
 print("  residual checked to O(q^%d)" % combo.checked_prec)
 
-# The raw system for m = 2, for the curious: 2x2 with constant entries.
-system = build_system(2, a, b, 15)
-print("\nm=2 system rows (unknowns X_t = P_2(a q^t, b q^t), t in {0, 1}):")
-for row, label in zip(system.matrix, system.rhs_labels):
-    print("  ", [str(entry.constant_value()) for entry in row], "=", "theta(%s)" % label[0])
 
-# Solutions are unique over the series field, so the pivot strategy
-# cannot change them.
-sol_min = gauss_solve(system, pivot="min_order")
-sol_first = gauss_solve(system, pivot="first")
-same = all(
-    (x - y).is_zero
-    for c1, c2 in zip(sol_min, sol_first)
-    for x, y in zip(c1.coeff_a + c1.coeff_b, c2.coeff_a + c2.coeff_b)
-)
-print("\npivot-choice invariance:", same)
+def poly(coeffs, lo=0):
+    """sum_i coeffs[i] q^(lo+i), integer coefficients, as text."""
+    text = ""
+    for e, c in enumerate(coeffs, lo):
+        if c:
+            mono = "" if e == 0 else "q" if e == 1 else "q^%d" % e
+            body = mono if abs(c) == 1 and mono else "*".join(filter(None, [str(abs(c)), mono]))
+            text += ("-" if c < 0 else "") + body if not text else (" - " if c < 0 else " + ") + body
+    return text or "0"
+
+
+# The exact system for m = 3: entries in Z[q], unknowns X_t = P_3(a q^t, b q^t).
+system = build_system(3, a, b)
+print("\nm=3 system rows (unknowns X_t, t in %s):" % system.shifts)
+for row, scale, (kind, j) in zip(system.matrix, system.scales, system.rhs_labels):
+    print("  ", [poly(e) for e in row], "= (%s) theta(%s/q^%d)" % (poly(scale), kind, j))
+[exact] = gauss_solve(system, want=[0])
+print("det B =", poly(exact.det[1], exact.det[0]))
 
 # Higher m just means bigger systems: 2(m-1) unknowns.
 for m in (4, 5):

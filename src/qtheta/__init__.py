@@ -1,7 +1,8 @@
 """qtheta: exact truncated Laurent series over Q, the classical q-kernels
 (Pochhammer symbols, theta functions, basic hypergeometric series), a
-family of named partial-theta sums, a series-field eliminator, and a
-randomized verifier for a built-in corpus of q-series identities.
+family of named partial-theta sums, an exact eliminator whose modular
+solve is certified over Z[q], and a randomized verifier for a built-in
+corpus of q-series identities.
 """
 
 from .errors import (
@@ -50,7 +51,8 @@ from .kernels import (
 )
 from .sums import lam, omega, pmfamily, pmsum, qcap, ssum, thetak, tsum, usum, vsum
 from .eliminator import (
-    SeriesLinearSystem,
+    ExactCombination,
+    PolynomialSystem,
     ThetaCombination,
     build_system,
     express_pm,
@@ -76,7 +78,7 @@ __all__ = [
     "QMonomial", "qpoch_finite", "qpoch_infinite", "qpoch_multi",
     "theta_partial", "theta_full", "bhs",
     "usum", "vsum", "qcap", "lam", "pmsum", "pmfamily", "ssum", "omega", "thetak", "tsum",
-    "SeriesLinearSystem", "ThetaCombination", "build_system", "gauss_solve",
+    "PolynomialSystem", "ExactCombination", "ThetaCombination", "build_system", "gauss_solve",
     "express_pm",
     "parse", "render", "evaluate", "evaluate_value",
     "IdentityDef", "parse_identities", "load_registry",

@@ -63,6 +63,7 @@ class EvalError(QThetaError):
 
     def __init__(self, message, pos=None):
         self.pos = pos
+        self.message = message
         if pos is not None:
             message = "%s (at offset %d)" % (message, pos)
         super().__init__(message)

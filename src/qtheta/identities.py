@@ -31,7 +31,7 @@ offsets.  Every error in a malformed file names the file and the line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import RegistryError, line_of
@@ -61,6 +61,15 @@ class IdentityDef:
     lhs: object
     rhs: object
     source: str
+    # The file the record was read from, its text and the record's offset;
+    # they place errors and take no part in comparisons.
+    where: str = field(default="<string>", compare=False, repr=False)
+    text: str = field(default="", compare=False, repr=False)
+    pos: int = field(default=0, compare=False, repr=False)
+
+    def locate(self, pos=None):
+        """'<file>:<line>' of a file offset (default: the record's start)."""
+        return "%s:%d" % (self.where, line_of(self.text, self.pos if pos is None else pos))
 
 
 def _error(p, message, pos):
@@ -170,7 +179,8 @@ def _record(p):
         if req not in fields:
             raise _error(p, "record missing %r field" % req, start)
     ident = IdentityDef(fields["identity"], fields["params"], tuple(constraints),
-                        tuple(derives), fields["lhs"], fields["rhs"], fields["source"])
+                        tuple(derives), fields["lhs"], fields["rhs"], fields["source"],
+                        p.src[1], p.src[0], start)
     _validate(ident, p, start)
     return ident
 
@@ -228,7 +238,7 @@ def load_registry(paths=()):
     for where, text in texts:
         for ident in parse_identities(text, where):
             if ident.name in seen:
-                raise RegistryError("%s: duplicate identity name %r" % (where, ident.name))
+                raise RegistryError("%s: duplicate identity name %r" % (ident.locate(), ident.name))
             seen.add(ident.name)
             idents.append(ident)
     return idents

@@ -157,7 +157,7 @@ def lam(m, k, b, prec):
     bpow = QMonomial(Fraction(1), 0)
     for _ in range(k):
         bpow = _val_mul(bpow, _val_shift(bv, k - m + 1))
-    # Uncapped: eliminator.GUARD_PER_M relies on the surplus above prec.
+    # Uncapped: capping at prec would change the corpus output (its JSON hash).
     return se.divide(_mul_value(se._make(0, _gauss(m - 1)[k], 1, w), bpow), qm)
 
 

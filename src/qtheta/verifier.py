@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError, QThetaError, SamplingError
+from .errors import DomainError, EvalError, QThetaError, SamplingError
 from . import dsl
 from . import series as se
 from .dsl import Ref
@@ -154,6 +154,9 @@ def verify_identity(ident, order, trials, seed):
                 e = resid.order()
                 results.append(TrialResult(base, resid.prec, "nonzero",
                                            first_bad=(e, resid.coeff(e))))
+        except EvalError as exc:
+            where = "" if exc.pos is None else ident.locate(exc.pos) + ": "
+            results.append(TrialResult(base, 0, "error", error=where + exc.message))
         except QThetaError as exc:
             results.append(TrialResult(base, 0, "error", error=str(exc)))
     millis = int((time.perf_counter() - t0) * 1000)

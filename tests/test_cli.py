@@ -77,6 +77,18 @@ def test_express_pm_needs_both_params(capsys):
     assert main(["express-pm", "--m", "2", "--params", "a=2"]) == 2
 
 
+@pytest.mark.parametrize("params, m", [
+    ("a=2,b=3", "1"),    # no system below m = 2
+    ("a=2,b=2", "3"),    # a = b: singular
+    ("a=2,b=1/2", "3"),  # ab = 1: P_m's (ab/q^m;q)_n vanishes
+    ("a=1,b=3", "3"),    # a = 1: P_m's (a;q)_n vanishes
+])
+def test_express_pm_degenerate_inputs_exit_code(params, m, capsys):
+    assert main(["express-pm", "--m", m, "--params", params, "--order", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_express_pm_nonpositive_order_exit_code(capsys):
     assert main(["express-pm", "--m", "3", "--params", "a=2,b=3", "--order", "-3"]) == 2
     captured = capsys.readouterr()
@@ -121,7 +133,7 @@ def test_verify_failure_exit_code(tmp_path, capsys):
 
 
 def test_verify_error_exit_code(tmp_path, capsys):
-    text = ('identity broken ; params a ; lhs theta(a) / (a - a) ; rhs theta(a) ;'
+    text = ('identity broken ; params a ;\n  lhs theta(a) / (a - a) ; rhs theta(a) ;'
             ' source "divides by zero on purpose"')
     bad = tmp_path / "bad.qid"
     bad.write_text(text, encoding="utf-8")
@@ -130,9 +142,8 @@ def test_verify_error_exit_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("FAIL broken ")
-    # Tree positions are offsets into the file: this one is the '/'.
-    assert ("error: division by zero (at offset %d)" % text.index("/")
-            in out.splitlines()[0])
+    # Tree positions are offsets into the file, reported as its line.
+    assert "error: %s:2: division by zero" % bad in out.splitlines()[0]
 
 
 def test_text_and_json_agree_on_outcome(tmp_path, capsys):

@@ -93,7 +93,16 @@ def test_duplicate_name_rejected(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(RegistryError,
-                       match=re.escape("%s: duplicate identity name 'jacobi'" % path)):
+                       match=re.escape("%s:1: duplicate identity name 'jacobi'" % path)):
+        load_registry([str(path)])
+    # The line is the repeated record's, in a file that repeats its own name.
+    path.write_text(
+        'identity mine ; params a ; lhs theta(a) ; rhs theta(a) ; source "x"\n\n'
+        '# again\nidentity mine ;\n  params a ; lhs theta(a) ; rhs theta(a) ; source "x"\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(RegistryError,
+                       match=re.escape("%s:4: duplicate identity name 'mine'" % path)):
         load_registry([str(path)])
 
 

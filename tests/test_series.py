@@ -116,10 +116,8 @@ def test_invert_zero_rejected():
 
 
 def test_divide_matches_mul_invert():
-    # mul(x, invert(y)) == divide(x, y) as stored series, precision included:
-    # Gauss-Jordan elimination relies on it when it inverts each pivot once.
-    # Leading numerators both below and above 2^32 are drawn (`paths`), like
-    # the small and the big pivots gauss_solve meets.
+    # mul(x, invert(y)) == divide(x, y) as stored series, precision included.
+    # Leading numerators both below and above 2^32 are drawn (`paths`).
     rng = random.Random(7)
     for _ in range(40):
         x = _rand_series(rng)
