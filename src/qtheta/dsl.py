@@ -171,7 +171,7 @@ _BUILTINS = {
     "ThetaK": _Builtin("S", ("I", "S", "S"), lambda k, a, b, p: sums.thetak(k, a, b, p),
                        lambda o, n: sums.thetak_dip(n[0], o[1], o[2])),
     "T": _Builtin("S", ("S",), lambda a, p: sums.tsum(a, p),
-                  lambda o, n: theta_dip(o[0] - 1)),
+                  lambda o, n: sums.t_dip(o[0])),
     "binom2": _Builtin("I", ("I",), lambda n: n * (n - 1) // 2, lambda o, n: 0),
 }
 _RESERVED = set(_BUILTINS) | {"q", "inf", "sum"}

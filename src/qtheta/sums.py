@@ -317,6 +317,14 @@ def thetak(k, a, b, prec):
     return se.cap(se.sub(half(av, bv), half(bv, av)), prec)
 
 
+def t_dip(d):
+    """How far below q^0 T(q,a) can reach for ord(a) = d: the lower of its
+    two products' order bounds.  The first numerator has order
+    >= min(d, 2d, 2) over a unit, and the second min(d+1, 2d, 4) over a*q."""
+    return max(0, theta_dip(d) - min(d, 2 * d, 2),
+               theta_dip(d - 1) - min(0, d - 1, 3 - d))
+
+
 def tsum(a, prec):
     """T(a) = (a-a^2+aq-q^2)/(1+q+q^2) theta(q,a)
     + (aq-a^2+aq^2-q^4)/(aq) theta(q,a/q)."""
