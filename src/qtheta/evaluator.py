@@ -39,15 +39,20 @@ from . import sums
 from .dsl import (_BUILTINS, INF, BinOp, Call, Lit, Neg, Pow, Ref, Sum, _arg_sorts,
                   free_params, int_value, render)
 from .kernels import (
+    _EXACT,
     QMonomial,
+    QRational,
     as_value,
     ord_of,
     ratio_orders,
     ratio_stop,
     ratio_terms,
     to_series,
+    _val_add,
+    _val_inv,
     _val_mul,
     _val_neg,
+    _val_pow,
     _val_shift,
 )
 from .series import LaurentSeries
@@ -163,7 +168,10 @@ class _Evaluator:
 
     # series sort ---------------------------------------------------------------
 
-    def value(self, node, ienv):
+    def value(self, node, ienv, exact=False):
+        """A series-sort node's value.  ``exact`` (builtin arguments and
+        derived bindings) keeps + and - of exact values exact, as a
+        QRational where needed; otherwise a QRational binding is a series."""
         if isinstance(node, Lit):
             return as_value(node.value)
         if isinstance(node, Ref):
@@ -172,35 +180,31 @@ class _Evaluator:
             if node.name in ienv:
                 return as_value(ienv[node.name])
             try:
-                v = self.binding[node.name]
+                v = as_value(self.binding[node.name])
             except KeyError:
                 raise EvalError("unbound parameter %r" % node.name, node.pos) from None
-            return as_value(v)
+            return to_series(v, self.prec) if isinstance(v, QRational) and not exact else v
         if isinstance(node, Neg):
-            return _val_neg(self.value(node.operand, ienv))
+            return _val_neg(self.value(node.operand, ienv, exact))
         if isinstance(node, BinOp):
             if node.op in "*/":
-                return self.product(_mul_factors(node), ienv)
-            a = self.value(node.left, ienv)
-            b = self.value(node.right, ienv)
-            if isinstance(a, QMonomial) and isinstance(b, QMonomial):
-                if a.coef == 0 or b.coef == 0 or a.exp == b.exp:
-                    e = b.exp if a.coef == 0 else a.exp
-                    c = a.coef + b.coef if node.op == "+" else a.coef - b.coef
-                    return QMonomial(c, e)
+                return self.product(_mul_factors(node), ienv, exact)
+            a = self.value(node.left, ienv, exact)
+            b = self.value(node.right, ienv, exact)
+            if isinstance(a, _EXACT) and isinstance(b, _EXACT) and (
+                    exact or a.coef == 0 or b.coef == 0 or a.exp == b.exp):
+                return _val_add(a, b if node.op == "+" else _val_neg(b))
             p = max((x.prec for x in (a, b) if isinstance(x, LaurentSeries)),
                     default=self.prec)
             sa, sb = to_series(a, p), to_series(b, p)
             return se.add(sa, sb) if node.op == "+" else se.sub(sa, sb)
         if isinstance(node, Pow):
             n = int_value(node.exp, ienv)
-            v = self.value(node.base, ienv)
-            if isinstance(v, QMonomial):
-                if v.coef == 0:
-                    if n < 0:
-                        raise EvalError("zero raised to a negative power", node.pos)
-                    return QMonomial(Fraction(1), 0) if n == 0 else v
-                return QMonomial(v.coef ** n, v.exp * n)
+            v = self.value(node.base, ienv, exact)
+            if isinstance(v, _EXACT):
+                if n < 0 and ord_of(v) is None:
+                    raise EvalError("zero raised to a negative power", node.pos)
+                return _val_pow(v, n)
             try:
                 return se.pow_int(v, n)
             except QThetaError as exc:
@@ -211,7 +215,7 @@ class _Evaluator:
             return self.sum(node, ienv)
         raise TypeError("unknown node %r" % (node,))
 
-    def product(self, factors, ienv):
+    def product(self, factors, ienv, exact=False):
         """The product of (factor, div_pos) pairs from _mul_factors.  The
         first infinite Sum multiplier starts at the product of the other
         multipliers of q-order 0 that do not mention its index (see
@@ -227,24 +231,20 @@ class _Evaluator:
             xs[s] = self.sum(node, ienv, [(factors[i][0], xs.pop(i)) for i in fold])
         v = _ONE
         for i, (f, div_pos) in enumerate(factors):
-            x = self.value(f, ienv) if s is None else xs.get(i)
+            x = self.value(f, ienv, exact) if s is None else xs.get(i)
             if x is not None:
                 v = _val_mul(v, x) if div_pos is None else self.div(v, x, div_pos)
         return v
 
     def div(self, a, b, pos):
-        if isinstance(b, QMonomial):
-            if b.coef == 0:
+        if isinstance(b, _EXACT):
+            if ord_of(b) is None:
                 raise EvalError("division by zero", pos)
-            if isinstance(a, QMonomial):
-                # An exact zero quotient has exponent 0, as _val_mul's has.
-                return QMonomial(a.coef / b.coef, a.exp - b.exp if a.coef else 0)
-            return se.mul_monomial(a, 1 / b.coef, -b.exp)
+            return _val_mul(a, _val_inv(b))
         try:
-            if isinstance(a, QMonomial):
+            if isinstance(a, _EXACT):
                 # Also an exact zero dividend: a divisor zero to precision raises.
-                inv = se.invert(b)
-                return se.mul_monomial(inv, a.coef, a.exp) if a.coef else QMonomial(Fraction(0), 0)
+                return _val_mul(a, se.invert(b))
             return se.divide(a, b)
         except QThetaError as exc:
             raise EvalError(str(exc), pos) from exc
@@ -253,8 +253,9 @@ class _Evaluator:
         """The memo key of a series-sort builtin call: its name and its
         evaluated arguments."""
         if node.name == "phi":
-            return node.name, tuple(tuple(self.value(x, ienv) for x in g) for g in node.groups)
-        return node.name, tuple(int_value(a, ienv) if sort == "I" else self.value(a, ienv)
+            return node.name, tuple(tuple(self.value(x, ienv, True) for x in g)
+                                    for g in node.groups)
+        return node.name, tuple(int_value(a, ienv) if sort == "I" else self.value(a, ienv, True)
                                 for a, sort in _arg_sorts(node))
 
     def call(self, node, ienv):
@@ -532,5 +533,6 @@ def evaluate(ast, binding, prec):
 
 
 def evaluate_value(ast, binding, prec):
-    """Like evaluate, but keeps exact monomials exact (QMonomial)."""
-    return _Evaluator(binding, prec).value(ast, {})
+    """Like evaluate, but keeps an exact result exact, as a builtin argument
+    is: a QMonomial, or a QRational where one is needed."""
+    return _Evaluator(binding, prec).value(ast, {}, True)

@@ -1,7 +1,8 @@
 """Primitive q-functions over exact series arguments.
 
-Every kernel takes a target precision.  Arguments may be exact scalars
-(int, Fraction, :class:`QMonomial`) or :class:`LaurentSeries` values.
+Every kernel takes a target precision.  Arguments may be exact values
+(int, Fraction, :class:`QMonomial`, :class:`QRational`) or
+:class:`LaurentSeries` values.
 Exact arguments are embedded at whatever internal precision the requested
 target demands, so results built purely from exact data always reach the
 requested precision; series arguments propagate their own precision
@@ -28,17 +29,22 @@ every later term made from it still reaches the target top, and no
 coefficient below top changes.  This is "compute only what is needed" in
 the sense of van der Hoeven's relaxed series, derived statically.
 
-Exact arguments also choose the arithmetic.  A factor 1 - c*q^e with
-exact c is a two-term integer update of a coefficient block over one
-shared denominator (``_times_one_minus``, used by ``qpoch_capped`` and
-``ratio_terms``), and a division by it is an integer recurrence
-(``_over_one_minus``); the block is normalized once per result or term.
-One such step on a raw term is ``_exact_step``, which ``sums._pfamily``
-also takes for the step between shifted P_m members.
-Both build only the entries they keep: the update stops at the cap, and
-a division whose shift e reaches past the block returns it unchanged.
-Series arguments go through the ring operations of ``series``.  The two
-give structurally equal results, with the same precisions and errors.
+Exact arguments also choose the arithmetic.  There are two exact kinds:
+the monomial c*q^e (QMonomial) and N(q)/D(q) with sparse integer
+polynomials N and D (QRational), which the evaluator makes for derived
+bindings and builtin arguments.  A factor 1 - v*q^e with v = N/(s*D) is
+F/(s*D) with the integer polynomial F = s*D - N*q^e.  On a raw term, a
+coefficient block over one shared denominator, it is one sparse multiply
+(``_times_sparse``) and one sparse exact divide (``_over_sparse``), and
+the term is normalized once: that step is ``_exact_step``, which
+``ratio_terms`` takes when z and every factor value are exact and
+``sums._pfamily`` takes between shifted P_m members; ``qpoch_capped``
+takes the multiply.  For a monomial F has two terms, and the multiply and
+divide are the two-term update and recurrence.  Both build only the
+entries they keep: the update stops at the cap, and a division whose
+terms reach past the block returns it unchanged.  Series arguments go
+through the ring operations of ``series``; on monomials the two give
+structurally equal results, with the same precisions and errors.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd, lcm
 
 from .errors import (
     DegenerateParameterError,
@@ -58,6 +65,7 @@ from .series import LaurentSeries
 
 __all__ = [
     "QMonomial",
+    "QRational",
     "as_value",
     "to_series",
     "qpoch_finite",
@@ -77,9 +85,136 @@ class QMonomial:
     exp: int = 0
 
 
+@dataclass(frozen=True)
+class QRational:
+    """An exact value N(q)/D(q) that is not a monomial.
+
+    ``num`` and ``den`` are sparse integer polynomials, ((exponent,
+    coefficient), ...) lowest exponent first with no zero coefficient: N
+    may have negative exponents, D has none and a positive constant term.
+    N and D are coprime in Q[q] and their coefficients have no common
+    factor, so the form is canonical: equal values are equal and hash
+    equal, and a value can key a memo.  ``_exact`` makes every instance.
+    """
+
+    num: tuple
+    den: tuple
+
+
+_EXACT = (QMonomial, QRational)
+_ONE = QMonomial(Fraction(1), 0)
+_ZERO = QMonomial(Fraction(0), 0)
+
+
+# -- sparse polynomials: ((exponent, coefficient), ...), lowest exponent first --
+
+
+def _poly(terms):
+    """The sparse polynomial sum of (exponent, coefficient) terms."""
+    out = {}
+    for e, c in terms:
+        out[e] = out.get(e, 0) + c
+    return tuple(sorted((e, c) for e, c in out.items() if c))
+
+
+def _poly_mul(a, b):
+    return _poly((e + f, c * d) for e, c in a for f, d in b)
+
+
+def _poly_shift(a, k):
+    return tuple((e + k, c) for e, c in a)
+
+
+def _dense(a):
+    """The polynomial a, free of its q-power, as a dense Fraction list."""
+    out = [Fraction(0)] * (a[-1][0] - a[0][0] + 1)
+    for e, c in a:
+        out[e - a[0][0]] = Fraction(c)
+    return out
+
+
+def _divmod(a, b):
+    """(quotient, remainder) of dense Fraction lists a and b."""
+    a, quo = list(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for k in reversed(range(len(quo))):
+        quo[k] = f = a[k + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            a[k + i] -= f * c
+    del a[len(b) - 1:]
+    while a and not a[-1]:
+        a.pop()
+    return quo, a
+
+
+def _exact(num, den, coprime=False):
+    """The canonical exact value num/den of sparse polynomials (den nonzero):
+    a QMonomial for a quotient of two single terms, else a QRational.
+    ``coprime`` says that num and den share no factor but q."""
+    if not num:
+        return _ZERO
+    num, den = _poly_shift(num, -den[0][0]), _poly_shift(den, -den[0][0])
+    if len(num) > 1 and len(den) > 1 and not coprime:
+        a, b = _dense(num), _dense(den)
+        while b:
+            a, b = b, _divmod(a, b)[1]
+        if len(a) > 1:
+            qn, qd = _divmod(_dense(num), a)[0], _divmod(_dense(den), a)[0]
+            num = tuple((num[0][0] + e, c) for e, c in enumerate(qn) if c)
+            den = tuple((e, c) for e, c in enumerate(qd) if c)
+    cs = [Fraction(c) for _, c in num + den]
+    m = lcm(*(c.denominator for c in cs))
+    cs = [int(c * m) for c in cs]
+    g = gcd(*cs) * (1 if cs[len(num)] > 0 else -1)
+    num = tuple((e, c // g) for (e, _), c in zip(num, cs))
+    den = tuple((e, c // g) for (e, _), c in zip(den, cs[len(num):]))
+    if len(num) == 1 and len(den) == 1:
+        return QMonomial(Fraction(num[0][1], den[0][1]), num[0][0])
+    return QRational(num, den)
+
+
+def _parts(v):
+    """(N, D) of an exact value as sparse integer polynomials."""
+    if isinstance(v, QRational):
+        return v.num, v.den
+    c = v.coef
+    return ((v.exp, c.numerator),), ((0, c.denominator),)
+
+
+def _val_add(x, y):
+    """x + y for exact values: exact monomials of one exponent (or a zero)
+    add as QMonomials, with the exponent the evaluator has always given."""
+    if isinstance(x, QMonomial) and isinstance(y, QMonomial):
+        if x.coef == 0 or y.coef == 0 or x.exp == y.exp:
+            return QMonomial(x.coef + y.coef, y.exp if x.coef == 0 else x.exp)
+    (nx, dx), (ny, dy) = _parts(x), _parts(y)
+    return _exact(_poly(_poly_mul(nx, dy) + _poly_mul(ny, dx)), _poly_mul(dx, dy))
+
+
+def _val_inv(v):
+    """1/v for a nonzero exact value."""
+    if isinstance(v, QMonomial):
+        return QMonomial(1 / v.coef, -v.exp)
+    return _exact(v.den, v.num, coprime=True)
+
+
+def _val_pow(v, n):
+    """v**n for an exact value; n < 0 needs v nonzero."""
+    if n < 0:
+        v, n = _val_inv(v), -n
+    if isinstance(v, QMonomial):
+        if v.coef == 0:
+            return _ONE if n == 0 else v
+        return QMonomial(v.coef ** n, v.exp * n)
+    num, den = ((0, 1),), ((0, 1),)
+    for _ in range(n):
+        num, den = _poly_mul(num, v.num), _poly_mul(den, v.den)
+    return _exact(num, den, coprime=True)
+
+
 def as_value(x):
-    """Normalize an argument to QMonomial (exact) or LaurentSeries."""
-    if isinstance(x, LaurentSeries):
+    """Normalize an argument to an exact value (QMonomial, QRational) or a
+    LaurentSeries."""
+    if isinstance(x, (LaurentSeries, QRational)):
         return x
     if isinstance(x, QMonomial):
         return QMonomial(Fraction(x.coef), x.exp)
@@ -91,6 +226,8 @@ def to_series(x, prec):
     v = as_value(x)
     if isinstance(v, LaurentSeries):
         return v
+    if isinstance(v, QRational):
+        return _mul_value(se.one(max(1, prec - v.num[0][0])), v)
     if v.coef == 0:
         return se.zero(prec)
     return se.monomial(v.coef, v.exp, max(prec, v.exp + 1))
@@ -100,38 +237,51 @@ def ord_of(v):
     """q-order of a value, or None when it is zero (to precision)."""
     if isinstance(v, QMonomial):
         return v.exp if v.coef else None
+    if isinstance(v, QRational):
+        return v.num[0][0]
     return v.order()
 
 
 def _val_shift(v, k):
     if isinstance(v, QMonomial):
         return QMonomial(v.coef, v.exp + k)
+    if isinstance(v, QRational):
+        return QRational(_poly_shift(v.num, k), v.den)
     return se.shift(v, k)
 
 
 def _val_mul(x, y):
     if isinstance(x, QMonomial) and isinstance(y, QMonomial):
         c = x.coef * y.coef
-        return QMonomial(c, x.exp + y.exp) if c else QMonomial(Fraction(0), 0)
-    if isinstance(x, QMonomial):
-        return se.mul_monomial(y, x.coef, x.exp) if x.coef else QMonomial(Fraction(0), 0)
+        return QMonomial(c, x.exp + y.exp) if c else _ZERO
+    if isinstance(x, _EXACT) and isinstance(y, _EXACT):
+        (nx, dx), (ny, dy) = _parts(x), _parts(y)
+        # A monomial factor shares no factor but q with the other's D.
+        mono = isinstance(x, QMonomial) or isinstance(y, QMonomial)
+        return _exact(_poly_mul(nx, ny), _poly_mul(dx, dy), coprime=mono)
+    if isinstance(x, _EXACT):
+        x, y = y, x
     if isinstance(y, QMonomial):
-        return se.mul_monomial(x, y.coef, y.exp) if y.coef else QMonomial(Fraction(0), 0)
-    return se.mul(x, y)
+        return se.mul_monomial(x, y.coef, y.exp) if y.coef else _ZERO
+    return _mul_value(x, y) if isinstance(y, QRational) else se.mul(x, y)
 
 
 def _val_neg(v):
     if isinstance(v, QMonomial):
         return QMonomial(-v.coef, v.exp)
+    if isinstance(v, QRational):
+        return QRational(tuple((e, -c) for e, c in v.num), v.den)
     return se.neg(v)
 
 
 def _mul_value(t, v):
-    """Series t times value v; exact monomials multiply without precision loss."""
+    """Series t times value v; exact values multiply without precision loss."""
     if isinstance(v, QMonomial):
         if v.coef == 0:
             return se.zero(t.prec + v.exp)
         return se.mul_monomial(t, v.coef, v.exp)
+    if isinstance(v, QRational):
+        return _exact_step(t, (), (), 0, 0, _raw_z(v)[0], None)
     return se.mul(t, v)
 
 
@@ -156,6 +306,8 @@ def one_minus(v, k, prec):
     """The factor 1 - v*q^k as a series of precision >= prec (exact v)."""
     if isinstance(v, LaurentSeries):
         return se.sub(se.one(v.prec + k), se.shift(v, k))
+    if isinstance(v, QRational):
+        return to_series(_exact(_one_minus_poly(v.num, v.den, k), v.den, coprime=True), prec)
     if v.coef == 0:
         return se.one(prec)
     e = v.exp + k
@@ -178,7 +330,8 @@ def _factor(t, v, d, k):
 def _check_poch_invertible(v, n, what):
     """Eagerly reject (v;q)_n denominators with a vanishing factor."""
     d = ord_of(v)
-    if d is None or d > 0:
+    if d is None or d > 0 or isinstance(v, QRational):
+        # 1 - v*q^i of a QRational v, never a monomial, never vanishes.
         return
     i = -d
     if n is not None and i >= n:
@@ -199,40 +352,71 @@ def _check_poch_invertible(v, n, what):
 # -- q-shifted factorials -----------------------------------------------------
 
 
-def _times_one_minus(num, lo, cn, cd, e, top):
-    """The block num at q^lo times cd - cn*q^e, kept below q^top: the
-    two-term update num'[j] = cd*num[j] - cn*num[j-e], computed only for
-    the kept j.  Returns (num', lo')."""
-    if e < 0:
-        # cd - cn*q^e = q^e * (-cn - (-cd)*q^-e)
-        lo += e
-        cn, cd, e = -cd, -cn, -e
-    keep = max(0, min(len(num) + e, top - lo))
-    out = [cd * a for a in num[:keep]]
+def _one_minus_poly(num, den, e):
+    """den - num*q^e: the factor 1 - (num/den)*q^e times den, for sparse
+    integer polynomials, with its zero terms dropped."""
+    return _poly(den + tuple((f + e, -c) for f, c in num))
+
+
+def _split(poly):
+    """A nonzero sparse polynomial as (e0, c0, rest): its lowest term
+    c0*q^e0, and its other terms as (exponent - e0, coefficient)."""
+    (e0, c0), *rest = poly
+    return e0, c0, tuple((e - e0, c) for e, c in rest)
+
+
+def _times_sparse(num, lo, poly, top):
+    """The block num at q^lo times the split polynomial poly, kept below
+    q^top: out = c0*num, then out[e:] += c*num for each other term c*q^e,
+    computed only for the kept entries.  For a factor cd - cn*q^e this is
+    the two-term update num'[j] = cd*num[j] - cn*num[j-e].  Returns
+    (out, lo')."""
+    e0, c0, rest = poly
+    lo += e0
+    n = len(num)
+    keep = max(0, min(n + (rest[-1][0] if rest else 0), top - lo))
+    out = [c0 * a for a in num[:keep]]
     out += [0] * (keep - len(out))
-    out[e:] = [a - cn * b for a, b in zip(out[e:], num)]
+    for e, c in rest:
+        out[e:e + n] = [a + c * b for a, b in zip(out[e:e + n], num)]
     return out, lo
 
 
-def _over_one_minus(num, cn, cd, e):
-    """num / (1 - (cn/cd)*q^e) for e > 0, to len(num) terms, as (s, m) with
-    quotient s/cd^m and m = (len(num)-1)//e.  One scaling pass:
-    s_j = num_j*cd^m + cn*(s_(j-e) // cd) is the quotient times cd^m.  The
-    division is exact, because quotient coefficient j - e has denominator
-    cd^((j-e)//e), so s_(j-e) carries cd^(m - (j-e)//e), at least cd.  For
-    e >= len(num) the quotient is num itself, with m = 0."""
-    if e >= len(num):
+def _over_sparse(num, y0, rest):
+    """num / (1 + sum_r (c_r/y0) q^(e_r)) to len(num) terms, for the terms
+    rest = ((e_r, c_r), ...) of a split polynomial with lowest term y0, as
+    (s, m) with quotient s/y0^m and m = (len(num)-1)//e_1.  One scaling
+    pass: s_j = num_j*y0^m - sum_r c_r*(s_(j-e_r) // y0) is the quotient
+    times y0^m.  The division is exact, because quotient coefficient
+    j - e_r has denominator y0^((j-e_r)//e_1), so s_(j-e_r) carries
+    y0^(m - (j-e_r)//e_1), at least y0.  For cd - cn*q^e this is
+    s_j = num_j*cd^m + cn*(s_(j-e) // cd).  When no term reaches back
+    into num the quotient is num itself, with m = 0."""
+    if not rest or rest[0][0] >= len(num):
         return num, 0
+    e = rest[0][0]
     m = (len(num) - 1) // e
-    if cd == 1:
-        s = list(num)
+    if len(rest) == 1:
+        cn = -rest[0][1]
+        if y0 == 1:
+            s = list(num)
+            for j in range(e, len(s)):
+                s[j] += cn * s[j - e]
+            return s, m
+        c = y0 ** m
+        s = [a * c for a in num]
         for j in range(e, len(s)):
-            s[j] += cn * s[j - e]
+            s[j] += cn * (s[j - e] // y0)
         return s, m
-    c = cd ** m
+    c = y0 ** m
     s = [a * c for a in num]
     for j in range(e, len(s)):
-        s[j] += cn * (s[j - e] // cd)
+        v = s[j]
+        for f, cf in rest:
+            if f > j:
+                break
+            v -= cf * (s[j - f] // y0)
+        s[j] = v
     return s, m
 
 
@@ -252,7 +436,9 @@ def qpoch_finite(x, n, prec, step=1):
         # The whole product lies below q^(top+1), so nothing is dropped.
         top = sum(max(0, v.exp + step * i) for i in range(n))
         return qpoch_capped(v, n, max(prec, top + 1), step)
-    *_, acc = ratio_terms([(v, step, 0)], [], QMonomial(Fraction(1), 0), 0, se.one(v.prec), n + 1)
+    p = v.prec if isinstance(v, LaurentSeries) else max(prec, 1) - sum(
+        min(0, ord_of(v) + step * i) for i in range(n))
+    *_, acc = ratio_terms([(v, step, 0)], [], _ONE, 0, se.one(p), n + 1)
     return acc
 
 
@@ -263,22 +449,22 @@ def qpoch_capped(x, n, prec, step=1):
     two-term integer update num'[j] = cd*num[j] - cn*num[j-f] over the
     shared denominator cd^n; before the next factor every exponent at or
     above prec - suffix is dropped, where suffix <= 0 is the q-order the
-    remaining factors can still add.  Series arguments, empty products
-    and invalid lengths or steps go through qpoch_finite.
+    remaining factors can still add.  Other arguments (series, QRational),
+    empty products and invalid lengths or steps go through qpoch_finite.
     """
     v = as_value(x)
     if not isinstance(v, QMonomial) or n <= 0 or step < 1:
         return se.cap(qpoch_finite(v, n, prec, step), prec)
-    c, e = v.coef, v.exp
-    if c == 0:
+    if v.coef == 0:
         return se.one(max(prec, 1))
-    cn, cd = c.numerator, c.denominator
-    suffix = sum(min(0, e + step * i) for i in range(n))
+    fs, cd, _ = _raw_factor(v, step, 0, n)
+    suffix = sum(min(0, v.exp + step * i) for i in range(n))
     num, lo = [1], 0
-    for i in range(n):
-        f = e + step * i
-        suffix -= min(0, f)
-        num, lo = _times_one_minus(num, lo, cn, cd, f, prec - suffix)
+    for i, f in enumerate(fs):
+        suffix -= min(0, v.exp + step * i)
+        if f is None:
+            return se.zero(prec)
+        num, lo = _times_sparse(num, lo, f, prec - suffix)
     return se._make(lo, num, cd ** n, prec)
 
 
@@ -293,7 +479,7 @@ def qpoch_infinite(x, prec):
     v = as_value(x)
     if ord_of(v) is None:
         return se.one(prec if isinstance(v, QMonomial) else min(prec, v.prec))
-    return ratio_sum([], [(QMonomial(Fraction(1), 0), 1, 1, "(q;q)_n")], v, 1, prec)
+    return ratio_sum([], [(_ONE, 1, 1, "(q;q)_n")], v, 1, prec)
 
 
 def qpoch_multi(xs, prec):
@@ -337,10 +523,10 @@ def theta_full(x, prec):
     if ord_of(v) is None:
         raise DomainError("theta_full needs an invertible (nonzero) argument")
     # The terms n = -k < 0 sum to theta_partial(q/x) - 1.
-    if isinstance(v, QMonomial):
-        qx = QMonomial(1 / v.coef, 1 - v.exp)
-    else:
+    if isinstance(v, LaurentSeries):
         qx = se.shift(se.invert(v), 1)
+    else:
+        qx = _val_shift(_val_inv(v), 1)
     return se.sub(se.add(theta_partial(v, prec), theta_partial(qx, prec)), se.one(prec))
 
 
@@ -350,10 +536,14 @@ def theta_full(x, prec):
 def _lift(v):
     """How far the denominator factor 1 - v*q^e, e = -ord(v), rises above
     its order bound min(0, ord(v) + e) = 0: its order when v is a series
-    with leading coefficient 1, else 0.  A factor that vanishes to
-    precision counts 0; ratio_terms raises on it."""
+    or a QRational with leading coefficient 1, else 0.  A factor that
+    vanishes to precision counts 0; ratio_terms raises on it."""
     d = ord_of(v)
-    if isinstance(v, QMonomial) or d is None or v.coeff(d) != 1:
+    if isinstance(v, QMonomial) or d is None:
+        return 0
+    if isinstance(v, QRational):
+        return _one_minus_poly(v.num, v.den, -d)[0][0] if v.num[0][1] == v.den[0][1] else 0
+    if v.coeff(d) != 1:
         return 0
     return ord_of(one_minus(v, -d, v.prec)) or 0
 
@@ -429,76 +619,134 @@ def ratio_terms(num, den, z, sr, t0, n, top=None):
             low = min(low, cums[k])
             caps[k] = top + cums[k] - low
         t0 = se.cap(t0, caps[0])
-    if isinstance(z, QMonomial) and all(isinstance(f[0], QMonomial) for f in num + den):
+    if isinstance(z, _EXACT) and all(isinstance(f[0], _EXACT) for f in num + den):
         return _exact_terms(num, den, z, sr, t0, n, caps)
     return _ring_terms(num, den, z, sr, t0, n, caps)
 
 
-def _raw_factors(num, den):
+def _raw_factor(v, i, j, n):
+    """(F, s, D) for the factor 1 - v*q^(i*k+j) of an exact nonzero value
+    v = N/(s*D), D primitive: F[k] is sD - N*q^(i*k+j), split (None for
+    zero), for k < n, and D is split, or None for D = 1."""
+    if isinstance(v, QMonomial):
+        cn, cd = v.coef.numerator, v.coef.denominator
+        return [(0, cd, ((e, -cn),)) if e > 0 else (e, -cn, ((-e, cd),)) if e
+                else (0, cd - cn, ()) if cd != cn else None
+                for e in range(v.exp + j, v.exp + j + i * n, i)], cd, None
+    s = gcd(*(c for _, c in v.den))
+    return ([_split(_one_minus_poly(v.num, v.den, i * k + j)) for k in range(n)], s,
+            _split(tuple((e, c // s) for e, c in v.den)))
+
+
+def _raw_factors(num, den, n):
     """The factor lists of ratio_terms, with exact values, as the raw
-    tuples of _exact_step: (cn, cd, ve, i, j) for 1 - (cn/cd) q^(ve+i*k+j),
-    and (cn, cd, ve, i, j, what) in ``den``.  A zero value is the factor 1
-    and is left out."""
-    return ([(v.coef.numerator, v.coef.denominator, v.exp, i, j) for v, i, j in num if v.coef],
-            [(v.coef.numerator, v.coef.denominator, v.exp, i, j, what)
-             for v, i, j, what in den if v.coef])
+    tuples of _exact_step for steps k < n: (F, s, D, i, j) for
+    1 - v*q^(i*k+j) (see _raw_factor), and (F, s, D, what, i, j) in
+    ``den``.  A polynomial D that a numerator and a denominator factor
+    share cancels, once, and both carry None.  A zero value is the factor
+    1 and is left out."""
+    num = [_raw_factor(v, i, j, n) + (i, j) for v, i, j in num
+           if isinstance(v, QRational) or v.coef]
+    den = [_raw_factor(v, i, j, n) + (what, i, j) for v, i, j, what in den
+           if isinstance(v, QRational) or v.coef]
+    free = [f[2] for f in den if f[2]]
+    for a, f in enumerate(num if free else ()):
+        if f[2] in free:
+            free.remove(f[2])
+            b = next(b for b, g in enumerate(den) if g[2] == f[2])
+            num[a] = f[:2] + (None,) + f[3:]
+            den[b] = den[b][:2] + (None,) + den[b][3:]
+    return num, den
 
 
-def _exact_step(t, num, den, k, shift, zn, zd, cap):
+def _raw_z(z, sign=1):
+    """sign*z as the (c, N, s, D) of _exact_step, and an exponent: for a
+    monomial its coefficient numerator c, N None and its exponent; else N
+    split and 0.  z = N/(s*D) as in _raw_factor."""
+    if isinstance(z, QMonomial):
+        return (sign * z.coef.numerator, None, z.coef.denominator, None), z.exp
+    s = gcd(*(c for _, c in z.den))
+    return (None, _split(tuple((e, sign * c) for e, c in z.num)), s,
+            _split(tuple((e, c // s) for e, c in z.den))), 0
+
+
+def _over_poly(T, P, lo, D, poly):
+    """The block T at q^lo over D, of precision P, divided by the split
+    polynomial poly (lowest term y0 > 0 at q^0): (T', D')."""
+    T += [0] * (P - lo - len(T))
+    T, m = _over_sparse(T, poly[1], poly[2])
+    return T, D * poly[1] ** (m + 1)
+
+
+def _exact_step(t, num, den, k, shift, z, cap):
     """Step k of an exact ratio on the raw term (lo, T, D, P) of t: t times
-    the factors of ``num``, times (zn/zd) q^shift, over the factors of
-    ``den`` (_raw_factors' lists, with exponents at k), with the precision
-    lowered to ``cap`` (None: not lowered).  Normalized once."""
+    the factors of ``num``, times z q^shift, over the factors of ``den``
+    (_raw_factors' lists; z from _raw_z), with the precision lowered to
+    ``cap`` (None: not lowered).  Each factor 1 - v*q^e with v = N/(s*D)
+    is F/(sD), F = sD - N*q^e: one sparse multiply of T by F or D, and one
+    sparse exact divide by D or F, with no divide for a D of 1 or a
+    cancelled one; for a monomial v they are the two-term update and
+    recurrence of _times_sparse and _over_sparse.  Normalized once."""
     lo, T, D, P = t.min_exp, list(t._num), t._den, t.prec
-    for cn, cd, ve, i, j in num:
-        e = ve + i * k + j
-        if e == 0 and cn == cd:
+    for F, s, dp, i, j in num:
+        f = F[k]
+        if f is None:
             # mul by the zero factor O(q^(P - min(0, ord t) + 4)) of _factor.
             P += 4 + max(0, lo if T else P)
             T = []
             continue
         if T:
-            T, lo = _times_one_minus(T, lo, cn, cd, e, P + min(0, e))
-            D *= cd
-        P += min(0, e)
+            T, lo = _times_sparse(T, lo, f, P + f[0])
+            D *= s
+        P += f[0]
+        if dp and T:
+            T, D = _over_poly(T, P, lo, D, dp)
+    zc, zn, zs, zd = z
     lo += shift
     P += shift
-    if zn != 1:
-        T = [zn * a for a in T] if zn else []
-    D *= zd
-    for cn, cd, ve, i, j, what in den:
-        e = ve + i * k + j
-        if e == 0 and cn == cd:
+    if zn is None:
+        if zc != 1:
+            T = [zc * a for a in T] if zc else []
+    else:
+        T, lo = _times_sparse(T, lo, zn, P + zn[0])
+        P += zn[0]
+    D *= zs
+    if zd and T:
+        T, D = _over_poly(T, P, lo, D, zd)
+    for F, s, dp, what, i, j in den:
+        f = F[k]
+        if f is None:
             raise DegenerateParameterError(
                 "%s: factor 1 - v*q^%d vanishes" % (what, i * k + j))
-        if e < 0:
-            # 1 - c*q^e = -c*q^e * (1 - q^-e/c)
-            lo -= e
-            P -= e
-            if cd != 1:
-                T = [cd * a for a in T]
-            D *= -cn
-            cn, cd, e = cd, cn, -e
+        # sD/f = q^-e (s/y0) D / (f/(y0 q^e)), with y0 q^e the lowest term of f.
+        e, y0, rest = f
+        lo -= e
+        P -= e
         if not T:
             continue
-        if e == 0:
-            T = [cd * a for a in T]
-            D *= cd - cn
-        else:
+        if rest:
             T += [0] * (P - lo - len(T))
-            T, m = _over_one_minus(T, cn, cd, e)
-            D *= cd ** m
+            T, m = _over_sparse(T, y0, rest)
+            D *= y0 ** m
+        if dp:
+            T = _times_sparse(T, lo, dp, P)[0]
+        if s != y0:
+            T = [s * a for a in T]
+            D *= y0
     if cap is not None:
         P = min(P, cap)
     return se._make(lo, T, D, P)
 
 
+_RAW_ONE = _raw_z(_ONE)[0]
+
+
 def _exact_terms(num, den, z, sr, t, n, caps):
-    num, den = _raw_factors(num, den)
-    zn = -z.coef.numerator if sr % 2 else z.coef.numerator
+    num, den = _raw_factors(num, den, n - 1)
+    z, shift = _raw_z(z, -1 if sr % 2 else 1)
     yield t
     for k in range(n - 1):
-        t = _exact_step(t, num, den, k, z.exp + sr * k, zn, z.coef.denominator, caps[k + 1])
+        t = _exact_step(t, num, den, k, shift + sr * k, z, caps[k + 1])
         yield t
 
 
@@ -579,7 +827,7 @@ def bhs(upper, lower, z, prec):
         )
     return ratio_sum(
         [(u, 1, 0) for u in ups],
-        [(QMonomial(Fraction(1), 0), 1, 1, "bhs: (q;q)_k")]
+        [(_ONE, 1, 1, "bhs: (q;q)_k")]
         + [(l, 1, 0, "singular lower parameter") for l in los],
         zv, sr, prec, n_term,
     )

@@ -34,6 +34,7 @@ from fractions import Fraction
 
 from .errors import DegenerateParameterError, DomainError, PrecisionError
 from . import series as se
+from .series import LaurentSeries
 from .kernels import (
     QMonomial,
     as_value,
@@ -49,10 +50,11 @@ from .kernels import (
     to_series,
     bhs,
     _check_poch_invertible,
+    _RAW_ONE,
     _exact_step,
-    _over_one_minus,
+    _over_sparse,
     _raw_factors,
-    _times_one_minus,
+    _times_sparse,
     _mul_value,
     _val_mul,
     _val_neg,
@@ -72,8 +74,8 @@ def _gauss(n):
     recurrence [n, j+1] = [n, j] (1 - q^(n-j)) / (1 - q^(j+1)), of degree (j+1)(n-j-1)."""
     rows = [[1]]
     for j in range(n):
-        num = _times_one_minus(rows[-1], 0, 1, 1, n - j, len(rows[-1]) + n - j)[0]
-        rows.append(_over_one_minus(num, 1, 1, j + 1)[0][: (j + 1) * (n - j - 1) + 1])
+        num = _times_sparse(rows[-1], 0, (0, 1, ((n - j, -1),)), len(rows[-1]) + n - j)[0]
+        rows.append(_over_sparse(num, 1, ((j + 1, -1),))[0][: (j + 1) * (n - j - 1) + 1])
     return rows
 
 
@@ -212,9 +214,10 @@ def _pfamily(m, a, b, prec, zexp, what, count=1):
     for k in range(1, count):
         snum, sden = _raw_factors(
             [(QMonomial(Fraction(1), 0), 1, 0)],
-            [(_val_shift(ab, 2 * k - 2 - m), 1, 0, what + ": (ab/q^%d;q)_n" % m)])
+            [(_val_shift(ab, 2 * k - 2 - m), 1, 0, what + ": (ab/q^%d;q)_n" % m)],
+            lengths[k] + 1)
         # Each later step lowers the precision by zexp at most.
-        terms = [_exact_step(terms[n + 1], snum, sden, n + 1, -zexp, 1, 1,
+        terms = [_exact_step(terms[n + 1], snum, sden, n + 1, -zexp, _RAW_ONE,
                              prec + zexp * (count - 1 - k)) for n in range(lengths[k])]
         out.append(se.cap(se.add_all(terms[:stops[k]]), prec))
     return out
@@ -230,7 +233,7 @@ def pmfamily(m, a, b, count, prec):
         raise PrecisionError("pmsum needs precision >= 1")
     if count < 1:
         raise DomainError("pmfamily needs count >= 1")
-    if count > 1 and not all(isinstance(as_value(x), QMonomial) for x in (a, b)):
+    if count > 1 and any(isinstance(as_value(x), LaurentSeries) for x in (a, b)):
         raise DomainError("pmfamily needs exact a and b for count > 1")
     return _pfamily(m, a, b, prec, 1, "Pm", count)
 

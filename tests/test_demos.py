@@ -19,7 +19,7 @@ DEMO_STDOUT_SHA256 = {
     "02_qpochhammer_and_theta.py": "ea8a24559e1dbadd8ecf5f3ff7871dbbcb4c69c4cc2decb18797e8f36a855938",
     "03_named_sums.py": "8f2de0724096ebd619f2b0ba4015034b1e5b4bd7deda6c7b5a7d89f326a9e598",
     "04_elimination.py": "47336144801543575bb8082f604a9c21fcdda3a460f17850e6887de1c4da06ad",
-    "05_identity_verification.py": "6443f4073bdb3b4d20a0fbd44d2b66352718d2ea64f9a6ad1b8c629ebeb33711",
+    "05_identity_verification.py": "b31cc16b18bf97323654569dcde6b8a37473c9de546b3455e1a895b57cc98157",
 }
 
 

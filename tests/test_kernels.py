@@ -6,13 +6,15 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtheta import series as se
 from qtheta.errors import (DegenerateParameterError, DomainError, FormalDivergenceError,
                            QThetaError)
 from qtheta.kernels import (
-    _over_one_minus,
-    _times_one_minus,
+    _over_sparse,
+    _split,
+    _times_sparse,
     bhs,
     one_minus,
     qpoch_capped,
@@ -511,7 +513,8 @@ def test_ratio_sum_normalizes_its_sum_once(monkeypatch):
 
 def test_over_one_minus_matches_long_division():
     # u_j = num_j + c*u_(j-e) is the quotient coefficient by coefficient;
-    # the kernel returns it as s/cd^m with m = (len(num) - 1) // e.
+    # the kernel, given cd - cn*q^e, returns it as s/cd^m with
+    # m = (len(num) - 1) // e.
     rng = random.Random(17)
     for cd, sign, e in itertools.product((1, 2, 3, 24), (1, -1), (1, 2, 5, None)):
         for _ in range(3):
@@ -521,7 +524,7 @@ def test_over_one_minus_matches_long_division():
             u = []
             for j, a in enumerate(num):
                 u.append(a + (Fraction(cn, cd) * u[j - f] if j >= f else 0))
-            s, m = _over_one_minus(num, cn, cd, f)
+            s, m = _over_sparse(num, cd, ((f, -cn),))
             assert m == (len(num) - 1) // f
             assert [Fraction(x, cd ** m) for x in s] == u
 
@@ -531,7 +534,7 @@ def test_over_one_minus_returns_a_short_block_unchanged():
     for num in ([], [3], [4, -1, 7]):
         for e in (len(num), len(num) + 2):
             if e:
-                assert _over_one_minus(num, -5, 3, e) == (num, 0)
+                assert _over_sparse(num, 3, ((e, 5),)) == (num, 0)
 
 
 # -- multiplication by cd - cn*q^e ---------------------------------------------------
@@ -570,6 +573,41 @@ def test_times_one_minus_builds_only_the_kept_entries():
                                             (-2, 0, 5), (-20, -1, 2, 6, 40)):
             cn, cd = _Counted(rng.choice((-7, 1, 5))), _Counted(rng.choice((1, 3)))
             _Counted.products[0] = 0
-            got = _times_one_minus(num, lo, cn, cd, e, top)
+            poly = (0, cd, ((e, -cn),)) if e >= 0 else (e, -cn, ((-e, cd),))
+            got = _times_sparse(num, lo, poly, top)
             assert _Counted.products[0] <= 2 * len(got[0])
             assert got == _times_one_minus_full(num, lo, cn, cd, e, top)
+
+
+# -- sparse polynomials of 2 to 5 terms, against Fraction long arithmetic --------------
+
+_sparse = st.dictionaries(st.integers(-4, 6), st.integers(-9, 9).filter(bool),
+                          min_size=2, max_size=5).map(lambda d: tuple(sorted(d.items())))
+_block = st.lists(st.integers(-50, 50), max_size=12)
+
+
+@given(_block, st.integers(-3, 3), _sparse, st.integers(-6, 20))
+@settings(max_examples=150, deadline=None)
+def test_sparse_multiply_matches_long_multiplication(num, lo, poly, top):
+    want = {}
+    for i, a in enumerate(num):
+        for e, c in poly:
+            want[lo + i + e] = want.get(lo + i + e, 0) + a * c
+    out, lo2 = _times_sparse(num, lo, _split(poly), top)
+    assert lo2 == lo + poly[0][0]
+    assert len(out) == max(0, min(len(num) + poly[-1][0] - poly[0][0], top - lo2))
+    assert out == [want.get(lo2 + j, 0) for j in range(len(out))]
+
+
+@given(_block, _sparse)
+@settings(max_examples=150, deadline=None)
+def test_sparse_divide_matches_long_division(num, poly):
+    # The quotient by poly/(y0 q^e0) = 1 + sum_r (c_r/y0) q^(e_r - e0),
+    # coefficient by coefficient, returned as s/y0^m.
+    e0, y0, rest = _split(poly)
+    u = []
+    for j, a in enumerate(num):
+        u.append(a - sum(Fraction(c, y0) * u[j - e] for e, c in rest if e <= j))
+    s, m = _over_sparse(num, y0, rest)
+    assert m == ((len(num) - 1) // rest[0][0] if rest[0][0] < len(num) else 0)
+    assert [Fraction(x, y0 ** m) for x in s] == u

@@ -1,0 +1,64 @@
+"""Prefix stability of the series builtins over the corpus.
+
+A result O(q^p) claims every coefficient below p.  So the same call at p
+and at p + DELTA must agree below p: that needs no reference value.  The
+calls are those the corpus makes at order 30 (seed 1), recorded through
+wrappers installed by this test on the builtin table and on
+``sums.pmfamily``, whose members are the Pm values of finite k-sums.  A
+fixed-seed sample of them, and every call with an exact N/D argument, is
+run again at p + DELTA.
+"""
+
+import random
+
+from qtheta import dsl, series as se, sums
+from qtheta.kernels import QRational, _val_shift
+from qtheta.verifier import verify_all
+
+DELTA = 12
+SAMPLE = 250
+
+
+def _record(monkeypatch):
+    calls = {}
+    for name, row in dsl._BUILTINS.items():
+        if row.sort != "S":
+            continue
+
+        def kernel(*args, p, _name=name, _kernel=row.kernel):
+            out = _kernel(*args, p=p)
+            calls.setdefault((_name, args, p), out)
+            return out
+
+        monkeypatch.setitem(dsl._BUILTINS, name, row._replace(kernel=kernel))
+    family = sums.pmfamily
+
+    def pmfamily(m, a, b, count, prec):
+        out = family(m, a, b, count, prec)
+        for k, v in enumerate(out):
+            calls.setdefault(("Pm", (m, _val_shift(a, k), _val_shift(b, k)), prec), v)
+        return out
+
+    monkeypatch.setattr(sums, "pmfamily", pmfamily)
+    reports, _ = verify_all(order=30, trials=3, seed=1)
+    monkeypatch.undo()
+    return calls, all(r.passed for r in reports)
+
+
+def _has_rational(args):
+    return any(isinstance(x, QRational) for g in args
+               for x in (g if isinstance(g, tuple) else (g,)))
+
+
+def test_corpus_calls_are_prefix_stable(monkeypatch):
+    calls, passed = _record(monkeypatch)
+    keys = list(calls)
+    rational = [k for k in keys if _has_rational(k[1])]
+    assert {k[0] for k in rational} == {"Pm", "S", "theta", "Omega"}
+    chosen = rational + random.Random(1).sample(keys, min(SAMPLE, len(keys)))
+    for key in chosen:
+        name, args, p = key
+        got = calls[key]
+        deeper = dsl._BUILTINS[name].kernel(*args, p=p + DELTA)
+        assert se.eq_to_prec(got, deeper)[0] and deeper.prec >= got.prec, (name, args, p)
+    assert passed

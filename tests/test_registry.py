@@ -13,7 +13,7 @@ from qtheta import dsl
 from qtheta import series as se
 from qtheta.errors import QThetaError, RegistryError, SamplingError
 from qtheta.identities import load_registry, parse_identities
-from qtheta.series import LaurentSeries
+from qtheta.kernels import QRational, ord_of, to_series
 from qtheta.verifier import (
     full_binding,
     report_to_dict,
@@ -213,14 +213,16 @@ def test_sampling_error_when_unsatisfiable():
 
 
 def test_distinct_on_a_series_valued_derived_parameter():
-    # c is a series, so distinct(a, c) compares a and c as series to
-    # SAMPLE_PREC: a/(1-q) differs from a at q^1, a*(1-q)/(1-q) never does.
+    # c = a/(1-q) is an exact N/D value, so distinct(a, c) compares a and c
+    # as series to SAMPLE_PREC: they differ at q^1.  In a*(1-q)/(1-q) the
+    # factor 1 - q cancels, so c is the rational a and never differs.
     record = ('identity %s ; params a ; derive c := %s ; require distinct(a, c) ;'
               ' lhs theta(c) ; rhs theta(c) ; source "s"')
     holds = parse_identities(record % ("holds", "a/(1 - q)"))[0]
     never = parse_identities(record % ("never", "a*(1 - q)/(1 - q)"))[0]
-    for ident in (holds, never):
-        assert isinstance(full_binding(ident, {"a": Fraction(2, 3)}, 20)["c"], LaurentSeries)
+    assert full_binding(holds, {"a": Fraction(2, 3)}, 20)["c"] == QRational(
+        ((0, 2),), ((0, 3), (1, -3)))
+    assert full_binding(never, {"a": Fraction(2, 3)}, 20)["c"] == Fraction(2, 3)
     assert set(sample_params(holds, 0, 0)) == {"a"}
     assert verify_identity(holds, 10, 2, 0).passed
     with pytest.raises(SamplingError):
@@ -235,12 +237,15 @@ def test_derived_binding_is_exact_series():
     base = sample_params(ident, 3, 0)
     binding = full_binding(ident, base, 20)
     b = binding["b"]
-    assert isinstance(b, LaurentSeries)
-    assert b.order() == -1  # (a^2 + a q^3)/(a q + q^2) has a simple pole at q=0
+    # (a^2 + a q^3)/(a q + q^2) = a(a + q^3) q^-1/(a + q): exact, with a
+    # simple pole at q = 0.
+    assert isinstance(b, QRational)
+    assert ord_of(b) == -1 and len(b.num) == 2 and len(b.den) == 2
     a = base["a"]
     num = se.add(se.from_rational(a * a, 24), se.monomial(a, 3, 24))
     den = se.add(se.monomial(a, 1, 24), se.monomial(1, 2, 24))
-    assert_eq_series(b, se.divide(num, den))
+    assert to_series(b, 40).prec >= 40
+    assert_eq_series(to_series(b, 40), se.divide(num, den))
 
 
 def test_derived_binding_square_stays_rational():
