@@ -1,11 +1,18 @@
 """Evaluation of DSL expression trees (see ``dsl`` for the language).
 
-Series-sort nodes evaluate to exact monomials (QMonomial) while they stay
-exact and to LaurentSeries otherwise; integer-sort nodes evaluate to ints
-through ``dsl.int_value``, the one integer interpreter.  Every ``*``/``/``
-tree is one product, taken factor by factor from the left: ``a*(b/c)`` is
-``(a*b)/c``, which for nonzero values is the same value and precision, as
-the precision rules of ``mul`` and ``divide`` compose.  Each sum body
+Series-sort nodes evaluate to exact values while they stay exact and to
+LaurentSeries otherwise; integer-sort nodes evaluate to ints through
+``dsl.int_value``, the one integer interpreter.  There are two exact kinds,
+the monomial c*q^e (QMonomial) and N(q)/D(q) (QRational).  QRationals are
+made in two places only, through ``value``'s ``exact`` flag: a builtin
+call's arguments (``key``) and a derived binding (``evaluate_value``, which
+``verifier.full_binding`` calls), where + and - of exact values stay
+exact.  Anywhere else + of unlike monomials is a series, as is a
+QRational binding, so prefactors and divisors keep the series path.
+Every ``*``/``/`` tree is one product, taken factor by factor from the
+left: ``a*(b/c)`` is ``(a*b)/c``, which for nonzero values is the same
+value and precision, as the precision rules of ``mul`` and ``divide``
+compose.  Each sum body
 splits into its q-hypergeometric part H_n, whose term ratio drives
 ``kernels.ratio_terms``, and a residual R_n evaluated term by term; the
 ``dsl`` docstring gives the split and the stop rules.  Within one
@@ -201,9 +208,13 @@ class _Evaluator:
         if isinstance(node, Pow):
             n = int_value(node.exp, ienv)
             v = self.value(node.base, ienv, exact)
-            if isinstance(v, _EXACT):
-                if n < 0 and ord_of(v) is None:
-                    raise EvalError("zero raised to a negative power", node.pos)
+            if isinstance(v, QMonomial):
+                if v.coef == 0:
+                    if n < 0:
+                        raise EvalError("zero raised to a negative power", node.pos)
+                    return _ONE if n == 0 else v
+                return QMonomial(v.coef ** n, v.exp * n)
+            if isinstance(v, QRational):
                 return _val_pow(v, n)
             try:
                 return se.pow_int(v, n)
@@ -240,6 +251,9 @@ class _Evaluator:
         if isinstance(b, _EXACT):
             if ord_of(b) is None:
                 raise EvalError("division by zero", pos)
+            if isinstance(a, QMonomial) and isinstance(b, QMonomial):
+                # An exact zero quotient has exponent 0, as _val_mul's has.
+                return QMonomial(a.coef / b.coef, a.exp - b.exp if a.coef else 0)
             return _val_mul(a, _val_inv(b))
         try:
             if isinstance(a, _EXACT):

@@ -147,7 +147,7 @@ def _divmod(a, b):
 
 
 def _exact(num, den, coprime=False):
-    """The canonical exact value num/den of sparse polynomials (den nonzero):
+    """The canonical exact value num/den of sparse integer polynomials (den != 0):
     a QMonomial for a quotient of two single terms, else a QRational.
     ``coprime`` says that num and den share no factor but q."""
     if not num:
@@ -159,11 +159,10 @@ def _exact(num, den, coprime=False):
             a, b = b, _divmod(a, b)[1]
         if len(a) > 1:
             qn, qd = _divmod(_dense(num), a)[0], _divmod(_dense(den), a)[0]
-            num = tuple((num[0][0] + e, c) for e, c in enumerate(qn) if c)
-            den = tuple((e, c) for e, c in enumerate(qd) if c)
-    cs = [Fraction(c) for _, c in num + den]
-    m = lcm(*(c.denominator for c in cs))
-    cs = [int(c * m) for c in cs]
+            m = lcm(*(c.denominator for c in qn + qd))
+            num = tuple((num[0][0] + e, int(c * m)) for e, c in enumerate(qn) if c)
+            den = tuple((e, int(c * m)) for e, c in enumerate(qd) if c)
+    cs = [c for _, c in num + den]
     g = gcd(*cs) * (1 if cs[len(num)] > 0 else -1)
     num = tuple((e, c // g) for (e, _), c in zip(num, cs))
     den = tuple((e, c // g) for (e, _), c in zip(den, cs[len(num):]))
@@ -198,13 +197,9 @@ def _val_inv(v):
 
 
 def _val_pow(v, n):
-    """v**n for an exact value; n < 0 needs v nonzero."""
+    """v**n for a QRational v."""
     if n < 0:
         v, n = _val_inv(v), -n
-    if isinstance(v, QMonomial):
-        if v.coef == 0:
-            return _ONE if n == 0 else v
-        return QMonomial(v.coef ** n, v.exp * n)
     num, den = ((0, 1),), ((0, 1),)
     for _ in range(n):
         num, den = _poly_mul(num, v.num), _poly_mul(den, v.den)
@@ -214,11 +209,11 @@ def _val_pow(v, n):
 def as_value(x):
     """Normalize an argument to an exact value (QMonomial, QRational) or a
     LaurentSeries."""
-    if isinstance(x, (LaurentSeries, QRational)):
+    if isinstance(x, LaurentSeries):
         return x
     if isinstance(x, QMonomial):
         return QMonomial(Fraction(x.coef), x.exp)
-    return QMonomial(Fraction(x), 0)
+    return x if isinstance(x, QRational) else QMonomial(Fraction(x), 0)
 
 
 def to_series(x, prec):
@@ -251,19 +246,24 @@ def _val_shift(v, k):
 
 
 def _val_mul(x, y):
-    if isinstance(x, QMonomial) and isinstance(y, QMonomial):
-        c = x.coef * y.coef
-        return QMonomial(c, x.exp + y.exp) if c else _ZERO
-    if isinstance(x, _EXACT) and isinstance(y, _EXACT):
-        (nx, dx), (ny, dy) = _parts(x), _parts(y)
-        # A monomial factor shares no factor but q with the other's D.
-        mono = isinstance(x, QMonomial) or isinstance(y, QMonomial)
-        return _exact(_poly_mul(nx, ny), _poly_mul(dx, dy), coprime=mono)
-    if isinstance(x, _EXACT):
-        x, y = y, x
-    if isinstance(y, QMonomial):
-        return se.mul_monomial(x, y.coef, y.exp) if y.coef else _ZERO
-    return _mul_value(x, y) if isinstance(y, QRational) else se.mul(x, y)
+    if isinstance(x, QMonomial):
+        if isinstance(y, QMonomial):
+            c = x.coef * y.coef
+            return QMonomial(c, x.exp + y.exp) if c else _ZERO
+        if isinstance(y, LaurentSeries):
+            return se.mul_monomial(y, x.coef, x.exp) if x.coef else _ZERO
+    elif isinstance(y, QMonomial):
+        if isinstance(x, LaurentSeries):
+            return se.mul_monomial(x, y.coef, y.exp) if y.coef else _ZERO
+    elif isinstance(x, LaurentSeries) and isinstance(y, LaurentSeries):
+        return se.mul(x, y)
+    # A QRational times a value.
+    if isinstance(y, LaurentSeries) or isinstance(x, LaurentSeries):
+        return _mul_value(y, x) if isinstance(y, LaurentSeries) else _mul_value(x, y)
+    (nx, dx), (ny, dy) = _parts(x), _parts(y)
+    # A monomial factor shares no factor but q with the other's D.
+    return _exact(_poly_mul(nx, ny), _poly_mul(dx, dy),
+                  isinstance(x, QMonomial) or isinstance(y, QMonomial))
 
 
 def _val_neg(v):
@@ -355,7 +355,12 @@ def _check_poch_invertible(v, n, what):
 def _one_minus_poly(num, den, e):
     """den - num*q^e: the factor 1 - (num/den)*q^e times den, for sparse
     integer polynomials, with its zero terms dropped."""
-    return _poly(den + tuple((f + e, -c) for f, c in num))
+    shifted = tuple((f + e, -c) for f, c in num)
+    if shifted[0][0] > den[-1][0]:
+        return den + shifted
+    if shifted[-1][0] < den[0][0]:
+        return shifted + den
+    return _poly(den + shifted)
 
 
 def _split(poly):
@@ -377,6 +382,10 @@ def _times_sparse(num, lo, poly, top):
     keep = max(0, min(n + (rest[-1][0] if rest else 0), top - lo))
     out = [c0 * a for a in num[:keep]]
     out += [0] * (keep - len(out))
+    if len(rest) == 1:
+        (e, c), = rest
+        out[e:] = [a + c * b for a, b in zip(out[e:], num)]
+        return out, lo
     for e, c in rest:
         out[e:e + n] = [a + c * b for a, b in zip(out[e:e + n], num)]
     return out, lo
@@ -410,13 +419,16 @@ def _over_sparse(num, y0, rest):
         return s, m
     c = y0 ** m
     s = [a * c for a in num]
-    for j in range(e, len(s)):
+    t = s if y0 == 1 else []  # t_j = s_j // y0
+    for j in range(len(s)):
         v = s[j]
         for f, cf in rest:
             if f > j:
                 break
-            v -= cf * (s[j - f] // y0)
+            v -= cf * t[j - f]
         s[j] = v
+        if y0 != 1:
+            t.append(v // y0)
     return s, m
 
 

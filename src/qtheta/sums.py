@@ -1,7 +1,8 @@
 """Named composite q-sums over exact parameter values.
 
-Each operation takes parameter values (rationals, exact monomials in q, or
-Laurent series) plus a target precision.  Infinite sums advance a running
+Each operation takes parameter values (rationals, the exact values
+QMonomial and QRational of ``kernels``, or Laurent series) plus a target
+precision.  Infinite sums advance a running
 term by exact binomial-factor ratios, stop once a mechanical lower bound
 on the remaining term orders clears the target, and truncate the result
 to the target.  Each sum derives its working precision from the target
@@ -252,7 +253,8 @@ def ssum(a, b, prec):
 
 
 def omega(a, b, prec):
-    """Omega(a,b) = sum_n (-1)^n q^(n(n-1)/2) b^n theta(q, a q^n)."""
+    """Omega(a,b) = sum_n (-1)^n q^(n(n-1)/2) b^n theta(q, a q^n); an exact b
+    has exact powers, which multiply each theta without loss."""
     if prec < 1:
         raise PrecisionError("omega needs precision >= 1")
     av, bv = as_value(a), as_value(b)
