@@ -42,6 +42,7 @@ from .series import (
 )
 from .kernels import (
     QMonomial,
+    QRational,
     bhs,
     qpoch_finite,
     qpoch_infinite,
@@ -75,7 +76,7 @@ __all__ = [
     "LaurentSeries", "zero", "one", "monomial", "from_rational", "from_string",
     "add", "sub", "neg", "mul", "scale", "shift", "invert", "divide",
     "truncate", "pow_int", "eq_to_prec",
-    "QMonomial", "qpoch_finite", "qpoch_infinite", "qpoch_multi",
+    "QMonomial", "QRational", "qpoch_finite", "qpoch_infinite", "qpoch_multi",
     "theta_partial", "theta_full", "bhs",
     "usum", "vsum", "qcap", "lam", "pmsum", "pmfamily", "ssum", "omega", "thetak", "tsum",
     "PolynomialSystem", "ExactCombination", "ThetaCombination", "build_system", "gauss_solve",

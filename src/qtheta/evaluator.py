@@ -12,10 +12,9 @@ QRational binding, so prefactors and divisors keep the series path.
 Every ``*``/``/`` tree is one product, taken factor by factor from the
 left: ``a*(b/c)`` is ``(a*b)/c``, which for nonzero values is the same
 value and precision, as the precision rules of ``mul`` and ``divide``
-compose.  Each sum body
-splits into its q-hypergeometric part H_n, whose term ratio drives
-``kernels.ratio_terms``, and a residual R_n evaluated term by term; the
-``dsl`` docstring gives the split and the stop rules.  Within one
+compose.  Each sum body splits into its q-hypergeometric part H_n, whose
+term ratio drives ``kernels.ratio_terms``, and a residual R_n evaluated
+term by term; the ``dsl`` docstring gives the split and the stop rules.  Within one
 evaluation, a builtin call whose evaluated arguments equal an earlier
 call's is computed once, and the repeat gets a result structurally
 identical to a fresh call.  Before a finite sum evaluates its residual,

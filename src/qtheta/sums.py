@@ -2,14 +2,15 @@
 
 Each operation takes parameter values (rationals, the exact values
 QMonomial and QRational of ``kernels``, or Laurent series) plus a target
-precision.  Infinite sums advance a running
-term by exact binomial-factor ratios, stop once a mechanical lower bound
-on the remaining term orders clears the target, and truncate the result
-to the target.  Each sum derives its working precision from the target
-and its arguments' q-orders: what its divisions and shifts lose by the
-ring rules, and how far its terms dip below q^0 (theta_dip, u_dip,
-thetak_dip).  Exact arguments therefore reach the requested precision;
-series arguments propagate honestly.
+precision.  Infinite sums advance a running term by exact factor ratios,
+stop once a mechanical lower bound on the remaining term orders clears
+the target, and truncate the result to the target.  Each sum derives its
+working precision from the target and its arguments' q-orders: what its
+divisions and shifts lose by the ring rules, and how far its terms dip
+below q^0 (theta_dip, u_dip, thetak_dip).  Exact monomial arguments
+therefore reach the requested precision.  Series arguments propagate
+honestly, and so does a QRational whose leading terms cancel in a
+divisor (a + b in thetak, Q_m in lam).
 
 P_m and S start their terms at (q,a,b;q)_inf: term n is then
 T_n(a,b) = (q^(n+1), aq^n, bq^n;q)_inf (abq^(n-m);q)_n q^(zexp*n), a
