@@ -647,6 +647,13 @@ def ratio_terms(num, den, z, sr, t0, n, top=None):
     return _ring_terms(num, den, z, sr, t0, n, caps)
 
 
+def _primitive(den):
+    """(s, D) with den = s*D: the content s and the primitive D, split, or
+    None for a constant den."""
+    s = gcd(*(c for _, c in den))
+    return s, _split(tuple((e, c // s) for e, c in den)) if len(den) > 1 else None
+
+
 def _raw_factor(v, i, j, n):
     """(F, s, D) for the factor 1 - v*q^(i*k+j) of an exact nonzero value
     v = N/(s*D), D primitive: F[k] is sD - N*q^(i*k+j), split (None for
@@ -656,9 +663,8 @@ def _raw_factor(v, i, j, n):
         return [(0, cd, ((e, -cn),)) if e > 0 else (e, -cn, ((-e, cd),)) if e
                 else (0, cd - cn, ()) if cd != cn else None
                 for e in range(v.exp + j, v.exp + j + i * n, i)], cd, None
-    s = gcd(*(c for _, c in v.den))
-    return ([_split(_one_minus_poly(v.num, v.den, i * k + j)) for k in range(n)], s,
-            _split(tuple((e, c // s) for e, c in v.den)))
+    return ([_split(_one_minus_poly(v.num, v.den, i * k + j)) for k in range(n)],
+            *_primitive(v.den))
 
 
 def _raw_factors(num, den, n):
@@ -688,9 +694,7 @@ def _raw_z(z, sign=1):
     split and 0.  z = N/(s*D) as in _raw_factor."""
     if isinstance(z, QMonomial):
         return (sign * z.coef.numerator, None, z.coef.denominator, None), z.exp
-    s = gcd(*(c for _, c in z.den))
-    return (None, _split(tuple((e, sign * c) for e, c in z.num)), s,
-            _split(tuple((e, c // s) for e, c in z.den))), 0
+    return (None, _split(tuple((e, sign * c) for e, c in z.num)), *_primitive(z.den)), 0
 
 
 def _over_poly(T, P, lo, D, poly):
