@@ -32,12 +32,11 @@ checks the combination against the direct P_m evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from math import factorial
 
 from .errors import DegenerateParameterError, DomainError, EliminationError, PrecisionError
 from . import series as se
-from .kernels import QMonomial, _val_shift, as_value, ord_of, theta_dip, theta_partial
+from .kernels import QMonomial, _val_shift, as_value, ord_of, theta_combination, theta_dip
 from .sums import (
     _gauss,
     lam,  # unused; bench/selftest.py checks that the tracer wraps this binding
@@ -107,13 +106,14 @@ class ThetaCombination:
     checked_prec: int = field(default=0)
 
     def evaluate(self, a, b, prec):
-        """The combination at precision prec where the coefficients' own
-        precisions allow: a theta value is taken that much further as its
-        coefficient's order is below q^0."""
+        """The combination to O(q^prec) where the coefficients' own
+        precisions allow, by kernels.theta_combination's one rule: each
+        theta value is taken at prec - ord(c) for its coefficient c, and an
+        exact c would multiply without loss."""
         av, bv = as_value(a), as_value(b)
-        terms = (se.mul(c, theta_partial(_val_shift(v, -k), prec - min(0, c.order() or 0)))
-                 for v, cs in ((av, self.coeff_a), (bv, self.coeff_b)) for k, c in enumerate(cs))
-        return se.add_all(chain([se.zero(prec)], terms))
+        return theta_combination([(1, c, _val_shift(v, -k))
+                                  for v, cs in ((av, self.coeff_a), (bv, self.coeff_b))
+                                  for k, c in enumerate(cs)], prec)
 
 
 def build_system(m, a, b):

@@ -61,7 +61,6 @@ from .kernels import (
     _val_pow,
     _val_shift,
 )
-from .series import LaurentSeries
 
 __all__ = ["evaluate", "evaluate_value"]
 
@@ -197,13 +196,10 @@ class _Evaluator:
                 return self.product(_mul_factors(node), ienv, exact)
             a = self.value(node.left, ienv, exact)
             b = self.value(node.right, ienv, exact)
-            if isinstance(a, _EXACT) and isinstance(b, _EXACT) and (
+            if isinstance(a, _EXACT) and isinstance(b, _EXACT) and not (
                     exact or a.coef == 0 or b.coef == 0 or a.exp == b.exp):
-                return _val_add(a, b if node.op == "+" else _val_neg(b))
-            p = max((x.prec for x in (a, b) if isinstance(x, LaurentSeries)),
-                    default=self.prec)
-            sa, sb = to_series(a, p), to_series(b, p)
-            return se.add(sa, sb) if node.op == "+" else se.sub(sa, sb)
+                a, b = to_series(a, self.prec), to_series(b, self.prec)
+            return _val_add(a, b if node.op == "+" else _val_neg(b))
         if isinstance(node, Pow):
             n = int_value(node.exp, ienv)
             v = self.value(node.base, ienv, exact)

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from math import gcd, lcm
 
@@ -73,6 +74,7 @@ __all__ = [
     "qpoch_multi",
     "theta_partial",
     "theta_full",
+    "theta_combination",
     "bhs",
 ]
 
@@ -191,30 +193,44 @@ def _parts(v):
 
 
 def _val_add(x, y):
-    """x + y for exact values: exact monomials of one exponent (or a zero)
-    add as QMonomials, with the exponent the evaluator has always given."""
+    """x + y: a series sum at the precision of a series operand, else
+    exact; monomials of one exponent (or a zero) add as QMonomials, with
+    the exponent the evaluator has always given."""
+    series = [v.prec for v in (x, y) if isinstance(v, LaurentSeries)]
+    if series:
+        return se.add(to_series(x, min(series)), to_series(y, min(series)))
     if isinstance(x, QMonomial) and isinstance(y, QMonomial):
         if x.coef == 0 or y.coef == 0 or x.exp == y.exp:
             return QMonomial(x.coef + y.coef, y.exp if x.coef == 0 else x.exp)
     (nx, dx), (ny, dy) = _parts(x), _parts(y)
-    return _exact(_poly(_poly_mul(nx, dy) + _poly_mul(ny, dx)), _poly_mul(dx, dy))
+    # (nx dy + ny dx) / (dx dy) shares no factor with a constant dx or dy.
+    return _exact(_poly(_poly_mul(nx, dy) + _poly_mul(ny, dx)), _poly_mul(dx, dy),
+                  len(dx) == 1 or len(dy) == 1)
 
 
 def _val_inv(v):
-    """1/v for a nonzero exact value."""
+    """1/v for a nonzero value; a series is inverted in the ring."""
     if isinstance(v, QMonomial):
         return QMonomial(1 / v.coef, -v.exp)
+    if isinstance(v, LaurentSeries):
+        return se.invert(v)
     return _exact(v.den, v.num, coprime=True)
+
+
+def _val_ratio(nums, dens, coprime=False):
+    """prod(nums) / prod(dens) for nonzero dens.  For exact values N and D
+    are built with _poly_mul and normalized once (``coprime`` as in
+    _exact); a series operand makes it the ring product."""
+    if any(isinstance(v, LaurentSeries) for v in nums + dens):
+        return reduce(_val_mul, nums + [_val_inv(v) for v in dens], _ONE)
+    parts = [_parts(v) for v in nums] + [_parts(v)[::-1] for v in dens]
+    return _exact(reduce(_poly_mul, [n for n, _ in parts], ((0, 1),)),
+                  reduce(_poly_mul, [d for _, d in parts], ((0, 1),)), coprime)
 
 
 def _val_pow(v, n):
     """v**n for a QRational v."""
-    if n < 0:
-        v, n = _val_inv(v), -n
-    num, den = ((0, 1),), ((0, 1),)
-    for _ in range(n):
-        num, den = _poly_mul(num, v.num), _poly_mul(den, v.den)
-    return _exact(num, den, coprime=True)
+    return _val_ratio([v] * n, [], True) if n >= 0 else _val_ratio([], [v] * -n, True)
 
 
 def as_value(x):
@@ -257,24 +273,14 @@ def _val_shift(v, k):
 
 
 def _val_mul(x, y):
-    if isinstance(x, QMonomial):
-        if isinstance(y, QMonomial):
-            c = x.coef * y.coef
-            return QMonomial(c, x.exp + y.exp) if c else _ZERO
-        if isinstance(y, LaurentSeries):
-            return se.mul_monomial(y, x.coef, x.exp) if x.coef else _ZERO
-    elif isinstance(y, QMonomial):
-        if isinstance(x, LaurentSeries):
-            return se.mul_monomial(x, y.coef, y.exp) if y.coef else _ZERO
-    elif isinstance(x, LaurentSeries) and isinstance(y, LaurentSeries):
-        return se.mul(x, y)
-    # A QRational times a value.
-    if isinstance(y, LaurentSeries) or isinstance(x, LaurentSeries):
-        return _mul_value(y, x) if isinstance(y, LaurentSeries) else _mul_value(x, y)
-    (nx, dx), (ny, dy) = _parts(x), _parts(y)
+    if isinstance(x, QMonomial) and isinstance(y, QMonomial):
+        c = x.coef * y.coef
+        return QMonomial(c, x.exp + y.exp) if c else _ZERO
+    if isinstance(x, LaurentSeries) or isinstance(y, LaurentSeries):
+        t, v = (x, y) if isinstance(x, LaurentSeries) else (y, x)
+        return _ZERO if isinstance(v, QMonomial) and v.coef == 0 else _mul_value(t, v)
     # A monomial factor shares no factor but q with the other's D.
-    return _exact(_poly_mul(nx, ny), _poly_mul(dx, dy),
-                  isinstance(x, QMonomial) or isinstance(y, QMonomial))
+    return _val_ratio([x, y], [], isinstance(x, QMonomial) or isinstance(y, QMonomial))
 
 
 def _val_neg(v):
@@ -546,11 +552,21 @@ def theta_full(x, prec):
     if ord_of(v) is None:
         raise DomainError("theta_full needs an invertible (nonzero) argument")
     # The terms n = -k < 0 sum to theta_partial(q/x) - 1.
-    if isinstance(v, LaurentSeries):
-        qx = se.shift(se.invert(v), 1)
-    else:
-        qx = _val_shift(_val_inv(v), 1)
+    qx = _val_shift(_val_inv(v), 1)
     return se.sub(se.add(theta_partial(v, prec), theta_partial(qx, prec)), se.one(prec))
+
+
+def theta_combination(terms, prec):
+    """sum sign*c*theta(y) over the (sign, c, y) terms, to O(q^prec): each
+    theta is taken at max(1, prec - ord c) and multiplied by _mul_value, so
+    an exact c loses nothing and a series c passes on its own precision."""
+    def products():
+        yield se.zero(prec)
+        for sign, c, y in terms:
+            t = _mul_value(theta_partial(y, max(1, prec - (ord_of(c) or 0))), c)
+            yield t if sign > 0 else se.neg(t)
+
+    return se.cap(se.add_all(products()), prec)
 
 
 # -- basic hypergeometric series ----------------------------------------------
@@ -558,17 +574,14 @@ def theta_full(x, prec):
 
 def _lift(v):
     """How far the denominator factor 1 - v*q^e, e = -ord(v), rises above
-    its order bound min(0, ord(v) + e) = 0: its order when v is a series
-    or a QRational with leading coefficient 1, else 0.  A factor that
-    vanishes to precision counts 0; ratio_terms raises on it."""
+    its order bound min(0, ord(v) + e) = 0: its order, which is above 0
+    when v is a series or a QRational with leading coefficient 1.  A factor
+    that vanishes to precision counts 0; ratio_terms raises on it."""
     d = ord_of(v)
-    if isinstance(v, QMonomial) or d is None:
+    if isinstance(v, QMonomial) or d is None or (
+            v.num[0][1] != v.den[0][1] if isinstance(v, QRational) else v.coeff(d) != 1):
         return 0
-    if isinstance(v, QRational):
-        return _one_minus_poly(v.num, v.den, -d)[0][0] if v.num[0][1] == v.den[0][1] else 0
-    if v.coeff(d) != 1:
-        return 0
-    return ord_of(one_minus(v, -d, v.prec)) or 0
+    return ord_of(_val_add(_ONE, _val_neg(_val_shift(v, -d)))) or 0
 
 
 def ratio_orders(num, den, z, sr):

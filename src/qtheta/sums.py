@@ -7,10 +7,11 @@ stop once a mechanical lower bound on the remaining term orders clears
 the target, and truncate the result to the target.  Each sum derives its
 working precision from the target and its arguments' q-orders: what its
 divisions and shifts lose by the ring rules, and how far its terms dip
-below q^0 (theta_dip, u_dip, thetak_dip).  Exact monomial arguments
-therefore reach the requested precision.  Series arguments propagate
-honestly, and so does a QRational whose leading terms cancel in a
-divisor (a + b in thetak, Q_m in lam).
+below q^0 (theta_dip, u_dip).  Omega, Theta_k and T sum products c*theta(y),
+c rational in q and exact for exact arguments, by one rule
+(``kernels.theta_combination``): theta at prec - ord(c), and an exact c
+multiplies without loss.  Exact arguments therefore reach the requested
+precision; series arguments propagate honestly.
 
 P_m and S start their terms at (q,a,b;q)_inf: term n is then
 T_n(a,b) = (q^(n+1), aq^n, bq^n;q)_inf (abq^(n-m);q)_n q^(zexp*n), a
@@ -39,33 +40,38 @@ from . import series as se
 from .series import LaurentSeries
 from .kernels import (
     QMonomial,
+    QRational,
     as_value,
     negord,
-    one_minus,
     ord_of,
     qpoch_finite,  # unused; bench/selftest.py checks that the tracer wraps this binding
     qpoch_multi,
     ratio_stop,
     ratio_terms,
+    theta_combination,
     theta_dip,
     theta_partial,
-    to_series,
     bhs,
     _check_poch_invertible,
+    _ONE,
     _RAW_ONE,
     _exact_step,
     _over_sparse,
     _raw_factors,
     _times_sparse,
     _mul_value,
+    _val_add,
+    _val_inv,
     _val_mul,
     _val_neg,
+    _val_ratio,
     _val_shift,
 )
 
 __all__ = ["usum", "vsum", "qcap", "lam", "pmsum", "pmfamily", "ssum", "omega", "thetak", "tsum"]
 
 _QMON = QMonomial(Fraction(1), 1)
+_ONE_Q = _val_add(_ONE, _QMON)  # 1 + q
 
 
 # -- U, V and Q ----------------------------------------------------------------
@@ -151,10 +157,13 @@ def lam(m, k, b, prec):
     db = ord_of(bv) or 0
     dpow = k * (db + k - m + 1)
     # ord Q_m(bq) >= -u_dip, and divide's rule loses up to twice that dip;
-    # b^k of order dpow < 0 loses -dpow.  A cancelling Q_m has order up to its
-    # degree t = (m-2) max(0, db-1): Q_m at w + 2t and the raised w pay for it.
+    # b^k of order dpow < 0 loses -dpow.  A cancelling Q_m has order up to the
+    # degree t = (m-2) max(deg D, deg N - 1) of its numerator over D^(m-2) for
+    # b = N/D, with deg N = ord b and deg D = 0 for a monomial or a series:
+    # Q_m at w + 2t and the raised w pay for it.
+    hi_n, hi_d = (bv.num[-1][0], bv.den[-1][0]) if isinstance(bv, QRational) else (db, 0)
     w = prec + 2 * u_dip(m - 1, db + 1 - m) - min(0, dpow)
-    qm = qcap(m, _val_shift(bv, 1 - m), w + 2 * (m - 2) * max(0, db - 1))
+    qm = qcap(m, _val_shift(bv, 1 - m), w + 2 * (m - 2) * max(hi_d, hi_n - 1))
     if qm.is_zero:
         raise DegenerateParameterError("lam: Q_%d(b*q^%d) vanishes to precision" % (m, 1 - m))
     w = max(w, prec + qm.order() - min(0, dpow))
@@ -254,8 +263,8 @@ def ssum(a, b, prec):
 
 
 def omega(a, b, prec):
-    """Omega(a,b) = sum_n (-1)^n q^(n(n-1)/2) b^n theta(q, a q^n); an exact b
-    has exact powers, which multiply each theta without loss."""
+    """Omega(a,b) = sum_n (-1)^n q^(n(n-1)/2) b^n theta(q, a q^n): the theta
+    combination with coefficients q^(n(n-1)/2) b^n."""
     if prec < 1:
         raise PrecisionError("omega needs precision >= 1")
     av, bv = as_value(a), as_value(b)
@@ -265,23 +274,20 @@ def omega(a, b, prec):
     da = ord_of(av) or 0
 
     def terms():
-        yield se.zero(prec)
-        bpow, n = QMonomial(Fraction(1), 0), 0
+        bpow, n = _ONE, 0
         # Term n has order >= C(n,2) + n*db - theta_dip(da + n), rising once n >= -da, -db.
         while n < -da or n + db < 0 or n * (n - 1) // 2 + n * db - theta_dip(da + n) < prec:
-            sh = n * (n - 1) // 2
-            th = theta_partial(_val_shift(av, n), prec + 2 * theta_dip(da + n) + max(0, -sh - n * db))
-            term = se.shift(_mul_value(th, bpow), sh)
-            yield se.neg(term) if n % 2 else term
+            yield (-1) ** n, _val_shift(bpow, n * (n - 1) // 2), _val_shift(av, n)
             bpow = _val_mul(bpow, bv)
             n += 1
 
-    return se.cap(se.add_all(terms()), prec)
+    return theta_combination(terms(), prec)
 
 
 def thetak_dip(k, da, db):
     """How far below q^0 Theta_k(q,a,b) can reach for ord(a) = da and
-    ord(b) = db: the lowest order bound over its four products c*theta."""
+    ord(b) = db: the lowest order bound over its four products c*theta.
+    The DSL's ThetaK guard row; thetak itself needs no such bound."""
 
     def half(x, y):
         # c*theta(y*q^(k+2)) with c = (1 + x*q^(k+1)) y / (x (1+q)), and
@@ -293,40 +299,33 @@ def thetak_dip(k, da, db):
 
 
 def thetak(k, a, b, prec):
-    """Theta_k(q,a,b): the four-term partial theta combination, of order
-    >= -thetak_dip(k, ord a, ord b)."""
+    """Theta_k(q,a,b) = half(a, b) - half(b, a), of order
+    >= -thetak_dip(k, ord a, ord b), where half(x, y) is
+    c1 theta(y q^(k+2)) + c3 theta(y q^(k+1)) with
+    c1 = (1 + x q^(k+1)) y / (x (1+q)) and c3 = (1 + x q^k) / ((x + y) q^(k+1))."""
     if k < 0:
         raise DomainError("thetak needs k >= 0")
     if prec < 1:
         raise PrecisionError("thetak needs precision >= 1")
     av, bv = as_value(a), as_value(b)
-    da, db = ord_of(av), ord_of(bv)
-    if da is None or db is None:
+    if ord_of(av) is None or ord_of(bv) is None:
         raise DegenerateParameterError("thetak needs nonzero a and b")
-    # Each product c*theta is at most its dip below q^0; by divide's rule the
-    # divisions by a, b and a + b (orders da, db and min(da, db)) lose their
-    # positive order on top of that.
-    p = prec + thetak_dip(k, da, db) + max(0, da, db)
-    apb = se.add(to_series(av, p), to_series(bv, p))
-    if apb.is_zero:
+    apb = _val_add(av, bv)
+    if ord_of(apb) is None:
         raise DegenerateParameterError("thetak needs a + b nonzero")
-    one_q = se.add(se.one(p), se.monomial(1, 1, p))
-
-    def half(x, y):
-        # The two products of thetak_dip's half(ord x, ord y).
-        c1 = se.divide(_mul_value(one_minus(_val_neg(x), k + 1, p), y),
-                       se.mul(to_series(x, p), one_q))
-        c3 = se.shift(se.divide(one_minus(_val_neg(x), k, p), apb), -(k + 1))
-        return se.add(se.mul(c1, theta_partial(_val_shift(y, k + 2), p)),
-                      se.mul(c3, theta_partial(_val_shift(y, k + 1), p)))
-
-    return se.cap(se.sub(half(av, bv), half(bv, av)), prec)
+    terms = []
+    for sign, x, y in ((1, av, bv), (-1, bv, av)):
+        c1 = _val_ratio([_val_add(_ONE, _val_shift(x, k + 1)), y], [x, _ONE_Q])
+        c3 = _val_ratio([_val_add(_ONE, _val_shift(x, k))], [apb, QMonomial(Fraction(1), k + 1)])
+        terms += [(sign, c1, _val_shift(y, k + 2)), (sign, c3, _val_shift(y, k + 1))]
+    return theta_combination(terms, prec)
 
 
 def t_dip(d):
     """How far below q^0 T(q,a) can reach for ord(a) = d: the lower of its
     two products' order bounds.  The first numerator has order
-    >= min(d, 2d, 2) over a unit, and the second min(d+1, 2d, 4) over a*q."""
+    >= min(d, 2d, 2) over a unit, and the second min(d+1, 2d, 4) over a*q.
+    The DSL's T guard row; tsum itself needs no such bound."""
     return max(0, theta_dip(d) - min(d, 2 * d, 2),
                theta_dip(d - 1) - min(0, d - 1, 3 - d))
 
@@ -337,23 +336,13 @@ def tsum(a, prec):
     if prec < 1:
         raise PrecisionError("tsum needs precision >= 1")
     av = as_value(a)
-    d = ord_of(av)
-    if d is None:
+    if ord_of(av) is None:
         raise DegenerateParameterError("tsum needs nonzero a")
-    # With d = ord(a): the theta(a) product loses theta_dip(d) - 2 min(0, d);
-    # dividing by a*q loses max(d + 1, 2d - 3) for d >= 0 (q^4 caps the
-    # numerator's order) and 1 for d < 0, and theta(a/q) dips theta_dip(d - 1).
-    p = prec + theta_dip(d - 1) + max(1, abs(d + 1), 2 * d - 3)
-    A = to_series(av, p)
-    q1, q2 = se.monomial(1, 1, p), se.monomial(1, 2, p)
-    A2, Aq = se.mul(A, A), se.mul(A, q1)
-    th_a = theta_partial(av, p)
-    th_aq = theta_partial(_val_shift(av, -1), p)
-    den1 = se.add(se.add(se.one(p), q1), q2)
-    num1 = se.add(se.sub(A, A2), se.sub(Aq, q2))
-    num2 = se.sub(se.add(Aq, se.mul(A, q2)), se.add(A2, se.shift(q2, 2)))
-    res = se.add(
-        se.mul(se.divide(num1, den1), th_a),
-        se.mul(se.divide(num2, se.shift(A, 1)), th_aq),
-    )
-    return se.cap(res, prec)
+    neg = _val_neg(av)
+    # (a - a^2 + aq - q^2) / (1 + q + q^2) = (a(1 + q - a) - q^2) / (1 + q + q^2),
+    # and (aq - a^2 + aq^2 - q^4) / (aq) = 1 + q - a/q - q^3/a.
+    num = _val_add(_val_mul(av, _val_add(_ONE_Q, neg)), QMonomial(Fraction(-1), 2))
+    c1 = _val_mul(num, _val_inv(_val_add(_ONE_Q, QMonomial(Fraction(1), 2))))
+    c2 = _val_add(_val_add(_ONE_Q, _val_shift(neg, -1)),
+                  _val_mul(QMonomial(Fraction(-1), 3), _val_inv(av)))
+    return theta_combination([(1, c1, av), (1, c2, _val_shift(av, -1))], prec)

@@ -13,17 +13,23 @@ from qtheta.errors import DegenerateParameterError, DomainError, PrecisionError,
 from qtheta.kernels import (
     QMonomial,
     _check_poch_invertible,
+    _exact,
+    _mul_value,
     _val_mul,
+    _val_neg,
     _val_shift,
     as_value,
     bhs,
     negord,
+    one_minus,
     ord_of,
     qpoch_infinite,
     qpoch_multi,
     ratio_sum,
+    theta_dip,
     theta_full,
     theta_partial,
+    to_series,
 )
 from qtheta.sums import lam, omega, pmsum, qcap, ssum, thetak, tsum, usum, vsum
 
@@ -709,6 +715,115 @@ def test_exact_arguments_reach_prec(name):
                     if got.prec < p:
                         short.append((e, f, p, got.prec))
     assert short == []
+
+
+# N/D arguments: thetak's a + b cancels at q^4 in the first pair and at q^1
+# in the second, and Q_3(b/q^2) = -7q^4(1 + q)/(2 - 7q^5) cancels in lam.
+# thetak and lam returned O(q^38) for 40 and O(q^12) for 20 on the first
+# pair and on the lam argument.
+_ND = [_exact(((4, -3),), ((0, 3), (2, 2), (5, -1))), _exact(((4, 2),), ((0, 2), (1, 5))),
+       _exact(((1, 1),), ((0, 1), (1, -1))), qmon(-1, 1),
+       _exact(((-2, 3), (-1, -1)), ((0, 1), (2, 1))), _exact(((0, 1), (1, 1)), ((0, 1), (1, -2)))]
+_LAM_ND = _exact(((1, -2), (5, -7)), ((0, 2), (5, -7)))
+
+
+def test_exact_rational_arguments_reach_prec():
+    calls = [(("thetak", k, i), lambda p, k=k, i=i: thetak(k, _ND[i], _ND[i + 1], p))
+             for k in range(3) for i in (0, 2)]
+    calls += [(("tsum", i), lambda p, i=i: tsum(_ND[i], p)) for i in (0, 2, 4, 5)]
+    calls += [(("omega", i), lambda p, i=i: omega(_ND[i], _ND[i + 1], p)) for i in (0, 2, 4)]
+    calls += [(("lam", m, k), lambda p, m=m, k=k: lam(m, k, _LAM_ND, p))
+              for m in (2, 3, 4) for k in range(m)]
+    short = [(label, p, got.prec) for p in (1, 10, 20, 40) for label, call in calls
+             for got in [call(p)] if got.prec < p]
+    assert short == []
+
+
+def _thetak_by_pads(k, a, b, prec):
+    """Theta_k as sums.thetak built it before kernels.theta_combination:
+    every coefficient a series at a working precision padded by
+    thetak_dip and the divisors' orders."""
+    av, bv = as_value(a), as_value(b)
+    da, db = ord_of(av), ord_of(bv)
+    p = prec + sums.thetak_dip(k, da, db) + max(0, da, db)
+    apb = se.add(to_series(av, p), to_series(bv, p))
+    if apb.is_zero:
+        raise DegenerateParameterError("thetak needs a + b nonzero")
+    one_q = se.add(se.one(p), se.monomial(1, 1, p))
+
+    def half(x, y):
+        c1 = se.divide(_mul_value(one_minus(_val_neg(x), k + 1, p), y),
+                       se.mul(to_series(x, p), one_q))
+        c3 = se.shift(se.divide(one_minus(_val_neg(x), k, p), apb), -(k + 1))
+        return se.add(se.mul(c1, theta_partial(_val_shift(y, k + 2), p)),
+                      se.mul(c3, theta_partial(_val_shift(y, k + 1), p)))
+
+    return se.cap(se.sub(half(av, bv), half(bv, av)), prec)
+
+
+def _tsum_by_pads(a, prec):
+    """T(a) as sums.tsum built it before kernels.theta_combination."""
+    av = as_value(a)
+    d = ord_of(av)
+    p = prec + theta_dip(d - 1) + max(1, abs(d + 1), 2 * d - 3)
+    A = to_series(av, p)
+    q1, q2 = se.monomial(1, 1, p), se.monomial(1, 2, p)
+    A2, Aq = se.mul(A, A), se.mul(A, q1)
+    den1 = se.add(se.add(se.one(p), q1), q2)
+    num1 = se.add(se.sub(A, A2), se.sub(Aq, q2))
+    num2 = se.sub(se.add(Aq, se.mul(A, q2)), se.add(A2, se.shift(q2, 2)))
+    res = se.add(se.mul(se.divide(num1, den1), theta_partial(av, p)),
+                 se.mul(se.divide(num2, se.shift(A, 1)), theta_partial(_val_shift(av, -1), p)))
+    return se.cap(res, prec)
+
+
+def _omega_by_pads(a, b, prec):
+    """Omega(a, b) as sums.omega built it before kernels.theta_combination."""
+    av, bv = as_value(a), as_value(b)
+    db = ord_of(bv)
+    if db is None:
+        return theta_partial(av, prec)
+    da = ord_of(av) or 0
+
+    def terms():
+        yield se.zero(prec)
+        bpow, n = qmon(1), 0
+        while n < -da or n + db < 0 or n * (n - 1) // 2 + n * db - theta_dip(da + n) < prec:
+            sh = n * (n - 1) // 2
+            th = theta_partial(_val_shift(av, n),
+                               prec + 2 * theta_dip(da + n) + max(0, -sh - n * db))
+            term = se.shift(_mul_value(th, bpow), sh)
+            yield se.neg(term) if n % 2 else term
+            bpow = _val_mul(bpow, bv)
+            n += 1
+
+    return se.cap(se.add_all(terms()), prec)
+
+
+def test_theta_products_match_the_padded_formulas():
+    # Monomial, N/D and series arguments (leading coefficient 1 or not, and
+    # a + b cancelling), k = 0..2, p in {1, 10, 25}: the values agree to
+    # joint precision, the precision is never lower, and exact monomial
+    # arguments give structurally equal results.
+    def ser(*terms, prec):
+        return se.add_all([se.zero(prec)] + [se.monomial(c, e, prec) for c, e in terms])
+
+    mono = [qmon(Fraction(3, 2), -3), qmon(Fraction(-5, 7), 0), qmon(2, 2), qmon(1, -1)]
+    nd = [_ND[0], _ND[1], _ND[4], _ND[5]]
+    series = [ser((1, 0), (Fraction(2, 3), 1), prec=9), ser((-3, -2), (1, 0), prec=14),
+              ser((Fraction(-4, 3), 2), (5, 4), prec=20)]
+    args = mono + nd + series
+    pairs = [(a, b) for a in args for b in args if a is not b][::3]
+    pairs += [(_ND[0], _ND[1]), (qmon(1, 0), ser((-1, 0), (1, 2), prec=16))]
+    cases = [("tsum", (a,)) for a in args] + [("omega", ab) for ab in pairs]
+    cases += [("thetak", (k,) + ab) for k in range(3) for ab in pairs[k::3]]
+    refs = {"tsum": _tsum_by_pads, "omega": _omega_by_pads, "thetak": _thetak_by_pads}
+    for (name, xs), p in itertools.product(cases, (1, 10, 25)):
+        old, new = refs[name](*xs, p), getattr(sums, name)(*xs, p)
+        assert se.eq_to_prec(old, new)[0], (name, xs, p)
+        assert new.prec >= old.prec, (name, xs, p, old.prec, new.prec)
+        if all(isinstance(x, (int, QMonomial)) for x in xs):
+            assert new == old, (name, xs, p)
 
 
 @pytest.mark.parametrize("name", sorted(_CONTRACT))
