@@ -14,7 +14,11 @@ left: ``a*(b/c)`` is ``(a*b)/c``, which for nonzero values is the same
 value and precision, as the precision rules of ``mul`` and ``divide``
 compose.  Each sum body splits into its q-hypergeometric part H_n, whose
 term ratio drives ``kernels.ratio_terms``, and a residual R_n evaluated
-term by term; the ``dsl`` docstring gives the split and the stop rules.  Within one
+term by term; the ``dsl`` docstring gives the split and the stop rules.
+An infinite sum builds each term only to the precision it keeps (see
+``terms``): with a residual, t_n to the target less ord(R_n), and R_n, in
+a sub-evaluator, to the target less t_n's order bound; an R_n short of
+that, or raising there, is evaluated at the target.  Within one
 evaluation, a builtin call whose evaluated arguments equal an earlier
 call's is computed once, and the repeat gets a result structurally
 identical to a fresh call.  Before a finite sum evaluates its residual,
@@ -38,6 +42,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 
 from .errors import BoundViolationError, EvalError, QThetaError
 from . import series as se
@@ -481,11 +486,34 @@ class _Evaluator:
             raise EvalError(str(exc), node.pos) from exc
         return acc if finite else se.cap(acc, self.prec)
 
+    def residual(self, r, ienv, need):
+        """R_k, the product of r at ienv, for a term t_k of order at least
+        prec - need: at max(1, need), in a fresh sub-evaluator, when need
+        is below the target, as t_k * R_k keeps no more of it.  An R_k
+        short of need there or raising there, and each R_k of a finite sum
+        (need None), is evaluated at the target, so its value or error is
+        the one it has there."""
+        if need is not None and need < self.prec:
+            try:
+                x = _Evaluator(self.binding, max(1, need)).product(r, ienv)
+                if not isinstance(x, se.LaurentSeries) or x.prec >= need:
+                    return x
+            except QThetaError:
+                pass
+        return self.product(r, ienv)
+
     def terms(self, node, ienv, count, finite, fold):
         """The terms of a sum: the t_k of ratio_terms started at the
-        product of the (factor, value) pairs in fold and H_lo, times R_n
-        when the body has a residual.  An infinite pure-H_n sum builds
-        each term only to the precision the truncated sum keeps."""
+        product of the (factor, value) pairs in fold and H_lo, times R_k
+        when the body has a residual.  An infinite sum builds each term
+        only to the precision the truncated sum keeps.  A pure-H_n term is
+        capped at the target.  With a residual, t_k is capped at the
+        target less ord(R_k), and R_k built to the target less ord(c) +
+        cum_k (see residual), with c the prefactor and cum_k the bound of
+        ratio_orders, so t_k * R_k reaches the target; an R_k short of
+        that leaves every term uncapped.  A finite sum, whose precision is
+        the minimum over its terms, builds R_k at the target and t_k
+        uncapped."""
         prec = self.prec
         var = node.var
         h, r, num, den, z, sr, n_term = self.split(
@@ -496,6 +524,8 @@ class _Evaluator:
             return []
         dc = _ord_rel(c)[0]
         if r:
+            if not count:
+                return []
             # The orderbound stops the sum, and R_n is evaluated at every
             # index, also past the end of a terminating H_n, where it may
             # still divide by zero.  R_n comes first so that t_0's
@@ -505,21 +535,28 @@ class _Evaluator:
                 for f, _ in r:
                     if isinstance(f, Call) and f.name == "Pm":
                         self.prefetch(f, var, ienv, count)
-            rs = []
-            for k in range(count):
+            cums = [cum for cum, _ in islice(ratio_orders(num, den, z, sr), count)]
+            rs, need, top, capped = [], [], [], not finite
+            for k, cum in enumerate(cums):
                 inner = dict(ienv)
                 inner[var] = ienv[var] + k
-                rs.append(self.product(r, inner))
-            need = []
-            for (cum, _), x in zip(ratio_orders(num, den, z, sr), rs):
+                x = self.residual(r, inner, None if finite else prec - dc - cum)
+                rs.append(x)
                 if isinstance(x, QMonomial) and x.coef == 0:
+                    top.append(None)
                     continue
                 dx, rel = _ord_rel(x)
                 need.append(prec - dc - cum - dx)
-                if finite and rel is not None:
+                top.append(prec - dx)
+                if rel is not None and finite:
                     need.append(rel)
+                elif rel is not None and dx + rel + dc + cum < prec:
+                    # An R_k short of its need bounds the sum's precision
+                    # itself, as it does uncapped: no term is capped.
+                    capped = False
             t0 = self.start(c, max(need, default=0), h, ienv)
-            return (_val_mul(t, x) for t, x in zip(ratio_terms(num, den, z, sr, t0, count), rs))
+            terms = ratio_terms(num, den, z, sr, t0, count, top if capped else None, cums)
+            return (_val_mul(t, x) for t, x in zip(terms, rs))
         # Pure H_n: the later of the orderbound's stop and ratio_stop's.
         if finite:
             n_term = count - 1 if n_term is None else min(n_term, count - 1)
@@ -527,13 +564,13 @@ class _Evaluator:
             if sr < 0 or (sr == 0 and ord_of(z) <= 0):
                 raise EvalError("non-terminating sum whose term ratio z*q^(%d*n), "
                                 "ord(z) = %d, cannot converge" % (sr, ord_of(z)), node.pos)
-            n, dip = ratio_stop(num, den, z, sr, prec - dc)
-            if count > n:
-                n, dip = ratio_stop(num, den, z, sr, prec - dc, count - 1)
+            cums = ratio_stop(num, den, z, sr, prec - dc)
+            if count > len(cums):
+                cums = ratio_stop(num, den, z, sr, prec - dc, count - 1)
         else:
-            n, dip = ratio_stop(num, den, z, sr, prec - dc, n_term)
-        return ratio_terms(num, den, z, sr, self.start(c, prec - dc - dip, h, ienv), n,
-                           None if finite else prec)
+            cums = ratio_stop(num, den, z, sr, prec - dc, n_term)
+        t0 = self.start(c, prec - dc - min(cums, default=0), h, ienv)
+        return ratio_terms(num, den, z, sr, t0, len(cums), None if finite else prec, cums)
 
 
 def evaluate(ast, binding, prec):

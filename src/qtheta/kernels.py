@@ -24,10 +24,12 @@ it is the last term of the ring term loop of ``ratio_terms``.
 
 A truncated sum builds each term only to the precision it keeps.  The
 order bounds cum_k of ``ratio_orders`` say how far each step moves a
-term's precision, so term k is capped at top + cum_k - min_(j>=k) cum_j:
-every later term made from it still reaches the target top, and no
-coefficient below top changes.  This is "compute only what is needed" in
-the sense of van der Hoeven's relaxed series, derived statically.
+term's precision, so with a demand top_j on each term j, term k is capped
+at cum_k + max_(j>=k) (top_j - cum_j): every later term made from it
+still reaches its demand, and no coefficient below it changes.  The
+demand is the target, or for a DSL term t_k*R_k the target less
+ord(R_k).  This is "compute only what is needed" in the sense of van der
+Hoeven's relaxed series, derived statically.
 
 Exact arguments also choose the arithmetic.  There are two exact kinds:
 the monomial c*q^e (QMonomial) and N(q)/D(q) with sparse integer
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     DegenerateParameterError,
@@ -139,42 +141,60 @@ def _poly_shift(a, k):
 
 
 def _dense(a):
-    """The polynomial a, free of its q-power, as a dense Fraction list."""
-    out = [Fraction(0)] * (a[-1][0] - a[0][0] + 1)
+    """The polynomial a, free of its q-power, as a dense integer list."""
+    out = [0] * (a[-1][0] - a[0][0] + 1)
     for e, c in a:
-        out[e - a[0][0]] = Fraction(c)
+        out[e - a[0][0]] = c
     return out
 
 
-def _divmod(a, b):
-    """(quotient, remainder) of dense Fraction lists a and b."""
-    a, quo = list(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+def _primitive_part(a):
+    """A nonzero dense integer list over the gcd of its entries."""
+    g = gcd(*a)
+    return [c // g for c in a]
+
+
+def _prem(a, b):
+    """A pseudo-remainder of dense integer lists a and b (lowest first):
+    a times a power of b's leading coefficient, modulo b."""
+    a, lb = list(a), b[-1]
+    while len(a) >= len(b):
+        la, k = a.pop(), len(a) - len(b) + 1
+        a = [lb * c for c in a]
+        for i, c in enumerate(b[:-1]):
+            a[k + i] -= la * c
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _exquo(a, b):
+    """a / b for dense integer lists where b divides a in Z[q]."""
+    a, quo = list(a), [0] * (len(a) - len(b) + 1)
     for k in reversed(range(len(quo))):
-        quo[k] = f = a[k + len(b) - 1] / b[-1]
+        quo[k] = f = a[k + len(b) - 1] // b[-1]
         for i, c in enumerate(b):
             a[k + i] -= f * c
-    del a[len(b) - 1:]
-    while a and not a[-1]:
-        a.pop()
-    return quo, a
+    return quo
 
 
 def _exact(num, den, coprime=False):
     """The canonical exact value num/den of sparse integer polynomials (den != 0):
     a QMonomial for a quotient of two single terms, else a QRational.
-    ``coprime`` says that num and den share no factor but q."""
+    ``coprime`` says that num and den share no factor but q.  The gcd is
+    a primitive remainder sequence over Z."""
     if not num:
         return _ZERO
     num, den = _poly_shift(num, -den[0][0]), _poly_shift(den, -den[0][0])
     if len(num) > 1 and len(den) > 1 and not coprime:
-        a, b = _dense(num), _dense(den)
-        while b:
-            a, b = b, _divmod(a, b)[1]
-        if len(a) > 1:
-            qn, qd = _divmod(_dense(num), a)[0], _divmod(_dense(den), a)[0]
-            m = lcm(*(c.denominator for c in qn + qd))
-            num = tuple((num[0][0] + e, int(c * m)) for e, c in enumerate(qn) if c)
-            den = tuple((e, int(c * m)) for e, c in enumerate(qd) if c)
+        a, b = _primitive_part(_dense(num)), _primitive_part(_dense(den))
+        while len(b) > 1:
+            a, b = b, _prem(a, b)
+            b = b and _primitive_part(b)
+        if not b and len(a) > 1:
+            qn, qd = _exquo(_dense(num), a), _exquo(_dense(den), a)
+            num = tuple((num[0][0] + e, c) for e, c in enumerate(qn) if c)
+            den = tuple((e, c) for e, c in enumerate(qd) if c)
     cs = [c for _, c in num + den]
     g = gcd(*cs) * (1 if cs[len(num)] > 0 else -1)
     num = tuple((e, c // g) for (e, _), c in zip(num, cs))
@@ -591,50 +611,59 @@ def ratio_orders(num, den, z, sr):
     sum of step(0..k-1), bounds ord(t_k), and a step moves a term's
     precision by at least step(k).  A denominator factor 1 - v*q^e counts
     min(0, ord(v) + e), or its true order where that is higher (_lift).
-    From stab on no factor has negative order and step(k) = ord(z) + sr*k
-    never falls again; settled_k says k >= stab and step(k) >= 0, so cum
-    never falls after k.
+    From stab on no factor has negative order, and past stab no factor
+    counts at all: step(k) = ord(z) + sr*k, which never falls again.
+    settled_k says k >= stab and step(k) >= 0, so cum never falls after k.
     """
     dz = ord_of(z)
     signed = ([(1, i, j, ord_of(v), 0) for v, i, j in num]
               + [(-1, i, j, ord_of(v), _lift(v)) for v, i, j, _ in den])
     stab = max([0] + [-((d + j) // i) for _, i, j, d, _ in signed if d is not None])
-    k = cum = 0
-    while True:
+    cum = 0
+    for k in range(stab + 1):
         step = dz + sr * k + sum(s * _m0(d, i * k + j) - (x if x and i * k + j == -d else 0)
                                  for s, i, j, d, x in signed)
-        yield cum, k >= stab and step >= 0
+        yield cum, k == stab and step >= 0
+        cum += step
+    k = stab + 1
+    while True:
+        step = dz + sr * k
+        yield cum, step >= 0
         cum += step
         k += 1
 
 
 def ratio_stop(num, den, z, sr, prec, n_term=None):
-    """(n, dip): how many terms ratio_sum adds and the lowest cum_k among them.
+    """The cum_k (see ratio_orders) of the terms ratio_sum adds, k < n:
+    n = len(result) terms, whose lowest cum_k is the dip.
 
     Given ``n_term`` the terms are t_0..t_(n_term); otherwise they end
     before the first settled k with cum_k >= prec, which the caller makes
     sure exists.
     """
-    n = dip = 0
+    cums = []
     for cum, settled in ratio_orders(num, den, z, sr):
-        if n > n_term if n_term is not None else settled and cum >= prec:
-            break
-        dip = min(dip, cum)
-        n += 1
-    return n, dip
+        if len(cums) > n_term if n_term is not None else settled and cum >= prec:
+            return cums
+        cums.append(cum)
 
 
-def ratio_terms(num, den, z, sr, t0, n, top=None):
+def ratio_terms(num, den, z, sr, t0, n, top=None, cums=None):
     """Yield t_0 = t0, t_1, ..., t_(n-1) (t_0 alone when n < 2), where
     t_(k+1)/t_k = z (-1)^sr q^(sr*k) N_k/D_k as in ratio_sum.
 
-    Given ``top``, term k is built only to precision
-    top + cum_k - min_(k<=j<n) cum_j (see ratio_orders), when its own is
-    higher: a term j >= k made from the capped t_k moves by at least
-    cum_j - cum_k, so every term still reaches top, and no coefficient
-    below top changes.  The suffix minimum covers a cum that falls before
-    it settles.  A sum truncated to top passes it; a terminating sum,
-    whose precision is the minimum over its terms, does not.
+    Given ``top``, the precision each term must reach (one int for every
+    term, or a list with one demand top_k per term, None for none), term
+    k is built only to cap_k = cum_k + max_(k<=j<n) (top_j - cum_j) (see
+    ratio_orders), when its own is higher: a term j >= k made from the
+    capped t_k moves by at least cum_j - cum_k, so every term still
+    reaches its demand, and no coefficient below it changes.  For one top
+    this is top + cum_k - min_(k<=j<n) cum_j; the suffix covers a cum
+    that falls before it settles.  A sum truncated to its target passes
+    the target, and a DSL sum with a residual R_k passes the target less
+    ord(R_k) for term k; a terminating sum, whose precision is the
+    minimum over its terms, passes none.  ``cums`` are the cum_k when the
+    caller has them already.
 
     When z and every factor value are exact monomials, each step runs on the
     raw term (lo, T, D, P): the block T at q^lo over the denominator D, of
@@ -649,12 +678,17 @@ def ratio_terms(num, den, z, sr, t0, n, top=None):
     """
     caps = [None] * max(n, 1)
     if top is not None:
-        cums = [cum for cum, _ in islice(ratio_orders(num, den, z, sr), len(caps))]
-        low = cums[-1]
-        for k in reversed(range(len(cums))):
-            low = min(low, cums[k])
-            caps[k] = top + cums[k] - low
-        t0 = se.cap(t0, caps[0])
+        if cums is None or len(cums) < len(caps):
+            cums = [cum for cum, _ in islice(ratio_orders(num, den, z, sr), len(caps))]
+        tops = top if isinstance(top, list) else [top] * len(caps)
+        gap = None
+        for k in reversed(range(len(caps))):
+            if tops[k] is not None:
+                gap = tops[k] - cums[k] if gap is None else max(gap, tops[k] - cums[k])
+            if gap is not None:
+                caps[k] = cums[k] + gap
+        if caps[0] is not None:
+            t0 = se.cap(t0, caps[0])
     if isinstance(z, _EXACT) and all(isinstance(f[0], _EXACT) for f in num + den):
         return _exact_terms(num, den, z, sr, t0, n, caps)
     return _ring_terms(num, den, z, sr, t0, n, caps)
@@ -832,9 +866,10 @@ def ratio_sum(num, den, z, sr, prec, n_term=None):
     summed once over one running denominator by series.add_all, as they
     are made, and the sum is normalized once.
     """
-    n, dip = ratio_stop(num, den, z, sr, prec, n_term)
-    top = prec if n_term is None else None
-    return se.add_all(ratio_terms(num, den, z, sr, se.one(prec - dip + 2), n, top))
+    cums = ratio_stop(num, den, z, sr, prec, n_term)
+    t0 = se.one(prec - min(cums, default=0) + 2)
+    return se.add_all(ratio_terms(num, den, z, sr, t0, len(cums),
+                                  prec if n_term is None else None, cums))
 
 
 def bhs(upper, lower, z, prec):

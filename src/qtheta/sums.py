@@ -206,20 +206,20 @@ def _pfamily(m, a, b, prec, zexp, what, count=1):
     stops = []
     for k in range(count):
         num, den, extra = _pfactors(m, _val_shift(av, k), _val_shift(bv, k), what)
-        n, dip = ratio_stop(num, den, z, 0, prec + extra)
-        stops.append(n)
+        cums = ratio_stop(num, den, z, 0, prec + extra)
+        stops.append(len(cums))
         if k == 0:
-            base = num, den, dip
+            base = num, den, cums
     # Term n of member k comes from term n+1 of member k-1.
     lengths = list(stops)
     for k in reversed(range(count - 1)):
         lengths[k] = max(lengths[k], lengths[k + 1] + 1)
-    num, den, dip = base
+    num, den, cums = base
     top = prec + zexp * (count - 1)
-    # Past the stop cum_k >= prec + extra > 0, so dip is also the lowest
-    # cum_k of the longer base run.
-    pre = qpoch_multi([_QMON, av, bv], top - dip)
-    terms = list(ratio_terms(num, den, z, 0, pre, lengths[0], top))
+    # Past the stop cum_k >= prec + extra > 0, so the dip is also the
+    # lowest cum_k of the longer base run.
+    pre = qpoch_multi([_QMON, av, bv], top - min(cums, default=0))
+    terms = list(ratio_terms(num, den, z, 0, pre, lengths[0], top, cums))
     out = [se.cap(se.add_all(terms[:stops[0]]), prec)]
     ab = _val_mul(av, bv)
     for k in range(1, count):

@@ -7,6 +7,7 @@ the kernel/sum implementations under test.
 
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 
 from qtheta import series as se
 from qtheta.dsl import INF, int_value
@@ -14,6 +15,7 @@ from qtheta.evaluator import _Evaluator
 from qtheta.errors import DegenerateParameterError
 from qtheta.kernels import (
     QMonomial,
+    QRational,
     _factor,
     _mul_value,
     as_value,
@@ -23,6 +25,50 @@ from qtheta.kernels import (
     qpoch_capped,
     to_series,
 )
+
+
+def _fraction_divmod(a, b):
+    """(quotient, remainder) of dense Fraction lists a and b, lowest first."""
+    a, quo = list(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for k in reversed(range(len(quo))):
+        quo[k] = f = a[k + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            a[k + i] -= f * c
+    del a[len(b) - 1:]
+    while a and not a[-1]:
+        a.pop()
+    return quo, a
+
+
+def exact_by_fraction_euclid(num, den):
+    """kernels._exact's canonical num/den of sparse integer polynomials by
+    Euclid's algorithm over dense Fraction lists: divide N and D by their
+    gcd in Q[q], clear denominators, then take out the content and give D
+    a positive constant term."""
+    def dense(a):
+        out = [Fraction(0)] * (a[-1][0] - a[0][0] + 1)
+        for e, c in a:
+            out[e - a[0][0]] = Fraction(c)
+        return out
+
+    if not num:
+        return QMonomial(Fraction(0), 0)
+    num = tuple((e - den[0][0], c) for e, c in num)
+    den = tuple((e - den[0][0], c) for e, c in den)
+    a, b = dense(num), dense(den)
+    while b:
+        a, b = b, _fraction_divmod(a, b)[1]
+    qn, qd = _fraction_divmod(dense(num), a)[0], _fraction_divmod(dense(den), a)[0]
+    m = lcm(*(c.denominator for c in qn + qd))
+    num = tuple((num[0][0] + e, int(c * m)) for e, c in enumerate(qn) if c)
+    den = tuple((e, int(c * m)) for e, c in enumerate(qd) if c)
+    cs = [c for _, c in num + den]
+    g = gcd(*cs) * (1 if cs[len(num)] > 0 else -1)
+    num = tuple((e, c // g) for (e, _), c in zip(num, cs))
+    den = tuple((e, c // g) for (e, _), c in zip(den, cs[len(num):]))
+    if len(num) == 1 and len(den) == 1:
+        return QMonomial(Fraction(num[0][1], den[0][1]), num[0][0])
+    return QRational(num, den)
 
 
 def rand_fraction(rng, exclude=(0, 1, -1)):

@@ -8,21 +8,22 @@ must reach the target and agree with the same call on the series
 expansion of the argument, to that call's precision.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtheta import dsl, series as se
+from qtheta import dsl, kernels, series as se
 from qtheta.dsl import Call, _children, parse
 from qtheta.evaluator import _Evaluator
 from qtheta.errors import QThetaError
 from qtheta.identities import load_registry
-from qtheta.kernels import QRational, _exact, ord_of, ratio_terms, theta_partial, to_series
+from qtheta.kernels import QRational, _exact, _poly_mul, ord_of, ratio_terms, theta_partial, to_series
 from qtheta.sums import pmsum
 from qtheta.verifier import full_binding
 
-from helpers import qmon, ratio_terms_by_ring
+from helpers import exact_by_fraction_euclid, qmon, ratio_terms_by_ring
 
 RECORDS = {i.name: i for i in load_registry()}
 
@@ -147,3 +148,36 @@ def test_rational_terms_agree_with_the_ring_path(num, den, z, sr, n):
             assert g is w
         else:
             assert se.eq_to_prec(g, w)[0] and g.prec >= w.prec, (num, den, z, sr, g, w)
+
+
+# -- the integer gcd of _exact against the Fraction Euclid ---------------------------
+
+
+def _rand_poly(rng, terms, lo=0):
+    return kernels._poly((rng.randint(lo, 6), rng.choice([-1, 1]) * rng.randint(1, 12))
+                         for _ in range(terms))
+
+
+def test_integer_gcd_matches_the_fraction_euclid():
+    # N = A*G and D = B*G with a planted common factor G (sometimes G^2,
+    # or a second factor shared with only N); A and N may carry negative
+    # exponents.  The canonical form must be the one the Fraction Euclid
+    # gives, QMonomial where a single term is left.
+    rng = random.Random(20261020)
+    nontrivial = monomials = 0
+    for _ in range(400):
+        g = _rand_poly(rng, rng.randint(2, 4))
+        a = _rand_poly(rng, rng.randint(1, 4), lo=-3)
+        b = _rand_poly(rng, rng.randint(1, 4))
+        if not (a and b and len(g) > 1):
+            continue
+        if rng.random() < 0.3:
+            g = _poly_mul(g, g)
+        if rng.random() < 0.3:
+            a = _poly_mul(a, _rand_poly(rng, 2))
+        num, den = _poly_mul(a, g), _poly_mul(b, g)
+        got = _exact(num, den)
+        assert got == exact_by_fraction_euclid(num, den), (num, den)
+        nontrivial += len(got.den if isinstance(got, QRational) else ()) < len(den)
+        monomials += not isinstance(got, QRational)
+    assert nontrivial > 200 and monomials > 0

@@ -496,7 +496,8 @@ def test_ratio_sum_normalizes_its_sum_once(monkeypatch):
     monkeypatch.setattr(se, "_make", lambda *args: makes.append(1) or make(*args))
     monkeypatch.setattr(se, "add", None)
     for (num, den, z, sr), exact in ((pm3, True), (theta, False)):
-        n, dip = ratio_stop(num, den, z, sr, 20)
+        cums = ratio_stop(num, den, z, sr, 20)
+        n, dip = len(cums), min(cums)
         makes.clear()
         list(ratio_terms(num, den, z, sr, se.one(22 - dip), n, 20))
         per_terms = len(makes)

@@ -1,4 +1,4 @@
-"""Prefix stability of the series builtins over the corpus.
+"""Prefix stability of the corpus: its builtin calls and its whole trees.
 
 A result O(q^p) claims every coefficient below p.  So the same call at p
 and at p + DELTA must agree below p: that needs no reference value.  The
@@ -6,14 +6,21 @@ calls are those the corpus makes at order 30 (seed 1), recorded through
 wrappers installed by this test on the builtin table and on
 ``sums.pmfamily``, whose members are the Pm values of finite k-sums.  A
 fixed-seed sample of them, and every call with an exact N/D argument, is
-run again at p + DELTA.
+run again at p + DELTA.  The trees are both sides of every record, at
+its working precision and DELTA above it; this also covers the evaluator's
+own precision rules (sum stops, term caps, residual precisions), which no
+single builtin call sees.
 """
 
 import random
+from fractions import Fraction
+
+import pytest
 
 from qtheta import dsl, series as se, sums
+from qtheta.identities import load_registry
 from qtheta.kernels import QRational, _val_shift
-from qtheta.verifier import verify_all
+from qtheta.verifier import full_binding, max_neg_shift, sample_params, verify_all
 
 DELTA = 12
 SAMPLE = 250
@@ -62,3 +69,24 @@ def test_corpus_calls_are_prefix_stable(monkeypatch):
         deeper = dsl._BUILTINS[name].kernel(*args, p=p + DELTA)
         assert se.eq_to_prec(got, deeper)[0] and deeper.prec >= got.prec, (name, args, p)
     assert passed
+
+
+def _agree(ast, base, ident, wp):
+    """Whether ast at wp and at wp + DELTA agree below the smaller precision."""
+    got, deeper = (dsl.evaluate(ast, full_binding(ident, base, p), p) for p in (wp, wp + DELTA))
+    return se.eq_to_prec(got, deeper)[0]
+
+
+@pytest.mark.parametrize("ident", load_registry(), ids=lambda ident: ident.name)
+def test_record_trees_are_prefix_stable(ident):
+    wp = 30 + 2 * max_neg_shift(ident) + 8
+    base = sample_params(ident, 1, 0)
+    assert _agree(ident.lhs, base, ident, wp) and _agree(ident.rhs, base, ident, wp)
+
+
+@pytest.mark.xfail(strict=True, reason="an R_n sum stops where its orderbound says, and "
+                   "2*n is short for theta(a*q^n)*q^n, whose terms have order n")
+def test_short_residual_orderbound_is_prefix_stable():
+    ast = dsl.parse("sum(n, 0, inf, theta(a*q^n)*q^n, 2*n)")
+    got, deeper = (dsl.evaluate(ast, {"a": Fraction(2)}, p) for p in (10, 10 + DELTA))
+    assert se.eq_to_prec(got, deeper)[0]

@@ -7,7 +7,9 @@ same precisions, and raise the same errors at the same term.
 
 A truncated sum builds each term only to the precision the sum keeps
 (ratio_terms' ``top``); it must equal the sum of the uncapped terms,
-truncated.
+truncated.  A DSL sum with a residual R_n also builds R_n only to the
+precision its term keeps; it must equal the evaluation with every term
+uncapped and every R_n at the target, errors included.
 """
 
 import itertools
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qtheta import dsl, evaluator, series as se
-from qtheta.errors import QThetaError
+from qtheta.errors import EvalError, QThetaError
 from qtheta.kernels import ord_of, ratio_stop, ratio_sum, ratio_terms
 
 from helpers import qmon, ratio_terms_by_ring
@@ -125,8 +127,9 @@ def test_hyp_matches_ring(num, den, z, sr, t0, n):
 
 def _uncapped_sum(num, den, z, sr, prec):
     """ratio_sum with every term at its own precision, truncated at the end."""
-    n, dip = ratio_stop(num, den, z, sr, prec)
-    return se.cap(se.add_all(ratio_terms(num, den, z, sr, se.one(prec - dip + 2), n)), prec)
+    cums = ratio_stop(num, den, z, sr, prec)
+    t0 = se.one(prec - min(cums, default=0) + 2)
+    return se.cap(se.add_all(ratio_terms(num, den, z, sr, t0, len(cums))), prec)
 
 
 def _sum_outcome(f, *args):
@@ -183,21 +186,83 @@ def test_hyp_capped_sum_equals_uncapped(num, den, z, sr, prec):
     _assert_cap_keeps_sum(num, den, z, sr, prec)
 
 
+def _eval_outcome(node, binding, prec):
+    """dsl.evaluate's value, or the error's type, message and position."""
+    try:
+        return dsl.evaluate(node, binding, prec)
+    except EvalError as exc:
+        return type(exc), str(exc), exc.pos
+
+
+def _without_demands(monkeypatch):
+    """Switch off the per-term demands: uncapped terms, and every R_k at
+    the target precision."""
+    real = evaluator.ratio_terms
+    monkeypatch.setattr(evaluator, "ratio_terms",
+                        lambda num, den, z, sr, t0, n, top=None, cums=None:
+                        real(num, den, z, sr, t0, n))
+    monkeypatch.setattr(evaluator._Evaluator, "residual",
+                        lambda self, r, ienv, need: self.product(r, ienv))
+
+
+_RATIONAL = {text: dsl.evaluate_value(dsl.parse(text), {}, 1)
+             for text in ("(3 + 2*q^2)/(2 + 5*q)", "(1 - q)/(3 + q^3)")}
+
+
 def test_dsl_infinite_sums_cap_their_terms(monkeypatch):
     texts = [
         "sum(n,0,inf,(-1)^n*q^binom2(n)*a^n,binom2(n))",
         "sum(n,0,inf, poch(a*b/q^2, 2*n)*q^n"
         "/(poch(q,n)*poch(a,n)*poch(b,n)*poch(a*b/q^2,n)), n - 3)",
+        # Bodies with a residual R_n: t_n is built to prec - ord(R_n), and
+        # R_n to prec - ord(t_0) - cum_n.
+        "sum(n,0,inf,theta(a*q^n)*q^n/poch(q,n),n)",
+        "sum(n,0,inf,V(2,n,a,b)*q^binom2(n)*b^n/poch(q,n),binom2(n))",
+        "sum(n,0,inf,ThetaK(n,a,b)*q^(2*n),2*n)",
+        "sum(n,0,inf,theta(a*q^(n-3))*(-1)^n*q^(2*n),2*n-6)",  # ord R_n < 0
+        "sum(n,0,inf,(q^2 - q^n)*theta(a*q^n)*q^n,n)",  # R_2 is an exact 0
     ]
     bindings = [{"a": Fraction(3, 2), "b": Fraction(-5, 7)},
                 {"a": qmon(Fraction(3, 2), -3), "b": qmon(2, 1)},
-                {"a": se.add(se.one(30), se.monomial(1, 1, 30)), "b": qmon(Fraction(-2, 3), 2)}]
+                {"a": _RATIONAL["(3 + 2*q^2)/(2 + 5*q)"], "b": _RATIONAL["(1 - q)/(3 + q^3)"]},
+                {"a": se.add(se.one(40), se.monomial(1, 1, 40)), "b": qmon(Fraction(-2, 3), 2)}]
     nodes = [dsl.parse(t) for t in texts]
-    capped = [[dsl.evaluate(node, b, prec) for b in bindings for prec in (1, 12)]
-              for node in nodes]
-    real = evaluator.ratio_terms
-    monkeypatch.setattr(evaluator, "ratio_terms",
-                        lambda num, den, z, sr, t0, n, top=None: real(num, den, z, sr, t0, n))
-    uncapped = [[dsl.evaluate(node, b, prec) for b in bindings for prec in (1, 12)]
-                for node in nodes]
-    assert capped == uncapped
+    grid = [(node, b, prec) for node in nodes for b in bindings for prec in (1, 12, 30)]
+    capped = [_eval_outcome(*case) for case in grid]
+    _without_demands(monkeypatch)
+    uncapped = [_eval_outcome(*case) for case in grid]
+    for case, got, want in zip(grid, capped, uncapped):
+        assert got == want, case
+    assert all(isinstance(v, se.LaurentSeries)
+               for (node, _, _), v in zip(grid, capped) if node in nodes[2:])
+
+
+def test_residual_short_at_the_reduced_precision(monkeypatch):
+    # 1/(theta(x) - 1 + x) with x = a*q^(n+d) divides by a series of order
+    # 2(n+d) + 1.  Where R_n's reduced precision is at or below that order,
+    # the divisor is zero there and the division raises; above it, R_n is
+    # short of its need, as a division by a series of positive order is.
+    # Either way R_n is evaluated again at the target, so the sum is the
+    # one with every R_n at the target: its value (short of the target in
+    # the first body, at it in the second), or its error, message and
+    # position (the third, whose divisor is zero at the target too).
+    texts = [
+        "sum(n,0,inf,q^(3*n)/(theta(a*q^(n+2)) - 1 + a*q^(n+2)),3*n)",
+        "sum(n,0,inf,q^(3*n+20)/(theta(a*q^(n+2)) - 1 + a*q^(n+2)),3*n)",
+        "sum(n,0,inf,q^(3*n+6)/(theta(a*q^(n+9)) - 1 + a*q^(n+9)),3*n)",
+    ]
+    bindings = [{"a": Fraction(2)}, {"a": _RATIONAL["(1 - q)/(3 + q^3)"]}]
+    divisor = dsl.parse("theta(a*q^2) - 1 + a*q^2")
+    assert dsl.evaluate(divisor, bindings[0], 5).is_zero
+    assert not dsl.evaluate(divisor, bindings[0], 6).is_zero
+    grid = [(dsl.parse(t), b, prec) for t in texts for b in bindings for prec in (1, 12, 30)]
+    got = [_eval_outcome(*case) for case in grid]
+    _without_demands(monkeypatch)
+    want = [_eval_outcome(*case) for case in grid]
+    for case, g, w in zip(grid, got, want):
+        assert g == w, case
+    assert any(isinstance(w, tuple) for w in want)
+    assert any(isinstance(w, se.LaurentSeries) and w.prec < case[2]
+               for case, w in zip(grid, want))
+    assert any(isinstance(w, se.LaurentSeries) and w.prec == case[2] > 1
+               for case, w in zip(grid, want))
