@@ -18,7 +18,9 @@ term by term; the ``dsl`` docstring gives the split and the stop rules.
 An infinite sum builds each term only to the precision it keeps (see
 ``terms``): with a residual, t_n to the target less ord(R_n), and R_n, in
 a sub-evaluator, to the target less t_n's order bound; an R_n short of
-that, or raising there, is evaluated at the target.  Within one
+that, or raising there, is evaluated at the target.  The sub-evaluator
+walks each orderbound and each residual index on to the target, so it
+raises wherever the evaluation at the target does.  Within one
 evaluation, a builtin call whose evaluated arguments equal an earlier
 call's is computed once, and the repeat gets a result structurally
 identical to a fresh call.  Before a finite sum evaluates its residual,
@@ -148,9 +150,12 @@ _Split = namedtuple("_Split", "h r num den z sr n_term")
 
 
 class _Evaluator:
-    def __init__(self, binding, prec):
+    def __init__(self, binding, prec, check=None):
         self.binding = binding
         self.prec = prec
+        # The precision this evaluation stands in for (see residual): its
+        # orderbounds and residual indices are walked as far as there.
+        self.check = prec if check is None else check
         # (builtin name, evaluated arguments) -> kernel result; prec is fixed.
         self.memo = {}
 
@@ -438,31 +443,37 @@ class _Evaluator:
         return _Split(h, r, num, den, _val_neg(z) if sr % 2 else z, sr, n_term)
 
     def bound_count(self, node, ienv):
-        """Terms an infinite sum takes by its orderbound: the first index
-        whose bound reaches the target precision, less lo."""
-        prec = self.prec
+        """(count, reach): count, the terms an infinite sum takes by its
+        orderbound (the first index whose bound reaches the target
+        precision, less lo), and reach, the same for the check precision,
+        whose iteration limit applies."""
         lo = ienv[node.var]
-        limit = 10 * prec + _ITER_SLACK
+        limit = 10 * self.check + _ITER_SLACK
         inner = dict(ienv)
-        i = lo
-        while int_value(node.bound, inner) < prec:
+        i, count = lo, None
+        while True:
+            bound = int_value(node.bound, inner)
+            if count is None and bound >= self.prec:
+                count = i - lo
+            if bound >= self.check:
+                return count, i - lo
             if i - lo > limit:
                 raise BoundViolationError(
-                    "orderbound below %d after %d iterations" % (prec, limit), node.pos)
+                    "orderbound below %d after %d iterations" % (self.check, limit), node.pos)
             i += 1
             inner[node.var] = i
-        return i - lo
 
     def start(self, c, rel, h, ienv):
         """t_0 = c, the product of h, at relative precision rel + 2,
         re-evaluated once at a higher precision when c carries less than
-        rel."""
+        rel, with the check precision raised as far."""
         rel = max(rel, -1)
         if isinstance(c, QMonomial):
             return se.monomial(c.coef, c.exp, c.exp + rel + 2)
         got = c.prec - c._ord()
         if got < rel:
-            c = _Evaluator(self.binding, self.prec + rel - got).product(h, ienv)
+            p = self.prec + rel - got
+            c = _Evaluator(self.binding, p, p + self.check - self.prec).product(h, ienv)
         return se.cap(c, c._ord() + rel + 2)
 
     def sum(self, node, ienv, fold=()):
@@ -471,14 +482,14 @@ class _Evaluator:
         inner = dict(ienv)
         inner[node.var] = lo
         if finite:
-            count = int_value(node.hi, ienv) - lo + 1
+            count = reach = int_value(node.hi, ienv) - lo + 1
             if count <= 0:
                 return se.zero(self.prec)
         else:
-            count = self.bound_count(node, inner)
+            count, reach = self.bound_count(node, inner)
         try:
             acc = se.add_all((to_series(t, self.prec)
-                              for t in self.terms(node, inner, count, finite, fold)),
+                              for t in self.terms(node, inner, count, reach, finite, fold)),
                              se.zero(self.prec))
         except EvalError:
             raise
@@ -489,20 +500,22 @@ class _Evaluator:
     def residual(self, r, ienv, need):
         """R_k, the product of r at ienv, for a term t_k of order at least
         prec - need: at max(1, need), in a fresh sub-evaluator, when need
-        is below the target, as t_k * R_k keeps no more of it.  An R_k
-        short of need there or raising there, and each R_k of a finite sum
-        (need None), is evaluated at the target, so its value or error is
-        the one it has there."""
+        is below the target, as t_k * R_k keeps no more of it.  The
+        sub-evaluator checks at the target (bound_count, terms), so it
+        raises where an evaluation at the target raises.  An R_k short of
+        need there or raising there, and each R_k of a finite sum (need
+        None), is evaluated at the target, so its value or error is the
+        one it has there."""
         if need is not None and need < self.prec:
             try:
-                x = _Evaluator(self.binding, max(1, need)).product(r, ienv)
+                x = _Evaluator(self.binding, max(1, need), self.check).product(r, ienv)
                 if not isinstance(x, se.LaurentSeries) or x.prec >= need:
                     return x
             except QThetaError:
                 pass
         return self.product(r, ienv)
 
-    def terms(self, node, ienv, count, finite, fold):
+    def terms(self, node, ienv, count, reach, finite, fold):
         """The terms of a sum: the t_k of ratio_terms started at the
         product of the (factor, value) pairs in fold and H_lo, times R_k
         when the body has a residual.  An infinite sum builds each term
@@ -510,10 +523,12 @@ class _Evaluator:
         capped at the target.  With a residual, t_k is capped at the
         target less ord(R_k), and R_k built to the target less ord(c) +
         cum_k (see residual), with c the prefactor and cum_k the bound of
-        ratio_orders, so t_k * R_k reaches the target; an R_k short of
-        that leaves every term uncapped.  A finite sum, whose precision is
-        the minimum over its terms, builds R_k at the target and t_k
-        uncapped."""
+        ratio_orders, so t_k * R_k reaches the target unless R_k is short
+        there, when the product is as short uncapped.  R_k is evaluated
+        for each k < reach, the count at the check precision (see
+        bound_count), beyond count only for its errors.  A finite sum,
+        whose precision is the minimum over its terms, builds R_k at the
+        target and t_k uncapped."""
         prec = self.prec
         var = node.var
         h, r, num, den, z, sr, n_term = self.split(
@@ -524,23 +539,23 @@ class _Evaluator:
             return []
         dc = _ord_rel(c)[0]
         if r:
-            if not count:
-                return []
             # The orderbound stops the sum, and R_n is evaluated at every
             # index, also past the end of a terminating H_n, where it may
-            # still divide by zero.  R_n comes first so that t_0's
-            # precision covers every term's order and, in a finite sum,
-            # R_n's relative precision.
+            # still divide by zero, and on to the check precision's stop.
+            # R_n comes first so that t_0's precision covers every term's
+            # order and, in a finite sum, R_n's relative precision.
             if finite and count > 1:
                 for f, _ in r:
                     if isinstance(f, Call) and f.name == "Pm":
                         self.prefetch(f, var, ienv, count)
-            cums = [cum for cum, _ in islice(ratio_orders(num, den, z, sr), count)]
-            rs, need, top, capped = [], [], [], not finite
+            cums = [cum for cum, _ in islice(ratio_orders(num, den, z, sr), reach)]
+            rs, need, top = [], [], []
             for k, cum in enumerate(cums):
                 inner = dict(ienv)
                 inner[var] = ienv[var] + k
                 x = self.residual(r, inner, None if finite else prec - dc - cum)
+                if k >= count:
+                    continue  # past count, R_k is evaluated for its errors only
                 rs.append(x)
                 if isinstance(x, QMonomial) and x.coef == 0:
                     top.append(None)
@@ -548,14 +563,12 @@ class _Evaluator:
                 dx, rel = _ord_rel(x)
                 need.append(prec - dc - cum - dx)
                 top.append(prec - dx)
-                if rel is not None and finite:
+                if finite and rel is not None:
                     need.append(rel)
-                elif rel is not None and dx + rel + dc + cum < prec:
-                    # An R_k short of its need bounds the sum's precision
-                    # itself, as it does uncapped: no term is capped.
-                    capped = False
+            if not count:
+                return []
             t0 = self.start(c, max(need, default=0), h, ienv)
-            terms = ratio_terms(num, den, z, sr, t0, count, top if capped else None, cums)
+            terms = ratio_terms(num, den, z, sr, t0, count, None if finite else top, cums[:count])
             return (_val_mul(t, x) for t, x in zip(terms, rs))
         # Pure H_n: the later of the orderbound's stop and ratio_stop's.
         if finite:
@@ -570,7 +583,8 @@ class _Evaluator:
         else:
             cums = ratio_stop(num, den, z, sr, prec - dc, n_term)
         t0 = self.start(c, prec - dc - min(cums, default=0), h, ienv)
-        return ratio_terms(num, den, z, sr, t0, len(cums), None if finite else prec, cums)
+        return ratio_terms(num, den, z, sr, t0, len(cums),
+                           None if finite else [prec] * len(cums), cums)
 
 
 def evaluate(ast, binding, prec):

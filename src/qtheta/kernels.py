@@ -54,7 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
 from math import gcd
 
 from .errors import (
@@ -652,18 +651,18 @@ def ratio_terms(num, den, z, sr, t0, n, top=None, cums=None):
     """Yield t_0 = t0, t_1, ..., t_(n-1) (t_0 alone when n < 2), where
     t_(k+1)/t_k = z (-1)^sr q^(sr*k) N_k/D_k as in ratio_sum.
 
-    Given ``top``, the precision each term must reach (one int for every
-    term, or a list with one demand top_k per term, None for none), term
-    k is built only to cap_k = cum_k + max_(k<=j<n) (top_j - cum_j) (see
-    ratio_orders), when its own is higher: a term j >= k made from the
-    capped t_k moves by at least cum_j - cum_k, so every term still
-    reaches its demand, and no coefficient below it changes.  For one top
-    this is top + cum_k - min_(k<=j<n) cum_j; the suffix covers a cum
-    that falls before it settles.  A sum truncated to its target passes
-    the target, and a DSL sum with a residual R_k passes the target less
-    ord(R_k) for term k; a terminating sum, whose precision is the
-    minimum over its terms, passes none.  ``cums`` are the cum_k when the
-    caller has them already.
+    Given ``top``, the list of the precision top_k each term k < n must
+    reach (None for none), and ``cums``, the list of its cum_k (see
+    ratio_orders), term k is built only to cap_k = cum_k +
+    max_(k<=j<n) (top_j - cum_j), when its own is higher: a term j >= k
+    made from the capped t_k moves by at least cum_j - cum_k, so every
+    term still reaches its demand, and no coefficient below it changes.
+    For one top this is top + cum_k - min_(k<=j<n) cum_j; the suffix
+    covers a cum that falls before it settles.  A sum truncated to its
+    target passes the target for every term, and a DSL sum with a
+    residual R_k passes the target less ord(R_k) for term k; a
+    terminating sum, whose precision is the minimum over its terms,
+    passes none.
 
     When z and every factor value are exact monomials, each step runs on the
     raw term (lo, T, D, P): the block T at q^lo over the denominator D, of
@@ -678,13 +677,10 @@ def ratio_terms(num, den, z, sr, t0, n, top=None, cums=None):
     """
     caps = [None] * max(n, 1)
     if top is not None:
-        if cums is None or len(cums) < len(caps):
-            cums = [cum for cum, _ in islice(ratio_orders(num, den, z, sr), len(caps))]
-        tops = top if isinstance(top, list) else [top] * len(caps)
         gap = None
-        for k in reversed(range(len(caps))):
-            if tops[k] is not None:
-                gap = tops[k] - cums[k] if gap is None else max(gap, tops[k] - cums[k])
+        for k in reversed(range(n)):
+            if top[k] is not None:
+                gap = top[k] - cums[k] if gap is None else max(gap, top[k] - cums[k])
             if gap is not None:
                 caps[k] = cums[k] + gap
         if caps[0] is not None:
@@ -869,7 +865,7 @@ def ratio_sum(num, den, z, sr, prec, n_term=None):
     cums = ratio_stop(num, den, z, sr, prec, n_term)
     t0 = se.one(prec - min(cums, default=0) + 2)
     return se.add_all(ratio_terms(num, den, z, sr, t0, len(cums),
-                                  prec if n_term is None else None, cums))
+                                  [prec] * len(cums) if n_term is None else None, cums))
 
 
 def bhs(upper, lower, z, prec):

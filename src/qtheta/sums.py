@@ -34,6 +34,7 @@ prec: it equals the direct call.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .errors import DegenerateParameterError, DomainError, PrecisionError
 from . import series as se
@@ -46,6 +47,7 @@ from .kernels import (
     ord_of,
     qpoch_finite,  # unused; bench/selftest.py checks that the tracer wraps this binding
     qpoch_multi,
+    ratio_orders,
     ratio_stop,
     ratio_terms,
     theta_combination,
@@ -219,7 +221,8 @@ def _pfamily(m, a, b, prec, zexp, what, count=1):
     # Past the stop cum_k >= prec + extra > 0, so the dip is also the
     # lowest cum_k of the longer base run.
     pre = qpoch_multi([_QMON, av, bv], top - min(cums, default=0))
-    terms = list(ratio_terms(num, den, z, 0, pre, lengths[0], top, cums))
+    cums += [cum for cum, _ in islice(ratio_orders(num, den, z, 0), len(cums), lengths[0])]
+    terms = list(ratio_terms(num, den, z, 0, pre, lengths[0], [top] * lengths[0], cums))
     out = [se.cap(se.add_all(terms[:stops[0]]), prec)]
     ab = _val_mul(av, bv)
     for k in range(1, count):

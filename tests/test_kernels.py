@@ -499,7 +499,7 @@ def test_ratio_sum_normalizes_its_sum_once(monkeypatch):
         cums = ratio_stop(num, den, z, sr, 20)
         n, dip = len(cums), min(cums)
         makes.clear()
-        list(ratio_terms(num, den, z, sr, se.one(22 - dip), n, 20))
+        list(ratio_terms(num, den, z, sr, se.one(22 - dip), n, [20] * n, cums))
         per_terms = len(makes)
         terms = list(ratio_terms(num, den, z, sr, se.one(22 - dip), n))
         makes.clear()

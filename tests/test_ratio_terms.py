@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qtheta import dsl, evaluator, series as se
-from qtheta.errors import EvalError, QThetaError
+from qtheta.errors import BoundViolationError, EvalError, QThetaError
 from qtheta.kernels import ord_of, ratio_stop, ratio_sum, ratio_terms
 
 from helpers import qmon, ratio_terms_by_ring
@@ -225,16 +225,52 @@ def test_dsl_infinite_sums_cap_their_terms(monkeypatch):
     bindings = [{"a": Fraction(3, 2), "b": Fraction(-5, 7)},
                 {"a": qmon(Fraction(3, 2), -3), "b": qmon(2, 1)},
                 {"a": _RATIONAL["(3 + 2*q^2)/(2 + 5*q)"], "b": _RATIONAL["(1 - q)/(3 + q^3)"]},
+                {"a": se.add(se.one(30), se.monomial(1, 1, 30)), "b": qmon(Fraction(-2, 3), 2)},
                 {"a": se.add(se.one(40), se.monomial(1, 1, 40)), "b": qmon(Fraction(-2, 3), 2)}]
     nodes = [dsl.parse(t) for t in texts]
     grid = [(node, b, prec) for node in nodes for b in bindings for prec in (1, 12, 30)]
-    capped = [_eval_outcome(*case) for case in grid]
+
+    def evaluate_grid():
+        out = []
+        for node, b, prec in grid:
+            if node is nodes[1] and b is bindings[2] and prec == 1:
+                # A known fault: the N/D bindings are series at the target
+                # outside builtin arguments, so a*b/q^2 has order -1 and
+                # the prefactor no constant term at target 1.
+                with pytest.raises(EvalError) as exc:
+                    dsl.evaluate(node, b, prec)
+                out.append((str(exc.value), exc.value.pos))
+            else:
+                out.append(dsl.evaluate(node, b, prec))
+        return out
+
+    capped = evaluate_grid()
     _without_demands(monkeypatch)
-    uncapped = [_eval_outcome(*case) for case in grid]
-    for case, got, want in zip(grid, capped, uncapped):
+    for case, got, want in zip(grid, capped, evaluate_grid()):
         assert got == want, case
-    assert all(isinstance(v, se.LaurentSeries)
-               for (node, _, _), v in zip(grid, capped) if node in nodes[2:])
+
+
+def test_residual_raises_what_the_target_raises(monkeypatch):
+    # R_n holds an inner sum, which is evaluated below the target 30 for
+    # n > 0.  The first inner orderbound, 5, never reaches 30.  The second
+    # inner residual divides by zero at m = 27 when n = 5, an index the
+    # inner sum reaches at 30 but not at its reduced precision 25.  In the
+    # third, the inner prefactor q^-3 * sum_j q^j is evaluated again 3
+    # above its precision, where the j-sum's bound 32 (at n = 1) reaches
+    # the reduced 29 + 3 but not 30 + 3.  Each raises the error, message
+    # and position of the evaluation at the target.
+    texts = ["sum(n,0,inf,q^(n+25)*sum(m,0,inf,q^(m+n),5),n)",
+             "sum(n,0,inf,q^n*sum(m,0,inf,q^m/(1 - q^(m - 27 + 40*(n - 5)*(n - 5))),m),n)",
+             "sum(n,0,inf,q^n*sum(m,0,inf,sum(j,0,inf,q^j,32 + 68*(n - 1)*(n - 1))*q^(m - 3),m),n)"]
+    nodes = [dsl.parse(t) for t in texts]
+    got = [_eval_outcome(node, {}, 30) for node in nodes]
+    _without_demands(monkeypatch)
+    want = [_eval_outcome(node, {}, 30) for node in nodes]
+    assert got == want
+    assert [w[0] for w in want] == [BoundViolationError, EvalError, BoundViolationError]
+    assert want[0][1].startswith("orderbound below 30 after 400 iterations")
+    assert want[1][1].startswith("division by zero")
+    assert want[2][1].startswith("orderbound below 33 after 430 iterations")
 
 
 def test_residual_short_at_the_reduced_precision(monkeypatch):
