@@ -36,7 +36,8 @@ from math import factorial
 
 from .errors import DegenerateParameterError, DomainError, EliminationError, PrecisionError
 from . import series as se
-from .kernels import QMonomial, _val_shift, as_value, ord_of, theta_combination, theta_dip
+from .kernels import (QMonomial, _dense_mul, _val_shift, as_value, ord_of, theta_combination,
+                      theta_dip)
 from .sums import (
     _gauss,
     lam,  # unused; bench/selftest.py checks that the tracer wraps this binding
@@ -158,16 +159,6 @@ def _trim(lo, coeffs):
     while n > i and not coeffs[n - 1]:
         n -= 1
     return (lo + i, tuple(coeffs[i:n])) if i < n else (0, ())
-
-
-def _poly_mul(x, y):
-    """The product of two coefficient lists, q^0 first."""
-    out = [0] * (len(x) + len(y) - 1)
-    for i, c in enumerate(x):
-        if c:
-            for j, d in enumerate(y):
-                out[i + j] += c * d
-    return out
 
 
 def _assignments(ends, rows, skip):
@@ -372,7 +363,7 @@ def gauss_solve(system, want=None):
     for w, col in enumerate(cols):
         adjugate = polys[1 + w * n: 1 + (w + 1) * n]
         _certify(terms, top, adjugate, det, col)
-        numer = [_trim(lo, _poly_mul(cs, s)) if cs else (0, ())
+        numer = [_trim(lo, _dense_mul(cs, s)) if cs else (0, ())
                  for (lo, cs), s in zip(adjugate, system.scales)]
         combos.append(ExactCombination(det, numer))
     return combos

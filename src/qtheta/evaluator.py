@@ -3,12 +3,11 @@
 Series-sort nodes evaluate to exact values while they stay exact and to
 LaurentSeries otherwise; integer-sort nodes evaluate to ints through
 ``dsl.int_value``, the one integer interpreter.  There are two exact kinds,
-the monomial c*q^e (QMonomial) and N(q)/D(q) (QRational).  QRationals are
-made in two places only, through ``value``'s ``exact`` flag: a builtin
-call's arguments (``key``) and a derived binding (``evaluate_value``, which
-``verifier.full_binding`` calls), where + and - of exact values stay
-exact.  Anywhere else + of unlike monomials is a series, as is a
-QRational binding, so prefactors and divisors keep the series path.
+the monomial c*q^e (QMonomial) and N(q)/D(q) (QRational), and the value
+algebra of ``kernels`` keeps + - * / ^ of exact values exact wherever they
+stand: a builtin argument, a derived binding, a prefactor or a divisor.
+A series times or over an exact value runs on the exact step and loses
+no precision to it.
 Every ``*``/``/`` tree is one product, taken factor by factor from the
 left: ``a*(b/c)`` is ``(a*b)/c``, which for nonzero values is the same
 value and precision, as the precision rules of ``mul`` and ``divide``
@@ -55,6 +54,7 @@ from .kernels import (
     _EXACT,
     QMonomial,
     QRational,
+    _dense_mul,
     as_value,
     ord_of,
     ratio_orders,
@@ -95,14 +95,6 @@ def _padd(a, b):
     return [c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)]
 
 
-def _pmul(a, b):
-    out = [0] * max(0, len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    return out
-
-
 def _pneg(a):
     return [-c for c in a]
 
@@ -130,9 +122,10 @@ def _split_q(pairs, e):
 
 def _vanishes_at(v, i, kmax):
     """The k < kmax (None: no limit) at which 1 - v*q^(i*k) may vanish:
-    ord(v) = -i*k and v's leading coefficient is 1."""
+    ord(v) = -i*k and v's leading coefficient is 1.  For a QRational v,
+    never a monomial, it never does."""
     d = ord_of(v)
-    if d is None or d > 0 or d % i:
+    if d is None or d > 0 or d % i or isinstance(v, QRational):
         return None
     k = -d // i
     lead = v.coef if isinstance(v, QMonomial) else v.coeff(d)
@@ -141,8 +134,8 @@ def _vanishes_at(v, i, kmax):
 
 def _ord_rel(x):
     """(order, relative precision) of a value; exact values have no limit."""
-    if isinstance(x, QMonomial):
-        return x.exp, None
+    if isinstance(x, _EXACT):
+        return ord_of(x), None
     return x._ord(), x.prec - x._ord()
 
 
@@ -174,19 +167,18 @@ class _Evaluator:
             a = self.kpoly(node.left, var, ienv)
             b = self.kpoly(node.right, var, ienv)
             if node.op == "*":
-                return _pmul(a, b)
+                return _dense_mul(a, b)
             return _padd(a, b if node.op == "+" else _pneg(b))
         if isinstance(node, Call) and node.name == "binom2":
             a = self.kpoly(node.args[0], var, ienv)
-            return [Fraction(c, 2) for c in _pmul(a, _padd(a, [-1]))]
+            return [Fraction(c, 2) for c in _dense_mul(a, _padd(a, [-1]))]
         return [int_value(node, ienv)]
 
     # series sort ---------------------------------------------------------------
 
-    def value(self, node, ienv, exact=False):
-        """A series-sort node's value.  ``exact`` (builtin arguments and
-        derived bindings) keeps + and - of exact values exact, as a
-        QRational where needed; otherwise a QRational binding is a series."""
+    def value(self, node, ienv):
+        """A series-sort node's value: exact (a QMonomial or a QRational)
+        while every operation on the way is exact, else a LaurentSeries."""
         if isinstance(node, Lit):
             return as_value(node.value)
         if isinstance(node, Ref):
@@ -195,34 +187,22 @@ class _Evaluator:
             if node.name in ienv:
                 return as_value(ienv[node.name])
             try:
-                v = as_value(self.binding[node.name])
+                return as_value(self.binding[node.name])
             except KeyError:
                 raise EvalError("unbound parameter %r" % node.name, node.pos) from None
-            return to_series(v, self.prec) if isinstance(v, QRational) and not exact else v
         if isinstance(node, Neg):
-            return _val_neg(self.value(node.operand, ienv, exact))
+            return _val_neg(self.value(node.operand, ienv))
         if isinstance(node, BinOp):
             if node.op in "*/":
-                return self.product(_mul_factors(node), ienv, exact)
-            a = self.value(node.left, ienv, exact)
-            b = self.value(node.right, ienv, exact)
-            if isinstance(a, _EXACT) and isinstance(b, _EXACT) and not (
-                    exact or a.coef == 0 or b.coef == 0 or a.exp == b.exp):
-                a, b = to_series(a, self.prec), to_series(b, self.prec)
+                return self.product(_mul_factors(node), ienv)
+            a = self.value(node.left, ienv)
+            b = self.value(node.right, ienv)
             return _val_add(a, b if node.op == "+" else _val_neg(b))
         if isinstance(node, Pow):
             n = int_value(node.exp, ienv)
-            v = self.value(node.base, ienv, exact)
-            if isinstance(v, QMonomial):
-                if v.coef == 0:
-                    if n < 0:
-                        raise EvalError("zero raised to a negative power", node.pos)
-                    return _ONE if n == 0 else v
-                return QMonomial(v.coef ** n, v.exp * n)
-            if isinstance(v, QRational):
-                return _val_pow(v, n)
+            v = self.value(node.base, ienv)
             try:
-                return se.pow_int(v, n)
+                return _val_pow(v, n)
             except QThetaError as exc:
                 raise EvalError(str(exc), node.pos) from exc
         if isinstance(node, Call):
@@ -231,7 +211,7 @@ class _Evaluator:
             return self.sum(node, ienv)
         raise TypeError("unknown node %r" % (node,))
 
-    def product(self, factors, ienv, exact=False):
+    def product(self, factors, ienv):
         """The product of (factor, div_pos) pairs from _mul_factors.  The
         first infinite Sum multiplier starts at the product of the other
         multipliers of q-order 0 that do not mention its index (see
@@ -247,7 +227,7 @@ class _Evaluator:
             xs[s] = self.sum(node, ienv, [(factors[i][0], xs.pop(i)) for i in fold])
         v = _ONE
         for i, (f, div_pos) in enumerate(factors):
-            x = self.value(f, ienv, exact) if s is None else xs.get(i)
+            x = self.value(f, ienv) if s is None else xs.get(i)
             if x is not None:
                 v = _val_mul(v, x) if div_pos is None else self.div(v, x, div_pos)
         return v
@@ -256,9 +236,6 @@ class _Evaluator:
         if isinstance(b, _EXACT):
             if ord_of(b) is None:
                 raise EvalError("division by zero", pos)
-            if isinstance(a, QMonomial) and isinstance(b, QMonomial):
-                # An exact zero quotient has exponent 0, as _val_mul's has.
-                return QMonomial(a.coef / b.coef, a.exp - b.exp if a.coef else 0)
             return _val_mul(a, _val_inv(b))
         try:
             if isinstance(a, _EXACT):
@@ -272,9 +249,8 @@ class _Evaluator:
         """The memo key of a series-sort builtin call: its name and its
         evaluated arguments."""
         if node.name == "phi":
-            return node.name, tuple(tuple(self.value(x, ienv, True) for x in g)
-                                    for g in node.groups)
-        return node.name, tuple(int_value(a, ienv) if sort == "I" else self.value(a, ienv, True)
+            return node.name, tuple(tuple(self.value(x, ienv) for x in g) for g in node.groups)
+        return node.name, tuple(int_value(a, ienv) if sort == "I" else self.value(a, ienv)
                                 for a, sort in _arg_sorts(node))
 
     def call(self, node, ienv):
@@ -344,7 +320,7 @@ class _Evaluator:
             if m is None:
                 return None
             e = self.kpoly(node.exp, var, ienv)
-            return [(v, _pmul(p, e)) for v, p in m[0]], _pmul(m[1], e)
+            return [(v, _dense_mul(p, e)) for v, p in m[0]], _dense_mul(m[1], e)
         return None
 
     def mono_ratio(self, node, var, ienv, divisor):
@@ -364,8 +340,7 @@ class _Evaluator:
                 return None
             d = int(_coef(p, 1))
             if d:
-                z = _val_mul(z, QMonomial(b.coef ** d, 0) if isinstance(b, QMonomial)
-                             else se.pow_int(b, d))
+                z = _val_mul(z, _val_pow(b, d))
         return z, int(2 * _coef(e, 2))
 
     def poch_ratio(self, node, var, ienv):
@@ -468,8 +443,8 @@ class _Evaluator:
         re-evaluated once at a higher precision when c carries less than
         rel, with the check precision raised as far."""
         rel = max(rel, -1)
-        if isinstance(c, QMonomial):
-            return se.monomial(c.coef, c.exp, c.exp + rel + 2)
+        if isinstance(c, _EXACT):
+            return to_series(c, ord_of(c) + rel + 2)
         got = c.prec - c._ord()
         if got < rel:
             p = self.prec + rel - got
@@ -593,6 +568,6 @@ def evaluate(ast, binding, prec):
 
 
 def evaluate_value(ast, binding, prec):
-    """Like evaluate, but keeps an exact result exact, as a builtin argument
-    is: a QMonomial, or a QRational where one is needed."""
-    return _Evaluator(binding, prec).value(ast, {}, True)
+    """Like evaluate, but keeps an exact result exact: a QMonomial or a
+    QRational."""
+    return _Evaluator(binding, prec).value(ast, {})

@@ -33,8 +33,8 @@ Hoeven's relaxed series, derived statically.
 
 Exact arguments also choose the arithmetic.  There are two exact kinds:
 the monomial c*q^e (QMonomial) and N(q)/D(q) with sparse integer
-polynomials N and D (QRational), which the evaluator makes for derived
-bindings and builtin arguments.  A factor 1 - v*q^e with v = N/(s*D) is
+polynomials N and D (QRational), which the evaluator makes for any value
+built from exact values.  A factor 1 - v*q^e with v = N/(s*D) is
 F/(s*D) with the integer polynomial F = s*D - N*q^e.  On a raw term, a
 coefficient block over one shared denominator, it is one sparse multiply
 (``_times_sparse``) and one sparse exact divide (``_over_sparse``), and
@@ -147,6 +147,16 @@ def _dense(a):
     return out
 
 
+def _dense_mul(a, b):
+    """The product of two dense coefficient lists, lowest first."""
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
+
+
 def _primitive_part(a):
     """A nonzero dense integer list over the gcd of its entries."""
     g = gcd(*a)
@@ -248,8 +258,17 @@ def _val_ratio(nums, dens, coprime=False):
 
 
 def _val_pow(v, n):
-    """v**n for a QRational v."""
-    return _val_ratio([v] * n, [], True) if n >= 0 else _val_ratio([], [v] * -n, True)
+    """v**n: exact for an exact v, in the ring for a series; an exact zero
+    to a negative power is a DomainError."""
+    if isinstance(v, LaurentSeries):
+        return se.pow_int(v, n)
+    if isinstance(v, QRational):
+        return _val_ratio([v] * n, [], True) if n >= 0 else _val_ratio([], [v] * -n, True)
+    if v.coef == 0:
+        if n < 0:
+            raise DomainError("zero raised to a negative power")
+        return _ONE if n == 0 else v
+    return QMonomial(v.coef ** n, v.exp * n)
 
 
 def as_value(x):

@@ -37,6 +37,11 @@ def test_eval_error_exit_code(capsys):
         assert err.startswith("error: %s (at offset " % msg), err
 
 
+def test_eval_zero_to_a_negative_power_exit_code(capsys):
+    assert main(["eval", "0^-1"]) == 2
+    assert capsys.readouterr().err == "error: zero raised to a negative power (at offset 1)\n"
+
+
 def test_eval_non_ascii_digit_exit_code(capsys):
     # str.isdigit accepts '\u00b2'; the lexer does not, so this is a
     # ParseError at the character, not a traceback.

@@ -320,3 +320,13 @@ def test_fold_skips_a_factor_naming_the_index():
     got = dsl.evaluate(parse("pochinf(n) * " + sum_text), binding, 8)
     want = _unfolded([("pochinf(n)", False), (sum_text, False)], binding, 8)
     assert se.eq_to_prec(got, want)[0] and got.prec >= want.prec
+
+
+@pytest.mark.xfail(strict=True, reason="theta(a*q^n) is built at the target and then "
+                   "multiplied by the exact factor 1 - q^(n-2) of order -2; reaching the "
+                   "target needs a demand per factor of the residual")
+@pytest.mark.parametrize("prec", [12, 30])
+def test_residual_with_a_negative_order_exact_factor_reaches_its_target(prec):
+    got = dsl.evaluate(parse("sum(n,0,inf,(1 - q^(n-2))*theta(a*q^n)*q^n,n)"),
+                       {"a": Fraction(3, 2)}, prec)
+    assert got.prec == prec

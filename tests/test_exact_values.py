@@ -1,9 +1,10 @@
 """Exact values N(q)/D(q) (kernels.QRational): canonical form, where the
 evaluator makes them, and the exact kernel path they take.
 
-A derived binding or builtin argument built from exact values with
-+ - * / ^ stays exact; every kernel then runs its terms on integer blocks
-(kernels._exact_step) instead of dense series arithmetic.  The results
+A value built from exact values with + - * / ^ stays exact, in a
+derived binding, a builtin argument or anywhere else; every kernel then
+runs its terms on integer blocks (kernels._exact_step) instead of dense
+series arithmetic.  The results
 must reach the target and agree with the same call on the series
 expansion of the argument, to that call's precision.
 """
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from qtheta import dsl, kernels, series as se
 from qtheta.dsl import Call, _children, parse
 from qtheta.evaluator import _Evaluator
-from qtheta.errors import QThetaError
+from qtheta.errors import DomainError, QThetaError
 from qtheta.identities import load_registry
 from qtheta.kernels import QRational, _exact, _poly_mul, ord_of, ratio_terms, theta_partial, to_series
 from qtheta.sums import pmsum
@@ -47,12 +48,37 @@ def test_canonical_form_is_unique():
 
 
 def test_series_operations_take_series():
-    # Outside builtin arguments a QRational binding is a series at the
-    # evaluator's precision, as the derived series binding was.
+    # A QRational binding stays exact outside builtin arguments too, so
+    # b*(1 - q) is exact and reaches the target.  As a series at the
+    # target, b of order -1 cost the product one order.
     b = _value("(a^2 + a*q^3)/(a*q + q^2)", a=Fraction(2, 3))
     got = dsl.evaluate(parse("b*(1 - q)"), {"b": b}, 12)
-    want = se.mul(to_series(b, 12), se.add(se.one(12), se.monomial(-1, 1, 12)))
-    assert got == want
+    want = se.mul(to_series(b, 13), se.add(se.one(13), se.monomial(-1, 1, 13)))
+    short = se.mul(to_series(b, 12), se.add(se.one(12), se.monomial(-1, 1, 12)))
+    assert got == want and got.prec == 12
+    assert short.prec == 11 and se.eq_to_prec(got, short)[0]
+
+
+@pytest.mark.parametrize("n", range(-3, 4))
+def test_val_pow_of_each_kind_matches_pow_int(n):
+    # v**n of a monomial, an exact zero, a QRational and a series equals
+    # pow_int of v's expansion, to precision, and is exact for an exact v;
+    # an exact zero to a negative power is a DomainError, as inverting a
+    # zero series raises.
+    p = 15
+    b = _value("(a^2 + a*q^3)/(a*q + q^2)", a=Fraction(2, 3))
+    for v in (qmon(Fraction(-2, 3), 2), qmon(0), b,
+              se.add(se.monomial(1, -1, p), se.monomial(3, 1, p))):
+        if ord_of(v) is None and n < 0:
+            with pytest.raises(DomainError, match="^zero raised to a negative power$"):
+                kernels._val_pow(v, n)
+            with pytest.raises(QThetaError):
+                se.pow_int(to_series(v, p), n)
+            continue
+        got = kernels._val_pow(v, n)
+        want = se.pow_int(to_series(v, p), n)
+        assert isinstance(got, se.LaurentSeries) == isinstance(v, se.LaurentSeries), (v, n)
+        assert se.eq_to_prec(to_series(got, p), want)[0], (v, n)
 
 
 def test_pm_with_cor34_b_reaches_its_target():

@@ -6,7 +6,8 @@ calls are those the corpus makes at order 30 (seed 1), recorded through
 wrappers installed by this test on the builtin table and on
 ``sums.pmfamily``, whose members are the Pm values of finite k-sums.  A
 fixed-seed sample of them, and every call with an exact N/D argument, is
-run again at p + DELTA.  The trees are both sides of every record, at
+run again at p + DELTA, and so is a bhs call whose series argument has
+leading coefficient 1, which the corpus never passes.  The trees are both sides of every record, at
 its working precision and DELTA above it; this also covers the evaluator's
 own precision rules (sum stops, term caps, residual precisions), which no
 single builtin call sees.
@@ -19,8 +20,10 @@ import pytest
 
 from qtheta import dsl, series as se, sums
 from qtheta.identities import load_registry
-from qtheta.kernels import QRational, _val_shift
+from qtheta.kernels import QRational, _val_shift, bhs
 from qtheta.verifier import full_binding, max_neg_shift, sample_params, verify_all
+
+from helpers import qmon
 
 DELTA = 12
 SAMPLE = 250
@@ -69,6 +72,12 @@ def test_corpus_calls_are_prefix_stable(monkeypatch):
         deeper = dsl._BUILTINS[name].kernel(*args, p=p + DELTA)
         assert se.eq_to_prec(got, deeper)[0] and deeper.prec >= got.prec, (name, args, p)
     assert passed
+    # A series argument with leading coefficient 1, which no corpus call
+    # has: its factor 1 - v*q^0 rises above its order bound (kernels._lift).
+    v = se.from_string("1 + q + O(q^60)")
+    for p in (5, 10, 20):
+        got, deeper = (bhs([2, 3], [v], qmon(1, 1), r) for r in (p, p + DELTA))
+        assert se.eq_to_prec(got, deeper)[0] and deeper.prec >= got.prec, p
 
 
 def _agree(ast, base, ident, wp):

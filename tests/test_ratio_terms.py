@@ -231,23 +231,23 @@ def test_dsl_infinite_sums_cap_their_terms(monkeypatch):
     grid = [(node, b, prec) for node in nodes for b in bindings for prec in (1, 12, 30)]
 
     def evaluate_grid():
-        out = []
-        for node, b, prec in grid:
-            if node is nodes[1] and b is bindings[2] and prec == 1:
-                # A known fault: the N/D bindings are series at the target
-                # outside builtin arguments, so a*b/q^2 has order -1 and
-                # the prefactor no constant term at target 1.
-                with pytest.raises(EvalError) as exc:
-                    dsl.evaluate(node, b, prec)
-                out.append((str(exc.value), exc.value.pos))
-            else:
-                out.append(dsl.evaluate(node, b, prec))
-        return out
+        return [dsl.evaluate(node, b, prec) for node, b, prec in grid]
 
     capped = evaluate_grid()
     _without_demands(monkeypatch)
     for case, got, want in zip(grid, capped, evaluate_grid()):
         assert got == want, case
+
+
+def test_nd_bindings_stay_exact_in_a_prefactor():
+    # a*b/q^2 of these N/D bindings has order -1.  Built as a series at
+    # target 1 it had no constant term left, and the sum raised
+    # "constant term not representable"; exact, it keeps every term.
+    node = dsl.parse("sum(n,0,inf, poch(a*b/q^2, 2*n)*q^n"
+                     "/(poch(q,n)*poch(a,n)*poch(b,n)*poch(a*b/q^2,n)), n - 3)")
+    b = {"a": _RATIONAL["(3 + 2*q^2)/(2 + 5*q)"], "b": _RATIONAL["(1 - q)/(3 + q^3)"]}
+    assert dsl.evaluate(node, b, 1) == se.from_string("5/2 + O(q^1)")
+    assert se.eq_to_prec(dsl.evaluate(node, b, 1), dsl.evaluate(node, b, 12))[0]
 
 
 def test_residual_raises_what_the_target_raises(monkeypatch):
