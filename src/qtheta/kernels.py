@@ -12,10 +12,12 @@ Infinite sums and products never stop on "term looks small": they stop
 only once a mechanically derived lower bound on the q-order of all
 remaining terms is at or above the target precision, and the result is
 truncated to that target.  ``ratio_terms`` is the one such term loop,
-and ``ratio_stop`` its stop.  ``ratio_sum`` runs them from t_0 = 1: bhs,
-the partial theta function and, through Euler's identity
-(x;q)_inf = sum_n (-1)^n q^C(n,2) x^n / (q;q)_n, the infinite
-Pochhammer symbol are each one call of it.  The P_m family
+and ``ratio_stop`` its stop.  ``ratio_sum`` runs them from t_0 = 1: bhs
+is one call of it, and so are the partial theta function and, through
+Euler's identity (x;q)_inf = sum_n (-1)^n q^C(n,2) x^n / (q;q)_n, the
+infinite Pochhammer symbol at a series or N/D argument.  At an exact
+monomial these two take ratio_stop's terms in one integer pass
+(``_theta_sum``).  The P_m family
 (``sums._pfamily``) and the DSL's sums call ``ratio_terms`` with their
 own t_0.  Each sums its terms once, into one running block over one
 running denominator (``series.add_all``), and normalizes the sum once.
@@ -535,18 +537,56 @@ def qpoch_capped(x, n, prec, step=1):
     return se._make(lo, num, cd ** n, prec)
 
 
+_EULER = [(_ONE, 1, 1, "(q;q)_n")]
+
+
+def _theta_sum(x, den, prec, what):
+    """ratio_sum([], den, x, 1, prec): theta for den [], Euler's sum for
+    den _EULER.  Term k is (-x)^k q^C(k,2), over (q;q)_k in Euler's sum.
+
+    An exact nonzero monomial x = c*q^e takes one integer pass over
+    ratio_stop's n terms: term k is (-c)^k at q^cum_k, cum_k = k*e +
+    C(k,2), and all go into one block over cd^(n-1), where terms of one
+    exponent add, which is normalized once.  Euler's sum adds them last
+    first (Horner's rule): the block, which then holds the terms j > k
+    over (1 - q^(k+2))...(1 - q^j), is divided by 1 - q^(k+1) in place,
+    block[i] += block[i-k-1], before term k goes in.  Series and N/D
+    arguments run ratio_sum.
+    """
+    if prec < 1:
+        raise PrecisionError("%s needs precision >= 1" % what)
+    v = as_value(x)
+    if isinstance(v, QMonomial) and v.coef == 0:
+        return se.one(prec)
+    if ord_of(v) is None:
+        # A term n >= 1 of x = O(q^P) is O(q^(nP + n(n-1)/2)), lowest at P - theta_dip(P+1).
+        return se.add(se.one(prec), se.zero(v.prec - theta_dip(v.prec + 1)))
+    if not isinstance(v, QMonomial):
+        return ratio_sum([], den, v, 1, prec)
+    cums = ratio_stop([], den, v, 1, prec)
+    n, lo = len(cums), min(cums)
+    cn, cd = -v.coef.numerator, v.coef.denominator
+    out, w, first = [0] * (prec - lo), cn ** (n - 1), prec - lo
+    for k in reversed(range(n)):
+        if den:
+            for i in range(first + k + 1, prec - lo):
+                out[i] += out[i - k - 1]
+        first = min(first, cums[k] - lo)
+        out[cums[k] - lo] += w
+        w = w // cn * cd
+    return se._make(lo, out, cd ** (n - 1), prec)
+
+
 def qpoch_infinite(x, prec):
     """(x;q)_inf truncated soundly at the requested precision.
 
     Euler's identity (x;q)_inf = sum_n (-1)^n q^C(n,2) x^n / (q;q)_n makes
-    it the ratio_sum with t_(n+1)/t_n = -x q^n / (1 - q^(n+1)).
+    it the ratio_sum with t_(n+1)/t_n = -x q^n / (1 - q^(n+1)).  An exact
+    monomial x sums it in one integer pass; series and N/D arguments run
+    ratio_sum (see _theta_sum).  Its terms have theta's orders, so an x
+    that is zero to O(q^P) gives theta's 1 + O(q^(P - theta_dip(P+1))).
     """
-    if prec < 1:
-        raise PrecisionError("qpoch_infinite needs precision >= 1")
-    v = as_value(x)
-    if ord_of(v) is None:
-        return se.one(prec if isinstance(v, QMonomial) else min(prec, v.prec))
-    return ratio_sum([], [(_ONE, 1, 1, "(q;q)_n")], v, 1, prec)
+    return _theta_sum(x, _EULER, prec, "qpoch_infinite")
 
 
 def qpoch_multi(xs, prec):
@@ -566,16 +606,10 @@ def qpoch_multi(xs, prec):
 
 def theta_partial(x, prec):
     """sum_{n>=0} (-1)^n q^(n(n-1)/2) x^n, formally convergent for every x:
-    the ratio_sum with t_(n+1)/t_n = -x q^n."""
-    if prec < 1:
-        raise PrecisionError("theta_partial needs precision >= 1")
-    v = as_value(x)
-    if isinstance(v, QMonomial) and v.coef == 0:
-        return se.one(prec)
-    if ord_of(v) is None:
-        # A term n >= 1 of x = O(q^P) is O(q^(nP + n(n-1)/2)), lowest at P - theta_dip(P+1).
-        return se.add(se.one(prec), se.zero(v.prec - theta_dip(v.prec + 1)))
-    return ratio_sum([], [], v, 1, prec)
+    the ratio_sum with t_(n+1)/t_n = -x q^n.  An exact monomial x sums it
+    in one integer pass; series and N/D arguments run ratio_sum (see
+    _theta_sum)."""
+    return _theta_sum(x, [], prec, "theta_partial")
 
 
 def theta_full(x, prec):

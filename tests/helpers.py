@@ -145,9 +145,10 @@ def ratio_terms_by_ring(num, den, z, sr, t0, n):
 
 
 def qpoch_infinite_by_product(x, prec):
-    """(x;q)_inf as the product of its factors 1 - x*q^i, i.e. the former
-    kernels.qpoch_infinite: an exact x stops at a derived factor count, a
-    series x multiplies until the next factor's order clears prec."""
+    """(x;q)_inf as the product of its factors 1 - x*q^i, independent of
+    Euler's sum in kernels.qpoch_infinite: an exact x stops at a derived
+    factor count, a series x multiplies until the next factor's order
+    clears prec."""
     v = as_value(x)
     if isinstance(v, QMonomial):
         # From factor stop on, e + i clears prec by the most the earlier
@@ -173,7 +174,8 @@ def qpoch_infinite_by_product(x, prec):
 
 def theta_partial_by_entries(x, prec):
     """Partial theta at an exact nonzero x = c*q^e summed into a dict of
-    exponents, i.e. the former exact branch of kernels.theta_partial."""
+    exponents with its own stop, independent of kernels.theta_partial's
+    integer pass over ratio_stop's terms."""
     v = as_value(x)
     c, e = v.coef, v.exp
     entries = {}

@@ -1,10 +1,13 @@
-"""The demos' standard output, pinned by sha256.
+"""The demos' standard output, pinned by sha256, and the README quickstart's
+annotated output.
 
 Each demo runs in its own interpreter with ``src`` on the path.  A change
 that alters a demo's output on purpose updates its hash here and says why.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -34,3 +37,18 @@ def test_demo_stdout_pinned(name):
                           env=dict(os.environ, PYTHONPATH=path), timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()[-500:]
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT_SHA256[name]
+
+
+def test_readme_quickstart_prints_its_annotations():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quickstart", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md quickstart", "exec"), {})
+    assert out.getvalue().splitlines() == [
+        "1 - q - q^2 + q^5 + q^7 - q^12 - q^15 + q^22 + q^26 + O(q^27)",
+        "-1 + 4*q - 8*q^3 + 16*q^6 - 32*q^10 + O(q^12)",
+        "-2",
+        "True 25",
+        "{'total': 48, 'passed': 48, 'failed': 0}",
+    ]

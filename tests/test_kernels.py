@@ -8,7 +8,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtheta import series as se
+from qtheta import kernels, series as se
 from qtheta.errors import (DegenerateParameterError, DomainError, FormalDivergenceError,
                            QThetaError)
 from qtheta.kernels import (
@@ -221,6 +221,71 @@ def test_exact_arguments_match_former_loops():
         assert qpoch_infinite(x, prec) == qpoch_infinite_by_product(x, prec), (c, e, prec)
         if c:
             assert theta_partial(x, prec) == theta_partial_by_entries(x, prec)
+
+
+_EULER = [(qmon(1), 1, 1, "(q;q)_n")]
+
+
+def test_exact_monomials_match_ratio_sum():
+    # The one integer pass is structurally equal, precision included, to the
+    # term stream it replaces: terms of one exponent (k + k' = 1 - 2e for
+    # e < 0) add, and (q^e;q)_inf for e <= 0 vanishes.
+    coefs = [1, -1, 2, Fraction(1, 3), Fraction(-7, 4), Fraction(7, 3), Fraction(5, 9)]
+    for c, e, prec in itertools.product(coefs, range(-8, 9), (1, 2, 5, 12, 31, 40, 77, 114)):
+        x = qmon(c, e)
+        assert theta_partial(x, prec) == ratio_sum([], [], x, 1, prec), (c, e, prec)
+        assert qpoch_infinite(x, prec) == ratio_sum([], _EULER, x, 1, prec), (c, e, prec)
+    assert all(qpoch_infinite(qmon(1, e), 20) == se.zero(20) for e in range(-4, 1))
+
+
+def test_exact_monomials_take_no_term_stream(monkeypatch):
+    # A monomial c*q^e makes no exact step and no ratio_sum call, and its one
+    # _make gets the block of ratio_stop's n terms, at q^(min cum_k) over
+    # cd^(n-1); an N/D argument runs the exact step, and a series argument
+    # the ring stream of ratio_sum.
+    calls = {"_exact_step": [], "ratio_sum": [], "_make": []}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name].append(args)
+            return inner(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(kernels, "_exact_step")
+    counted(kernels, "ratio_sum")
+    counted(se, "_make")
+    nd = kernels._exact(((0, 3), (2, 2)), ((0, 2), (1, 5)))
+    x = se.add(se.from_rational(Fraction(3, 2), 20), se.monomial(1, 1, 20))
+
+    def run(f, arg):
+        for seen in calls.values():
+            seen.clear()
+        f(arg, 20)
+        return {name: len(seen) for name, seen in calls.items()}
+
+    for f, den in ((theta_partial, []), (qpoch_infinite, _EULER)):
+        for arg in (qmon(Fraction(3, 2)), qmon(-2, -3), qmon(Fraction(-7, 4), -2)):
+            assert run(f, arg) == {"_exact_step": 0, "ratio_sum": 0, "_make": 1}
+            cums = ratio_stop([], den, arg, 1, 20)
+            (lo, _, d, _), = calls["_make"]
+            assert (lo, d) == (min(cums), arg.coef.denominator ** (len(cums) - 1))
+        got = run(f, nd)
+        assert got["ratio_sum"] == 1 and got["_exact_step"] > 0
+        got = run(f, x)
+        assert got["ratio_sum"] == 1 and got["_exact_step"] == 0
+
+
+def test_pochinf_zero_series_argument_has_thetas_guard():
+    # Euler's sum has theta's term orders: for x = O(q^P) term n >= 1 is
+    # O(q^(nP + C(n,2))), lowest at P - theta_dip(P + 1), which is -6 for
+    # P = -3 (terms 3 and 4).
+    want = {-3: "O(q^-6)", -2: "O(q^-3)", -1: "O(q^-1)", 0: "O(q^0)",
+            1: "1 + O(q^1)", 2: "1 + O(q^2)", 3: "1 + O(q^3)"}
+    for p, s in want.items():
+        got = qpoch_infinite(se.zero(p), 10)
+        assert str(got) == s and got == theta_partial(se.zero(p), 10), p
 
 
 def _series(d, coefs, prec):
