@@ -1,7 +1,8 @@
 """Command line front end: list, verify, eval and express-pm.
 
 Exit codes: 0 success / all identities pass, 1 at least one identity
-failed, 2 usage or evaluation error.
+failed, 2 usage or evaluation error (a verify filter that matches no
+identity is a usage error).
 """
 
 from __future__ import annotations
@@ -73,9 +74,18 @@ def _cmd_list(args):
     return 0
 
 
-def _cmd_verify(args, out):
+def _cmd_verify(args):
     reports, summary = verify_all(args.order, args.trials, args.seed,
                                   args.filter, args.file)
+    if not reports:
+        raise QThetaError("no identity matches %r" % args.filter)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            return _write_verify(args, reports, summary, fh)
+    return _write_verify(args, reports, summary, sys.stdout)
+
+
+def _write_verify(args, reports, summary, out):
     if args.json:
         out.write(reports_to_json(reports))
     else:
@@ -142,10 +152,7 @@ def main(argv=None):
         if args.command == "list":
             return _cmd_list(args)
         if args.command == "verify":
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    return _cmd_verify(args, fh)
-            return _cmd_verify(args, sys.stdout)
+            return _cmd_verify(args)
         if args.command == "eval":
             return _cmd_eval(args, sys.stdout)
         if args.command == "express-pm":

@@ -53,7 +53,6 @@ structurally equal results, with the same precisions and errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -82,12 +81,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class QMonomial:
-    """An exact monomial coef*q^exp; the zero argument is coef == 0."""
+    """An exact monomial coef*q^exp; the zero argument is coef == 0.
 
-    coef: Fraction
-    exp: int = 0
+    ``coef`` is always a Fraction: the constructor converts an int or
+    other rational once and keeps a Fraction as it is.  Equality and hash
+    read the numerator, the denominator and the exponent, all integers, so
+    equal monomials built different ways key one memo entry.  Immutable by
+    convention: nothing assigns to a monomial after it is built.
+    """
+
+    __slots__ = ("coef", "exp")
+
+    def __init__(self, coef, exp=0):
+        self.coef = coef if type(coef) is Fraction else Fraction(coef)
+        self.exp = exp
+
+    def __eq__(self, other):
+        if not isinstance(other, QMonomial):
+            return NotImplemented
+        c, d = self.coef, other.coef
+        return (self.exp == other.exp and c.numerator == d.numerator
+                and c.denominator == d.denominator)
+
+    def __hash__(self):
+        c = self.coef
+        return hash((c.numerator, c.denominator, self.exp))
+
+    def __repr__(self):
+        return "QMonomial(coef=%r, exp=%r)" % (self.coef, self.exp)
 
 
 class QRational:
@@ -99,7 +121,9 @@ class QRational:
     N and D are coprime in Q[q] and their coefficients have no common
     factor, so the form is canonical: equal values are equal and hash
     equal, and a value can key a memo.  ``_exact`` makes every instance.
-    A plain class: a frozen dataclass costs each fresh import 0.7 ms.
+    Like QMonomial, a plain slotted class: a frozen dataclass costs each
+    fresh import 0.7 ms, and its constructor, equality and hash cost more
+    per value than the integers they read.
     """
 
     __slots__ = ("num", "den")
@@ -275,12 +299,11 @@ def _val_pow(v, n):
 
 def as_value(x):
     """Normalize an argument to an exact value (QMonomial, QRational) or a
-    LaurentSeries."""
-    if isinstance(x, LaurentSeries):
+    LaurentSeries.  Exact values and series come back as they are, the
+    same object; any other number becomes QMonomial(x, 0)."""
+    if isinstance(x, (QMonomial, QRational, LaurentSeries)):
         return x
-    if isinstance(x, QMonomial):
-        return QMonomial(Fraction(x.coef), x.exp)
-    return x if isinstance(x, QRational) else QMonomial(Fraction(x), 0)
+    return QMonomial(x, 0)
 
 
 def to_series(x, prec):

@@ -123,6 +123,18 @@ def test_verify_out_file(tmp_path, capsys):
     assert payload[0]["identity"] == "jacobi"
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"], ["--out", "report"]])
+def test_verify_filter_matching_nothing_is_a_usage_error(mode, tmp_path, capsys):
+    out_path = tmp_path / "report"
+    mode = [str(out_path) if m == "report" else m for m in mode]
+    code = main(["verify", "nosuch", "--order", "10", "--trials", "1"] + mode)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: no identity matches 'nosuch'\n"
+    assert not out_path.exists()
+
+
 def test_verify_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.qid"
     bad.write_text(

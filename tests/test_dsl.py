@@ -423,6 +423,15 @@ def test_failing_call_raises_at_its_position_every_time():
     assert info.value.pos == 0
 
 
+
+def test_equal_arguments_built_different_ways_share_one_memo_entry():
+    # A literal, a binding and a product that cancels give equal monomials.
+    ev = _Evaluator({"a": Fraction(2)}, 8)
+    got = ev.run(parse("theta(2) + theta(a) + theta(a*q/q)"))
+    assert [name for name, _ in ev.memo] == ["theta"]
+    assert got == 3 * theta_partial(2, 8)
+
+
 # -- DSL / native agreement for every builtin --------------------------------------------
 
 

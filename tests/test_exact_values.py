@@ -20,7 +20,7 @@ from qtheta.dsl import Call, _children, parse
 from qtheta.evaluator import _Evaluator
 from qtheta.errors import DomainError, QThetaError
 from qtheta.identities import load_registry
-from qtheta.kernels import QRational, _exact, _poly_mul, ord_of, ratio_terms, theta_partial, to_series
+from qtheta.kernels import QMonomial, QRational, _exact, as_value, _poly_mul, ord_of, ratio_terms, theta_partial, to_series
 from qtheta.sums import pmsum
 from qtheta.verifier import full_binding
 
@@ -45,6 +45,30 @@ def test_canonical_form_is_unique():
     assert _value("(1 - q^2)/(1 + q)") == _value("1 - q")
     assert _value("(1 + q)^2 - 1 - q^2") == qmon(2, 1)
     assert _value("a*q - a*q", a=a) == qmon(0, 1)  # the evaluator's zero exponent
+
+
+def test_monomial_coefficient_is_a_fraction_and_compares_by_integers():
+    two = QMonomial(2, 1)
+    assert type(two.coef) is Fraction and two.coef == 2
+    assert QMonomial(Fraction(3, 2)).exp == 0
+    same = QMonomial(Fraction(4, 2), 1)
+    assert two == same and hash(two) == hash(same)
+    assert two != QMonomial(2, 2) and two != QMonomial(Fraction(2, 3), 1)
+    assert two != QMonomial(Fraction(3, 2), 1)
+    assert QMonomial(2, 0) != 2 and two != _value("(2*q + q^2)/(1 + q^3)")
+    assert len({two, same, QMonomial(2, 2), QMonomial(0, 1)}) == 3
+    assert repr(QMonomial(Fraction(1, 2), 3)) == "QMonomial(coef=Fraction(1, 2), exp=3)"
+
+
+def test_as_value_returns_exact_values_and_series_as_they_are():
+    values = [QMonomial(Fraction(1, 2), 3), _value("(2*q + q^2)/(1 + q^3)"),
+              se.monomial(2, 1, 10)]
+    assert isinstance(values[1], QRational)
+    for v in values:
+        assert as_value(v) is v
+    assert as_value(3) == QMonomial(3, 0) and type(as_value(3).coef) is Fraction
+    half = Fraction(1, 2)
+    assert as_value(half).coef is half
 
 
 def test_series_operations_take_series():
