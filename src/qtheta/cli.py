@@ -15,7 +15,7 @@ from .errors import QThetaError
 from . import dsl
 from . import series as se
 from .eliminator import express_pm
-from .identities import load_registry
+from .identities import _is_param, load_registry
 from .verifier import reports_to_json, verify_all
 
 EVAL_RETRIES = 3
@@ -28,8 +28,8 @@ def _parse_params(text):
     for item in text.split(","):
         name, eq, value = item.partition("=")
         name = name.strip()
-        if not eq or len(name) != 1 or not name.islower():
-            raise QThetaError("bad parameter assignment %r (want name=p/q)" % item)
+        if not eq or not _is_param(name):
+            raise QThetaError("bad parameter assignment %r (want x=p/q, x a letter but q)" % item)
         try:
             binding[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):

@@ -46,9 +46,12 @@ the term is normalized once: that step is ``_exact_step``, which
 takes the multiply.  For a monomial F has two terms, and the multiply and
 divide are the two-term update and recurrence.  Both build only the
 entries they keep: the update stops at the cap, and a division whose
-terms reach past the block returns it unchanged.  Series arguments go
-through the ring operations of ``series``; on monomials the two give
-structurally equal results, with the same precisions and errors.
+terms reach past the block returns it unchanged.  A division runs in
+integers, and scales the block by a power of the divisor's lowest
+coefficient only from the first quotient coefficient that needs it: a
+quotient with integer coefficients is not scaled at all.  Series
+arguments go through the ring operations of ``series``; on monomials the
+two give structurally equal results, with the same precisions and errors.
 """
 
 from __future__ import annotations
@@ -474,41 +477,53 @@ def _times_sparse(num, lo, poly, top):
 def _over_sparse(num, y0, rest):
     """num / (1 + sum_r (c_r/y0) q^(e_r)) to len(num) terms, for the terms
     rest = ((e_r, c_r), ...) of a split polynomial with lowest term y0, as
-    (s, m) with quotient s/y0^m and m = (len(num)-1)//e_1.  One scaling
-    pass: s_j = num_j*y0^m - sum_r c_r*(s_(j-e_r) // y0) is the quotient
-    times y0^m.  The division is exact, because quotient coefficient
-    j - e_r has denominator y0^((j-e_r)//e_1), so s_(j-e_r) carries
-    y0^(m - (j-e_r)//e_1), at least y0.  For cd - cn*q^e this is
-    s_j = num_j*cd^m + cn*(s_(j-e) // cd).  When no term reaches back
-    into num the quotient is num itself, with m = 0."""
-    if not rest or rest[0][0] >= len(num):
+    (s, m) with quotient s/y0^m.  s_j = num_j - (sum_r c_r*s_(j-e_r))/y0
+    runs in integers while y0 divides the sum (-cn*s_(j-e) for
+    cd - cn*q^e), so m = 0 exactly when every quotient coefficient u_i is
+    an integer.  At the first j where y0 does not, the block is scaled
+    once by y0^m, m = (len(num)-1-j)//e_1 + 1, and the recurrence goes on
+    untested.  It is exact: u_i is an integer for i < j, and for i >= j
+    its denominator divides y0^((i-j)//e_1 + 1), by induction on
+    u_i = num_i - sum_r (c_r/y0)*u_(i-e_r), so every s_(i-e_r) read is a
+    multiple of y0.  When no term reaches back into num the quotient is
+    num itself, with m = 0."""
+    n = len(num)
+    if not rest or rest[0][0] >= n:
         return num, 0
     e = rest[0][0]
-    m = (len(num) - 1) // e
+    s = list(num)
     if len(rest) == 1:
         cn = -rest[0][1]
         if y0 == 1:
-            s = list(num)
-            for j in range(e, len(s)):
+            for j in range(e, n):
                 s[j] += cn * s[j - e]
-            return s, m
+            return s, 0
+        for j in range(e, n):
+            v = cn * s[j - e]
+            if v % y0:
+                break
+            s[j] += v // y0
+        else:
+            return s, 0
+        m = (n - 1 - j) // e + 1
         c = y0 ** m
-        s = [a * c for a in num]
-        for j in range(e, len(s)):
+        s = [a * c for a in s]
+        for j in range(j, n):
             s[j] += cn * (s[j - e] // y0)
         return s, m
-    c = y0 ** m
-    s = [a * c for a in num]
-    t = s if y0 == 1 else []  # t_j = s_j // y0
-    for j in range(len(s)):
-        v = s[j]
+    m = 0
+    for j in range(e, n):
+        v = 0
         for f, cf in rest:
             if f > j:
                 break
-            v -= cf * t[j - f]
-        s[j] = v
-        if y0 != 1:
-            t.append(v // y0)
+            v += cf * s[j - f]
+        if not m and v % y0:
+            m = (n - 1 - j) // e + 1
+            c = y0 ** m
+            s = [a * c for a in s]
+            v *= c
+        s[j] -= v // y0
     return s, m
 
 

@@ -87,6 +87,7 @@ def test_express_pm_needs_both_params(capsys):
     ("a=2,b=2", "3"),    # a = b: singular
     ("a=2,b=1/2", "3"),  # ab = 1: P_m's (ab/q^m;q)_n vanishes
     ("a=1,b=3", "3"),    # a = 1: P_m's (a;q)_n vanishes
+    ("a=2,b=3,q=7", "2"),  # q is the series variable, not a parameter
 ])
 def test_express_pm_degenerate_inputs_exit_code(params, m, capsys):
     assert main(["express-pm", "--m", m, "--params", params, "--order", "10"]) == 2
@@ -180,7 +181,8 @@ def test_usage_error_exit_code():
 
 
 def test_bad_params_syntax(capsys):
-    for params in ("a2", "a=1/0", "a=abc", "a="):
+    # q is the series variable, not a parameter: a binding would be ignored.
+    for params in ("a2", "a=1/0", "a=abc", "a=", "q=2", "q=5,a=2"):
         assert main(["eval", "theta(a)", "--params", params]) == 2, params
         assert capsys.readouterr().err.startswith("error:"), params
 

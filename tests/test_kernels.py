@@ -577,10 +577,18 @@ def test_ratio_sum_normalizes_its_sum_once(monkeypatch):
 # -- division by 1 - c*q^e --------------------------------------------------------------
 
 
+def _scale_power(u, e):
+    """The m of _over_sparse for the quotient u over a divisor whose first
+    term past y0 is at q^e: 0 when every u_i is an integer, else
+    (len(u) - 1 - j)//e + 1 for the first non-integer u_j."""
+    j = next((j for j, x in enumerate(u) if x.denominator != 1), None)
+    return 0 if j is None else (len(u) - 1 - j) // e + 1
+
+
 def test_over_one_minus_matches_long_division():
     # u_j = num_j + c*u_(j-e) is the quotient coefficient by coefficient;
-    # the kernel, given cd - cn*q^e, returns it as s/cd^m with
-    # m = (len(num) - 1) // e.
+    # the kernel, given cd - cn*q^e, returns it as s/cd^m, scaled only
+    # from the first coefficient that is not an integer.
     rng = random.Random(17)
     for cd, sign, e in itertools.product((1, 2, 3, 24), (1, -1), (1, 2, 5, None)):
         for _ in range(3):
@@ -591,7 +599,7 @@ def test_over_one_minus_matches_long_division():
             for j, a in enumerate(num):
                 u.append(a + (Fraction(cn, cd) * u[j - f] if j >= f else 0))
             s, m = _over_sparse(num, cd, ((f, -cn),))
-            assert m == (len(num) - 1) // f
+            assert m == _scale_power(u, f)
             assert [Fraction(x, cd ** m) for x in s] == u
 
 
@@ -675,5 +683,54 @@ def test_sparse_divide_matches_long_division(num, poly):
     for j, a in enumerate(num):
         u.append(a - sum(Fraction(c, y0) * u[j - e] for e, c in rest if e <= j))
     s, m = _over_sparse(num, y0, rest)
-    assert m == ((len(num) - 1) // rest[0][0] if rest[0][0] < len(num) else 0)
+    assert m == _scale_power(u, rest[0][0])
     assert [Fraction(x, y0 ** m) for x in s] == u
+
+
+@pytest.mark.parametrize("size", [2, 3, 8])
+def test_sparse_divide_scale_bound_is_tight(size):
+    # 1/(7 - 3q) = sum_j 3^j q^j / 7^(j+1): over 7 the last coefficient is
+    # 3^(size-1)/7^(size-1), so the scale y0^m needs m = size - 1.
+    s, m = _over_sparse([1] + [0] * (size - 1), 7, ((1, -3),))
+    assert m == size - 1
+    assert s == [3 ** j * 7 ** (size - 1 - j) for j in range(size)]
+
+
+@pytest.mark.parametrize("num, y0, rest, j", [
+    ([3, 0, 1, 0, 0], 3, ((1, -1),), 2),
+    ([4, 0, 0, 0, 0, 0, 0, 0], 2, ((2, 1), (3, 1)), 6),
+])
+def test_sparse_divide_scales_from_the_first_remainder(num, y0, rest, j):
+    # The recurrence stays in integers up to the first non-integer quotient
+    # coefficient u_j, here past e_1, and scales only for what follows it.
+    u = []
+    for i, a in enumerate(num):
+        u.append(a - sum(Fraction(c, y0) * u[i - e] for e, c in rest if e <= i))
+    assert [x.denominator == 1 for x in u].index(False) == j > rest[0][0]
+    s, m = _over_sparse(num, y0, rest)
+    assert m == (len(num) - 1 - j) // rest[0][0] + 1
+    assert [Fraction(x, y0 ** m) for x in s] == u
+
+
+def test_pm_stream_divides_scale_only_where_needed(monkeypatch):
+    # The P_m stream starts at (q,a,b;q)_inf, so its terms are products
+    # with small coefficients and here every division of them is exact:
+    # the sparse divide never scales its block.  A shift step of the
+    # family divides a truncated term by 1 - ab*q^(n+1-m); here one of
+    # them has a remainder in its last coefficient only, and scales once.
+    from qtheta import sums
+
+    ms = []
+    inner = kernels._over_sparse
+
+    def wrapper(*args):
+        s, m = inner(*args)
+        ms.append(m)
+        return s, m
+    monkeypatch.setattr(kernels, "_over_sparse", wrapper)
+    a, b = Fraction(3, 2), Fraction(-7, 9)
+    sums.pmsum(3, a, b, 40)
+    assert ms and set(ms) == {0}
+    ms.clear()
+    sums.pmfamily(3, a, b, 3, 40)
+    assert ms.count(1) == 1 and ms.count(0) == len(ms) - 1
