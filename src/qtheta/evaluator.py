@@ -43,7 +43,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
 
 from .errors import BoundViolationError, EvalError, QThetaError
 from . import series as se
@@ -57,7 +56,6 @@ from .kernels import (
     _dense_mul,
     as_value,
     ord_of,
-    ratio_orders,
     ratio_stop,
     ratio_terms,
     to_series,
@@ -498,7 +496,7 @@ class _Evaluator:
         capped at the target.  With a residual, t_k is capped at the
         target less ord(R_k), and R_k built to the target less ord(c) +
         cum_k (see residual), with c the prefactor and cum_k the bound of
-        ratio_orders, so t_k * R_k reaches the target unless R_k is short
+        ratio_stop, so t_k * R_k reaches the target unless R_k is short
         there, when the product is as short uncapped.  R_k is evaluated
         for each k < reach, the count at the check precision (see
         bound_count), beyond count only for its errors.  A finite sum,
@@ -523,7 +521,7 @@ class _Evaluator:
                 for f, _ in r:
                     if isinstance(f, Call) and f.name == "Pm":
                         self.prefetch(f, var, ienv, count)
-            cums = [cum for cum, _ in islice(ratio_orders(num, den, z, sr), reach)]
+            cums = ratio_stop(num, den, z, sr, least=reach)
             rs, need, top = [], [], []
             for k, cum in enumerate(cums):
                 inner = dict(ienv)
@@ -552,11 +550,9 @@ class _Evaluator:
             if sr < 0 or (sr == 0 and ord_of(z) <= 0):
                 raise EvalError("non-terminating sum whose term ratio z*q^(%d*n), "
                                 "ord(z) = %d, cannot converge" % (sr, ord_of(z)), node.pos)
-            cums = ratio_stop(num, den, z, sr, prec - dc)
-            if count > len(cums):
-                cums = ratio_stop(num, den, z, sr, prec - dc, count - 1)
+            cums = ratio_stop(num, den, z, sr, prec - dc, least=count)
         else:
-            cums = ratio_stop(num, den, z, sr, prec - dc, n_term)
+            cums = ratio_stop(num, den, z, sr, least=n_term + 1)
         t0 = self.start(c, prec - dc - min(cums, default=0), h, ienv)
         return ratio_terms(num, den, z, sr, t0, len(cums),
                            None if finite else [prec] * len(cums), cums)

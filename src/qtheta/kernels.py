@@ -25,7 +25,7 @@ running denominator (``series.add_all``), and normalizes the sum once.
 it is the last term of the ring term loop of ``ratio_terms``.
 
 A truncated sum builds each term only to the precision it keeps.  The
-order bounds cum_k of ``ratio_orders`` say how far each step moves a
+order bounds cum_k of ``ratio_stop`` say how far each step moves a
 term's precision, so with a demand top_j on each term j, term k is capped
 at cum_k + max_(j>=k) (top_j - cum_j): every later term made from it
 still reaches its demand, and no coefficient below it changes.  The
@@ -465,10 +465,6 @@ def _times_sparse(num, lo, poly, top):
     keep = max(0, min(n + (rest[-1][0] if rest else 0), top - lo))
     out = [c0 * a for a in num[:keep]]
     out += [0] * (keep - len(out))
-    if len(rest) == 1:
-        (e, c), = rest
-        out[e:] = [a + c * b for a, b in zip(out[e:], num)]
-        return out, lo
     for e, c in rest:
         out[e:e + n] = [a + c * b for a, b in zip(out[e:e + n], num)]
     return out, lo
@@ -694,8 +690,11 @@ def _lift(v):
     return ord_of(_val_add(_ONE, _val_neg(_val_shift(v, -d)))) or 0
 
 
-def ratio_orders(num, den, z, sr):
-    """Yield (cum_k, settled_k) for k = 0, 1, ... for the terms of ratio_terms.
+def ratio_stop(num, den, z, sr, prec=None, least=0):
+    """The order bounds cum_k of the terms of ratio_terms: at least
+    ``least`` of them, and given ``prec``, on to the first settled k with
+    cum_k >= prec, which the caller makes sure exists.  A sum stopped
+    there has n = len(result) terms, whose lowest cum_k is the dip.
 
     step(k) bounds the order the k-th ratio adds from below, so cum_k, the
     sum of step(0..k-1), bounds ord(t_k), and a step moves a term's
@@ -703,39 +702,24 @@ def ratio_orders(num, den, z, sr):
     min(0, ord(v) + e), or its true order where that is higher (_lift).
     From stab on no factor has negative order, and past stab no factor
     counts at all: step(k) = ord(z) + sr*k, which never falls again.
-    settled_k says k >= stab and step(k) >= 0, so cum never falls after k.
+    k is settled when k >= stab and step(k) >= 0, so cum never falls
+    after k.
     """
     dz = ord_of(z)
     signed = ([(1, i, j, ord_of(v), 0) for v, i, j in num]
               + [(-1, i, j, ord_of(v), _lift(v)) for v, i, j, _ in den])
     stab = max([0] + [-((d + j) // i) for _, i, j, d, _ in signed if d is not None])
-    cum = 0
-    for k in range(stab + 1):
-        step = dz + sr * k + sum(s * _m0(d, i * k + j) - (x if x and i * k + j == -d else 0)
-                                 for s, i, j, d, x in signed)
-        yield cum, k == stab and step >= 0
-        cum += step
-    k = stab + 1
+    cums, cum, k = [], 0, 0
     while True:
         step = dz + sr * k
-        yield cum, step >= 0
-        cum += step
-        k += 1
-
-
-def ratio_stop(num, den, z, sr, prec, n_term=None):
-    """The cum_k (see ratio_orders) of the terms ratio_sum adds, k < n:
-    n = len(result) terms, whose lowest cum_k is the dip.
-
-    Given ``n_term`` the terms are t_0..t_(n_term); otherwise they end
-    before the first settled k with cum_k >= prec, which the caller makes
-    sure exists.
-    """
-    cums = []
-    for cum, settled in ratio_orders(num, den, z, sr):
-        if len(cums) > n_term if n_term is not None else settled and cum >= prec:
+        if k <= stab:
+            step += sum(s * _m0(d, i * k + j) - (x if x and i * k + j == -d else 0)
+                        for s, i, j, d, x in signed)
+        if k >= least and (prec is None or k >= stab and step >= 0 and cum >= prec):
             return cums
         cums.append(cum)
+        cum += step
+        k += 1
 
 
 def ratio_terms(num, den, z, sr, t0, n, top=None, cums=None):
@@ -744,7 +728,7 @@ def ratio_terms(num, den, z, sr, t0, n, top=None, cums=None):
 
     Given ``top``, the list of the precision top_k each term k < n must
     reach (None for none), and ``cums``, the list of its cum_k (see
-    ratio_orders), term k is built only to cap_k = cum_k +
+    ratio_stop), term k is built only to cap_k = cum_k +
     max_(k<=j<n) (top_j - cum_j), when its own is higher: a term j >= k
     made from the capped t_k moves by at least cum_j - cum_k, so every
     term still reaches its demand, and no coefficient below it changes.
@@ -943,7 +927,7 @@ def ratio_sum(num, den, z, sr, prec, n_term=None):
     Given ``n_term`` the sum is t_0..t_(n_term), uncapped; otherwise it
     stops as ratio_stop says and is truncated to prec.  Terms start at
     precision prec - dip + 2, where dip <= 0 is the lowest cum_k of a
-    summed term (see ratio_orders).  The terms come from ratio_terms: on
+    summed term (see ratio_stop).  The terms come from ratio_terms: on
     raw integers when z and every v are exact monomials, by ring
     operations when any is a series, with identical results.  A
     truncated sum asks ratio_terms for each term only to the precision
@@ -953,7 +937,8 @@ def ratio_sum(num, den, z, sr, prec, n_term=None):
     summed once over one running denominator by series.add_all, as they
     are made, and the sum is normalized once.
     """
-    cums = ratio_stop(num, den, z, sr, prec, n_term)
+    cums = (ratio_stop(num, den, z, sr, prec) if n_term is None
+            else ratio_stop(num, den, z, sr, least=n_term + 1))
     t0 = se.one(prec - min(cums, default=0) + 2)
     return se.add_all(ratio_terms(num, den, z, sr, t0, len(cums),
                                   [prec] * len(cums) if n_term is None else None, cums))

@@ -10,9 +10,9 @@ accessors present them as :class:`fractions.Fraction`.
 Precision rules (``ord`` is ``min_exp`` for a nonzero series and ``prec``
 for a zero-to-precision one):
 
-* ``add``:    result prec = min(x.prec, y.prec)
 * ``add_all``: result prec = min over the terms; one running block over
-  the lcm of the denominators, normalized once, equal to repeated ``add``
+  the lcm of the denominators, normalized once
+* ``add``:    ``add_all`` of the two terms, result prec = min(x.prec, y.prec)
 * ``mul``:    result prec = min(x.prec + ord(y), y.prec + ord(x))
 * ``divide``: result prec = min(x.prec - d, y.prec + ord(x) - 2d), d = ord(y)
 * ``invert``: result prec = x.prec - 2*ord(x)
@@ -262,35 +262,7 @@ def _coerce(x, prec):
 
 
 def add(x, y):
-    prec = min(x.prec, y.prec)
-    if not x._num and not y._num:
-        return zero(prec)
-    if not x._num:
-        return _make(y.min_exp, list(y._num), y._den, prec)
-    if not y._num:
-        return _make(x.min_exp, list(x._num), x._den, prec)
-    base = min(x.min_exp, y.min_exp)
-    top = min(prec, max(x.min_exp + len(x._num), y.min_exp + len(y._num)))
-    if top <= base:
-        return zero(prec)
-    g = gcd(x._den, y._den)
-    den = x._den // g * y._den
-    fx = den // x._den
-    fy = den // y._den
-    out = [0] * (top - base)
-    off = x.min_exp - base
-    for i, v in enumerate(x._num):
-        j = off + i
-        if j >= len(out):
-            break
-        out[j] += v * fx
-    off = y.min_exp - base
-    for i, v in enumerate(y._num):
-        j = off + i
-        if j >= len(out):
-            break
-        out[j] += v * fy
-    return _make(base, out, den, prec)
+    return add_all((x, y))
 
 
 def add_all(xs, default=None):
@@ -298,7 +270,8 @@ def add_all(xs, default=None):
 
     The block sits over the lcm of the denominators seen so far and is
     clipped at the running precision, the minimum over the terms; it is
-    normalized once, so the result equals ``functools.reduce(add, xs)``.
+    normalized once, and as the normal form is canonical the result equals
+    ``functools.reduce(add, xs)``.
     An empty iterable gives ``default``, or raises ValueError without one.
     """
     prec = None

@@ -574,6 +574,34 @@ def test_ratio_sum_normalizes_its_sum_once(monkeypatch):
         assert got == se.cap(reduce(add, terms), 20)
 
 
+# -- ratio_stop: the order bounds cum_k and the stop ------------------------------------
+
+
+def test_ratio_stop_pins():
+    # theta at 3/2: step(k) = k, so cum_k = C(k, 2); 45 >= 40 is the stop.
+    cums = ratio_stop([], [], qmon(Fraction(3, 2)), 1, 40)
+    assert cums == [0, 0, 1, 3, 6, 10, 15, 21, 28, 36]
+    assert ratio_stop([], [], qmon(Fraction(3, 2)), 1, None, least=5) == cums[:5]
+    assert ratio_stop([], [], qmon(Fraction(3, 2)), 1) == []
+    # Euler's sum at -7/4 q^-3 dips to -6 before it climbs past 20.
+    euler = ([], _EULER, qmon(Fraction(-7, 4), -3), 1)
+    cums = [0, -3, -5, -6, -6, -5, -3, 0, 4, 9, 15]
+    assert ratio_stop(*euler, 20) == cums
+    assert ratio_stop(*euler, 20, least=11) == cums
+    assert ratio_stop(*euler, 20, least=12) == cums + [22]
+
+
+def test_ratio_stop_waits_for_stab():
+    # 1/(v;q^2)_k with ord(v) = -20 lifts steps 0..9 by 20 - 2k: cum climbs
+    # to 15 and past prec = 10 at k = 3, then falls to -10 before z q^k
+    # turns it up again.  Only k >= stab = 10 may settle.
+    args = ([], [(qmon(2, -20), 2, 0, "den")], qmon(1, -15), 1)
+    cums = ratio_stop(*args, 10)
+    assert cums == [0, 5, 9, 12, 14, 15, 15, 14, 12, 9, 5, 0,
+                    -4, -7, -9, -10, -10, -9, -7, -4, 0, 5]
+    assert all(c >= 10 for c in ratio_stop(*args, least=len(cums) + 20)[len(cums):])
+
+
 # -- division by 1 - c*q^e --------------------------------------------------------------
 
 

@@ -51,9 +51,8 @@ _T0 = {
 }
 
 
-@pytest.mark.parametrize("t0", list(_T0.values()), ids=list(_T0))
-def test_grid_matches_ring(t0):
-    errors = 0
+def _grid():
+    """(num, den, z, sr) over factor values c*q^e, c in _COEFS, -4 <= e < 4."""
     for c, e in itertools.product(_COEFS, range(-4, 4)):
         v = qmon(c, e)
         shapes = [
@@ -63,11 +62,44 @@ def test_grid_matches_ring(t0):
         ]
         for (num, den), sr, z in itertools.product(
                 shapes, (-1, 0, 3), (qmon(1, 1), qmon(Fraction(-3, 5), -1))):
-            got = _assert_same(num, den, z, sr, t0, 6)
-            errors += isinstance(got[-1], tuple)
-            for n in (0, 1, 2):
-                assert _outcome(ratio_terms(num, den, z, sr, t0, n)) == got[:max(n, 1)]
+            yield num, den, z, sr
+
+
+@pytest.mark.parametrize("t0", list(_T0.values()), ids=list(_T0))
+def test_grid_matches_ring(t0):
+    errors = 0
+    for num, den, z, sr in _grid():
+        got = _assert_same(num, den, z, sr, t0, 6)
+        errors += isinstance(got[-1], tuple)
+        for n in (0, 1, 2):
+            assert _outcome(ratio_terms(num, den, z, sr, t0, n)) == got[:max(n, 1)]
     assert errors > 0  # vanishing denominators are in the grid
+
+
+def test_grid_stop_bounds_its_terms():
+    # Every cum_k bounds ord(t_k) of the uncapped terms from t_0 = 1.  Where
+    # the sum converges, least=n extends the stop list, of length s, to
+    # max(n, s) entries, and no cum_k past the stop is below prec.
+    stops = 0
+    for num, den, z, sr in _grid():
+        cums = ratio_stop(num, den, z, sr, least=12)
+        assert len(cums) == 12
+        for cum, t in zip(cums, _outcome(ratio_terms(num, den, z, sr, se.one(30), 12))):
+            if isinstance(t, tuple):
+                break  # a vanishing denominator factor
+            assert cum <= t._ord(), (num, den, z, sr)
+        if sr < 0 or sr == 0 and ord_of(z) <= 0:
+            continue
+        for prec in (-3, 0, 7, 20):
+            stop = ratio_stop(num, den, z, sr, prec)
+            s = len(stop)
+            stops += s > 1
+            for n in (0, 1, s - 1, s, s + 1, s + 5):
+                got = ratio_stop(num, den, z, sr, prec, least=n)
+                assert len(got) == max(n, s) and got[:s] == stop, (num, den, z, sr, prec, n)
+                assert got == ratio_stop(num, den, z, sr, least=len(got))
+            assert all(c >= prec for c in ratio_stop(num, den, z, sr, least=s + 12)[s:])
+    assert stops > 0
 
 
 def test_vanishing_factors():

@@ -369,6 +369,8 @@ def with_add_all_examples(test):
 @with_add_all_examples
 @settings(max_examples=300, deadline=2000)
 def test_hyp_add_all_equals_repeated_add(xs):
+    # add is add_all of two terms: streaming all terms at once equals
+    # summing them pairwise, with a normalization after each pair.
     assert se.add_all(iter(xs)) == reduce(se.add, xs)
 
 
@@ -377,19 +379,22 @@ def test_hyp_add_all_equals_repeated_add(xs):
 @settings(max_examples=300, deadline=2000)
 def test_hyp_add_all_matches_fraction_sums(xs):
     # Reference independent of se.add: exact Fractions summed per exponent
-    # below the joint precision.
+    # below the joint precision.  add_all, pairwise add, and sub (x_0 less
+    # each later term) must each give it in normal form.
     prec = min(x.prec for x in xs)
-    sums = {}
-    for x in xs:
-        for e, c in x.terms():
-            if e < prec:
-                sums[e] = sums.get(e, 0) + c
-    got = se.add_all(iter(xs))
-    assert got.prec == prec
-    assert dict(got.terms()) == {e: c for e, c in sums.items() if c}
-    if got._num:
-        assert got._num[0] and got._num[-1] and got._den > 0
-        assert gcd(got._den, *got._num) == 1
+    for got, signs in ((se.add_all(iter(xs)), [1] * len(xs)),
+                       (reduce(se.add, xs), [1] * len(xs)),
+                       (reduce(se.sub, xs), [1] + [-1] * (len(xs) - 1))):
+        sums = {}
+        for x, sign in zip(xs, signs):
+            for e, c in x.terms():
+                if e < prec:
+                    sums[e] = sums.get(e, 0) + sign * c
+        assert got.prec == prec
+        assert dict(got.terms()) == {e: c for e, c in sums.items() if c}
+        if got._num:
+            assert got._num[0] and got._num[-1] and got._den > 0
+            assert gcd(got._den, *got._num) == 1
 
 
 def test_add_all_empty():
