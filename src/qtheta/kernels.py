@@ -21,8 +21,8 @@ monomial these two take ratio_stop's terms in one integer pass
 (``sums._pfamily``) and the DSL's sums call ``ratio_terms`` with their
 own t_0.  Each sums its terms once, into one running block over one
 running denominator (``series.add_all``), and normalizes the sum once.
-``qpoch_capped`` is the one exact finite product; over a series argument
-it is the last term of the ring term loop of ``ratio_terms``.
+``qpoch_capped`` is the one exact finite product; over a series or N/D
+argument it is the last term of ``ratio_terms``.
 
 A truncated sum builds each term only to the precision it keeps.  The
 order bounds cum_k of ``ratio_stop`` say how far each step moves a
@@ -40,18 +40,20 @@ built from exact values.  A factor 1 - v*q^e with v = N/(s*D) is
 F/(s*D) with the integer polynomial F = s*D - N*q^e.  On a raw term, a
 coefficient block over one shared denominator, it is one sparse multiply
 (``_times_sparse``) and one sparse exact divide (``_over_sparse``), and
-the term is normalized once: that step is ``_exact_step``, which
-``ratio_terms`` takes when z and every factor value are exact and
-``sums._pfamily`` takes between shifted P_m members; ``qpoch_capped``
-takes the multiply.  For a monomial F has two terms, and the multiply and
-divide are the two-term update and recurrence.  Both build only the
-entries they keep: the update stops at the cap, and a division whose
-terms reach past the block returns it unchanged.  A division runs in
-integers, and scales the block by a power of the divisor's lowest
-coefficient only from the first quotient coefficient that needs it: a
-quotient with integer coefficients is not scaled at all.  Series
-arguments go through the ring operations of ``series``; on monomials the
-two give structurally equal results, with the same precisions and errors.
+the term is normalized once: that step is ``_exact_step``, every step of
+``ratio_terms`` and the one ``sums._pfamily`` takes between shifted P_m
+members; ``qpoch_capped`` takes the multiply.  For a monomial F has two
+terms, and the multiply and divide are the two-term update and
+recurrence.  Both build only the entries they keep: the update stops at
+the cap, and a division whose terms reach past the block returns it
+unchanged.  A division runs in integers, and scales the block by a
+power of the divisor's lowest coefficient only from the first quotient
+coefficient that needs it: a quotient with integer coefficients is not
+scaled at all.  A series argument is N/s + O(q^R): the step applies the
+exact N/s, with D = 1, and lowers the precision by the ring rules of
+``series``, so its factors give a term the coefficients, precision and
+errors that ring operations give it.  There is one term loop for every
+argument kind.
 """
 
 from __future__ import annotations
@@ -243,9 +245,12 @@ def _exact(num, den, coprime=False):
 
 
 def _parts(v):
-    """(N, D) of an exact value as sparse integer polynomials."""
+    """(N, D) of an exact value as sparse integer polynomials; a series
+    N/s + O(q^R) gives its stored block N over D = s."""
     if isinstance(v, QRational):
         return v.num, v.den
+    if isinstance(v, LaurentSeries):
+        return tuple((v.min_exp + i, c) for i, c in enumerate(v._num) if c), ((0, v._den),)
     c = v.coef
     return ((v.exp, c.numerator),), ((0, c.denominator),)
 
@@ -381,33 +386,12 @@ def theta_dip(d):
     return -negord(d, -d)
 
 
-def _m0(d, k):
-    return min(0, (d if d is not None else 0) + k)
-
-
 def one_minus(v, k, prec):
-    """The factor 1 - v*q^k as a series of precision >= prec (exact v)."""
+    """The factor 1 - v*q^k as a series: of precision v.prec + k for a
+    series v, else exact and embedded at >= prec."""
     if isinstance(v, LaurentSeries):
         return se.sub(se.one(v.prec + k), se.shift(v, k))
-    if isinstance(v, QRational):
-        return to_series(_exact(_one_minus_poly(v.num, v.den, k), v.den, coprime=True), prec)
-    if v.coef == 0:
-        return se.one(prec)
-    e = v.exp + k
-    if e == 0:
-        return se.from_rational(1 - v.coef, prec)
-    p = max(prec, max(0, e) + 1)
-    c = v.coef
-    lo = min(0, e)
-    num = [0] * (abs(e) + 1)
-    num[0 - lo] = c.denominator
-    num[e - lo] = -c.numerator
-    return se._make(lo, num, c.denominator, p)
-
-
-def _factor(t, v, d, k):
-    """1 - v*q^k at a precision that never caps the running term t."""
-    return one_minus(v, k, t.prec - min(0, t._ord()) + 2 * abs(_m0(d, k)) + 4)
+    return to_series(_val_add(_ONE, _val_neg(_val_shift(v, k))), prec)
 
 
 def _check_poch_invertible(v, n, what):
@@ -439,7 +423,7 @@ def _one_minus_poly(num, den, e):
     """den - num*q^e: the factor 1 - (num/den)*q^e times den, for sparse
     integer polynomials, with its zero terms dropped."""
     shifted = tuple((f + e, -c) for f, c in num)
-    if shifted[0][0] > den[-1][0]:
+    if not shifted or shifted[0][0] > den[-1][0]:
         return den + shifted
     if shifted[-1][0] < den[0][0]:
         return shifted + den
@@ -447,8 +431,10 @@ def _one_minus_poly(num, den, e):
 
 
 def _split(poly):
-    """A nonzero sparse polynomial as (e0, c0, rest): its lowest term
-    c0*q^e0, and its other terms as (exponent - e0, coefficient)."""
+    """A sparse polynomial as (e0, c0, rest): its lowest term c0*q^e0,
+    and its other terms as (exponent - e0, coefficient); None for zero."""
+    if not poly:
+        return None
     (e0, c0), *rest = poly
     return e0, c0, tuple((e - e0, c) for e, c in rest)
 
@@ -560,7 +546,7 @@ def qpoch_capped(x, n, prec, step=1):
         return se.cap(qpoch_finite(v, n, prec, step), prec)
     if v.coef == 0:
         return se.one(max(prec, 1))
-    fs, cd, _ = _raw_factor(v, step, 0, n)
+    fs, cd, _, _ = _raw_factor(v, step, 0, n)
     suffix = sum(min(0, v.exp + step * i) for i in range(n))
     num, lo = [1], 0
     for i, f in enumerate(fs):
@@ -713,7 +699,7 @@ def ratio_stop(num, den, z, sr, prec=None, least=0):
     while True:
         step = dz + sr * k
         if k <= stab:
-            step += sum(s * _m0(d, i * k + j) - (x if x and i * k + j == -d else 0)
+            step += sum(s * min(0, (d or 0) + i * k + j) - (x if x and i * k + j == -d else 0)
                         for s, i, j, d, x in signed)
         if k >= least and (prec is None or k >= stab and step >= 0 and cum >= prec):
             return cums
@@ -739,16 +725,9 @@ def ratio_terms(num, den, z, sr, t0, n, top=None, cums=None):
     terminating sum, whose precision is the minimum over its terms,
     passes none.
 
-    When z and every factor value are exact monomials, each step runs on the
-    raw term (lo, T, D, P): the block T at q^lo over the denominator D, of
-    precision P.  A factor 1 - (cn/cd) q^e is a two-term update of T, z and
-    (-1)^sr q^(sr*k) are a scale and a shift, and the result is normalized
-    once per term.  When any of them is a series, each factor is a series
-    and each step is ring operations.  Both give the same terms,
-    precisions and errors:
-    with d = min(0, e), a numerator factor moves P to P + d and a
-    denominator factor to P - d, a vanishing numerator factor gives mul's
-    zero series, and a vanishing denominator factor raises.
+    Each step is one _exact_step, for exact and series values alike: a
+    series is N/s + O(q^R), so the terms, precisions and errors are those
+    of the series ring operations.
     """
     caps = [None] * max(n, 1)
     if top is not None:
@@ -760,9 +739,12 @@ def ratio_terms(num, den, z, sr, t0, n, top=None, cums=None):
                 caps[k] = cums[k] + gap
         if caps[0] is not None:
             t0 = se.cap(t0, caps[0])
-    if isinstance(z, _EXACT) and all(isinstance(f[0], _EXACT) for f in num + den):
-        return _exact_terms(num, den, z, sr, t0, n, caps)
-    return _ring_terms(num, den, z, sr, t0, n, caps)
+    num, den = _raw_factors(num, den, n - 1)
+    z, shift = _raw_z(z, -1 if sr % 2 else 1)
+    yield t0
+    for k in range(n - 1):
+        t0 = _exact_step(t0, num, den, k, shift + sr * k, z, caps[k + 1])
+        yield t0
 
 
 def _primitive(den):
@@ -773,29 +755,31 @@ def _primitive(den):
 
 
 def _raw_factor(v, i, j, n):
-    """(F, s, D) for the factor 1 - v*q^(i*k+j) of an exact nonzero value
-    v = N/(s*D), D primitive: F[k] is sD - N*q^(i*k+j), split (None for
-    zero), for k < n, and D is split, or None for D = 1."""
+    """(F, s, D, R) for the factor 1 - v*q^(i*k+j) of a value v = N/(s*D),
+    nonzero if exact, D primitive: F[k] is sD - N*q^(i*k+j), split (None
+    for zero), for k < n, and D is split, or None for D = 1.  R is None
+    for an exact v; a series is N/s + O(q^R) (_parts), with D = 1."""
     if isinstance(v, QMonomial):
         cn, cd = v.coef.numerator, v.coef.denominator
         return [(0, cd, ((e, -cn),)) if e > 0 else (e, -cn, ((-e, cd),)) if e
                 else (0, cd - cn, ()) if cd != cn else None
-                for e in range(v.exp + j, v.exp + j + i * n, i)], cd, None
-    return ([_split(_one_minus_poly(v.num, v.den, i * k + j)) for k in range(n)],
-            *_primitive(v.den))
+                for e in range(v.exp + j, v.exp + j + i * n, i)], cd, None, None
+    N, den = _parts(v)
+    return ([_split(_one_minus_poly(N, den, i * k + j)) for k in range(n)],
+            *_primitive(den), v.prec if isinstance(v, LaurentSeries) else None)
 
 
 def _raw_factors(num, den, n):
-    """The factor lists of ratio_terms, with exact values, as the raw
-    tuples of _exact_step for steps k < n: (F, s, D, i, j) for
-    1 - v*q^(i*k+j) (see _raw_factor), and (F, s, D, what, i, j) in
-    ``den``.  A polynomial D that a numerator and a denominator factor
-    share cancels, once, and both carry None.  A zero value is the factor
-    1 and is left out."""
+    """The factor lists of ratio_terms as the raw tuples of _exact_step
+    for steps k < n: (F, s, D, R, i, j) for 1 - v*q^(i*k+j) (see
+    _raw_factor), and (F, s, D, R, what, i, j) in ``den``.  A polynomial
+    D that a numerator and a denominator factor share cancels, once, and
+    both carry None.  An exact zero value is the factor 1 and is left
+    out."""
     num = [_raw_factor(v, i, j, n) + (i, j) for v, i, j in num
-           if isinstance(v, QRational) or v.coef]
+           if not isinstance(v, QMonomial) or v.coef]
     den = [_raw_factor(v, i, j, n) + (what, i, j) for v, i, j, what in den
-           if isinstance(v, QRational) or v.coef]
+           if not isinstance(v, QMonomial) or v.coef]
     free = [f[2] for f in den if f[2]]
     for a, f in enumerate(num if free else ()):
         if f[2] in free:
@@ -807,12 +791,22 @@ def _raw_factors(num, den, n):
 
 
 def _raw_z(z, sign=1):
-    """sign*z as the (c, N, s, D) of _exact_step, and an exponent: for a
-    monomial its coefficient numerator c, N None and its exponent; else N
-    split and 0.  z = N/(s*D) as in _raw_factor."""
+    """sign*z as the (c, N, s, D, R) of _exact_step, and an exponent: for
+    a monomial its coefficient numerator c, N None and its exponent; else
+    N split and 0.  z = N/(s*D) and R as in _raw_factor; a series z is
+    nonzero."""
     if isinstance(z, QMonomial):
-        return (sign * z.coef.numerator, None, z.coef.denominator, None), z.exp
-    return (None, _split(tuple((e, sign * c) for e, c in z.num)), *_primitive(z.den)), 0
+        return (sign * z.coef.numerator, None, z.coef.denominator, None, None), z.exp
+    N, den = _parts(z)
+    return (None, _split(tuple((e, sign * c) for e, c in N)), *_primitive(den),
+            z.prec if isinstance(z, LaurentSeries) else None), 0
+
+
+def _series_prec(r):
+    """r, the precision of a series factor 1 - v*q^e; its 1 needs r > 0."""
+    if r <= 0:
+        raise PrecisionError("constant term not representable at precision %d" % r)
+    return r
 
 
 def _over_poly(T, P, lo, D, poly):
@@ -824,19 +818,32 @@ def _over_poly(T, P, lo, D, poly):
 
 
 def _exact_step(t, num, den, k, shift, z, cap):
-    """Step k of an exact ratio on the raw term (lo, T, D, P) of t: t times
-    the factors of ``num``, times z q^shift, over the factors of ``den``
+    """Step k of a ratio on the raw term (lo, T, D, P) of t: t times the
+    factors of ``num``, times z q^shift, over the factors of ``den``
     (_raw_factors' lists; z from _raw_z), with the precision lowered to
     ``cap`` (None: not lowered).  Each factor 1 - v*q^e with v = N/(s*D)
     is F/(sD), F = sD - N*q^e: one sparse multiply of T by F or D, and one
     sparse exact divide by D or F, with no divide for a D of 1 or a
     cancelled one; for a monomial v they are the two-term update and
-    recurrence of _times_sparse and _over_sparse.  Normalized once."""
+    recurrence of _times_sparse and _over_sparse.  With f0 the lowest
+    exponent of F, a multiply moves P to P + f0 and a divide to P - f0.
+    A series v or z is N/s + O(q^R), so F/s is known to O(q^r),
+    r = R + e, and P is at most r + ord t after a multiply and
+    r + ord t - 2 f0 after a divide, as in series; ord t is lo, or P when
+    T is empty, as T[0] is never 0.  A factor that vanishes (to O(q^r))
+    makes the term zero in the numerator, to P + 4 + max(0, ord t) if
+    exact and r + ord t if a series, and raises in the denominator; a
+    series factor with r <= 0 raises PrecisionError.  Normalized once."""
     lo, T, D, P = t.min_exp, list(t._num), t._den, t.prec
-    for F, s, dp, i, j in num:
+    for F, s, dp, R, i, j in num:
         f = F[k]
-        if f is None:
-            # mul by the zero factor O(q^(P - min(0, ord t) + 4)) of _factor.
+        if R is not None:
+            r = _series_prec(R + i * k + j) + (lo if T else P)
+            if f is None:
+                P, T = r, []
+                continue
+            P = min(P, r - f[0])
+        elif f is None:
             P += 4 + max(0, lo if T else P)
             T = []
             continue
@@ -846,20 +853,27 @@ def _exact_step(t, num, den, k, shift, z, cap):
         P += f[0]
         if dp and T:
             T, D = _over_poly(T, P, lo, D, dp)
-    zc, zn, zs, zd = z
+    zc, zn, zs, zd, zr = z
     lo += shift
     P += shift
     if zn is None:
         if zc != 1:
             T = [zc * a for a in T] if zc else []
     else:
-        T, lo = _times_sparse(T, lo, zn, P + zn[0])
+        if zr is not None:
+            P = min(P, zr + (lo if T else P) - zn[0])
+        if T:
+            T, lo = _times_sparse(T, lo, zn, P + zn[0])
         P += zn[0]
     D *= zs
     if zd and T:
         T, D = _over_poly(T, P, lo, D, zd)
-    for F, s, dp, what, i, j in den:
+    for F, s, dp, R, what, i, j in den:
         f = F[k]
+        if R is not None:
+            r = _series_prec(R + i * k + j) + (lo if T else P)
+            if f:
+                P = min(P, r - f[0])
         if f is None:
             raise DegenerateParameterError(
                 "%s: factor 1 - v*q^%d vanishes" % (what, i * k + j))
@@ -886,36 +900,6 @@ def _exact_step(t, num, den, k, shift, z, cap):
 _RAW_ONE = _raw_z(_ONE)[0]
 
 
-def _exact_terms(num, den, z, sr, t, n, caps):
-    num, den = _raw_factors(num, den, n - 1)
-    z, shift = _raw_z(z, -1 if sr % 2 else 1)
-    yield t
-    for k in range(n - 1):
-        t = _exact_step(t, num, den, k, shift + sr * k, z, caps[k + 1])
-        yield t
-
-
-def _ring_terms(num, den, z, sr, t, n, caps):
-    num = [(v, i, j, ord_of(v)) for v, i, j in num]
-    den = [(v, i, j, ord_of(v), what) for v, i, j, what in den]
-    yield t
-    for k in range(n - 1):
-        for v, i, j, d in num:
-            t = se.mul(t, _factor(t, v, d, i * k + j))
-        t = _mul_value(t, z)
-        if sr:
-            t = se.mul_monomial(t, Fraction(-1) ** sr, sr * k)
-        for v, i, j, d, what in den:
-            g = _factor(t, v, d, i * k + j)
-            if g.is_zero:
-                raise DegenerateParameterError(
-                    "%s: factor 1 - v*q^%d vanishes" % (what, i * k + j))
-            t = se.divide(t, g)
-        if caps[k + 1] is not None:
-            t = se.cap(t, caps[k + 1])
-        yield t
-
-
 def ratio_sum(num, den, z, sr, prec, n_term=None):
     """sum_k t_k with t_0 = 1 and t_(k+1)/t_k = z (-1)^sr q^(sr*k) N_k/D_k.
 
@@ -927,15 +911,14 @@ def ratio_sum(num, den, z, sr, prec, n_term=None):
     Given ``n_term`` the sum is t_0..t_(n_term), uncapped; otherwise it
     stops as ratio_stop says and is truncated to prec.  Terms start at
     precision prec - dip + 2, where dip <= 0 is the lowest cum_k of a
-    summed term (see ratio_stop).  The terms come from ratio_terms: on
-    raw integers when z and every v are exact monomials, by ring
-    operations when any is a series, with identical results.  A
-    truncated sum asks ratio_terms for each term only to the precision
-    it keeps (``top`` = prec), so its last term, capped at prec, already
-    truncates the sum.  A terminating sum passes no cap: its precision is
-    the minimum over its terms, which a cap could move.  The terms are
-    summed once over one running denominator by series.add_all, as they
-    are made, and the sum is normalized once.
+    summed term (see ratio_stop).  The terms come from ratio_terms, on
+    raw integers for exact and series values alike (a series is
+    N/s + O(q^R)).  A truncated sum asks ratio_terms for each term only
+    to the precision it keeps (``top`` = prec), so its last term, capped
+    at prec, already truncates the sum.  A terminating sum passes no
+    cap: its precision is the minimum over its terms, which a cap could
+    move.  The terms are summed once over one running denominator by
+    series.add_all, as they are made, and the sum is normalized once.
     """
     cums = (ratio_stop(num, den, z, sr, prec) if n_term is None
             else ratio_stop(num, den, z, sr, least=n_term + 1))

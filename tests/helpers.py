@@ -1,8 +1,12 @@
 """Shared brute-force oracles for the test suite.
 
-Everything here recomputes values straight from defining formulas using
-only series-core primitives (or plain integer lists), independently of
-the kernel/sum implementations under test.
+Each oracle recomputes a value from its defining formula with series-core
+operations (or plain integer lists), not with the kernel or sum that it
+checks.  Some take their inputs from kernels helpers: ``to_series`` and
+``one_minus`` embed arguments, and ``qpoch_infinite_by_product`` takes
+the exact product ``qpoch_capped``.  ``ratio_terms_by_ring``, the term
+loop in ring operations, uses nothing of kernels but the value types and
+``ord_of``.
 """
 
 from fractions import Fraction
@@ -16,8 +20,6 @@ from qtheta.errors import DegenerateParameterError
 from qtheta.kernels import (
     QMonomial,
     QRational,
-    _factor,
-    _mul_value,
     as_value,
     negord,
     one_minus,
@@ -121,10 +123,77 @@ def brute_theta(x, prec):
     return se.cap(acc, prec)
 
 
-def ratio_terms_by_ring(num, den, z, sr, t0, n):
+def _poly_series(poly, p):
+    """A sparse integer polynomial ((exponent, coefficient), ...) to O(q^p)."""
+    lo = poly[0][0]
+    out = [0] * (poly[-1][0] - lo + 1)
+    for e, c in poly:
+        out[e - lo] = c
+    return se._make(lo, out, 1, p)
+
+
+def _one_minus(v, k, prec):
+    """The factor 1 - v*q^k as a series: of precision v.prec + k for a
+    series v, else at a precision >= prec that depends only on v, k and
+    prec.  An N/D value v is (D - N*q^k)/D, divided in the ring at the
+    precision its embedding as an exact value has."""
+    if isinstance(v, se.LaurentSeries):
+        return se.sub(se.one(v.prec + k), se.shift(v, k))
+    if isinstance(v, QRational):
+        f = dict(v.den)
+        for e, c in v.num:
+            f[e + k] = f.get(e + k, 0) - c
+        f = tuple(sorted((e, c) for e, c in f.items() if c))
+        lo = f[0][0]
+        p = max(prec, lo + 1)
+        return se.divide(_poly_series(f, p), _poly_series(v.den, p - lo))
+    if v.coef == 0:
+        return se.one(prec)
+    e = v.exp + k
+    if e == 0:
+        return se.from_rational(1 - v.coef, prec)
+    p = max(prec, max(0, e) + 1)
+    c = v.coef
+    lo = min(0, e)
+    num = [0] * (abs(e) + 1)
+    num[0 - lo] = c.denominator
+    num[e - lo] = -c.numerator
+    return se._make(lo, num, c.denominator, p)
+
+
+def _factor(t, v, d, k):
+    """1 - v*q^k at a precision that never caps the running term t."""
+    return _one_minus(v, k, t.prec - min(0, t._ord()) + 2 * abs(min(0, (d or 0) + k)) + 4)
+
+
+def _times_z(t, z):
+    """t times a nonzero z; an exact z is embedded at a precision that
+    does not bind, so the product has mul's precision t.prec + ord z."""
+    if isinstance(z, QMonomial):
+        return se.zero(t.prec + z.exp) if z.coef == 0 else se.mul_monomial(t, z.coef, z.exp)
+    if isinstance(z, QRational):
+        p = t.prec - t._ord() + 1
+        z = se.divide(_poly_series(z.num, p + z.num[0][0]), _poly_series(z.den, p))
+    return se.mul(t, z)
+
+
+def ratio_terms_by_ring(num, den, z, sr, t0, n, top=None, cums=None):
     """kernels.ratio_terms step by step in ring operations: each factor
-    1 - v*q^k is a series (kernels._factor) that multiplies or divides the
-    running term."""
+    1 - v*q^k is a series (_factor) that multiplies or divides the
+    running term, and so is z.  A series factor has its own precision;
+    an exact one is built at a precision that never caps the term, padded
+    by 4 so that a factor that vanishes leaves a zero of that
+    precision.  ``top`` and ``cums`` cap the terms as in ratio_terms."""
+    caps = [None] * max(n, 1)
+    if top is not None:
+        gap = None
+        for k in reversed(range(n)):
+            if top[k] is not None:
+                gap = top[k] - cums[k] if gap is None else max(gap, top[k] - cums[k])
+            if gap is not None:
+                caps[k] = cums[k] + gap
+        if caps[0] is not None:
+            t0 = se.cap(t0, caps[0])
     num = [(v, i, j, ord_of(v)) for v, i, j in num]
     den = [(v, i, j, ord_of(v), what) for v, i, j, what in den]
     t = t0
@@ -132,7 +201,7 @@ def ratio_terms_by_ring(num, den, z, sr, t0, n):
     for k in range(n - 1):
         for v, i, j, d in num:
             t = se.mul(t, _factor(t, v, d, i * k + j))
-        t = _mul_value(t, z)
+        t = _times_z(t, z)
         if sr:
             t = se.mul_monomial(t, Fraction(-1) ** sr, sr * k)
         for v, i, j, d, what in den:
@@ -141,6 +210,8 @@ def ratio_terms_by_ring(num, den, z, sr, t0, n):
                 raise DegenerateParameterError(
                     "%s: factor 1 - v*q^%d vanishes" % (what, i * k + j))
             t = se.divide(t, g)
+        if caps[k + 1] is not None:
+            t = se.cap(t, caps[k + 1])
         yield t
 
 

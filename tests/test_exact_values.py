@@ -165,13 +165,19 @@ def test_theta_of_a_polynomial_against_its_terms():
     assert theta_partial(x, 12) == se.cap(acc, 12)
 
 
-# -- ratio_terms on exact N/D values against the ring path -------------------------
+# -- ratio_terms on exact N/D values against the ring reference --------------------
 
 _poly = st.dictionaries(st.integers(-2, 3), st.integers(-6, 6).filter(bool),
                         min_size=1, max_size=3).map(lambda d: tuple(sorted(d.items())))
 _val = st.builds(lambda n, d: _exact(n, d), _poly, _poly).filter(lambda v: ord_of(v) is not None)
-_num = st.lists(st.tuples(_val, st.integers(1, 2), st.integers(0, 2)), max_size=2)
-_den = st.lists(st.tuples(_val, st.integers(1, 2), st.integers(0, 2), st.just("den")),
+# A series c_0 q^lo + ... + O(q^p) next to the N/D values, zero to O(q^p) when c_0 is.
+_ser = st.builds(lambda lo, cs, p: se.add_all([se.monomial(c, lo + i, lo + p)
+                                               for i, c in enumerate(cs)] + [se.zero(lo + p)]),
+                 st.integers(-2, 1), st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+                 st.integers(3, 8))
+_mixed = st.one_of(_val, _val, _ser)
+_num = st.lists(st.tuples(_mixed, st.integers(1, 2), st.integers(0, 2)), max_size=2)
+_den = st.lists(st.tuples(_mixed, st.integers(1, 2), st.integers(0, 2), st.just("den")),
                 max_size=3)
 
 
@@ -184,11 +190,13 @@ def _outcome(terms):
     return out
 
 
-@given(_num, _den, _val, st.integers(0, 2), st.integers(1, 6))
-@settings(max_examples=80, deadline=None)
+@given(_num, _den, st.one_of(_val, _ser.filter(lambda z: not z.is_zero)),
+       st.integers(0, 2), st.integers(1, 6))
+@settings(max_examples=120, deadline=None)
 def test_rational_terms_agree_with_the_ring_path(num, den, z, sr, n):
-    # The exact path moves each term's precision by the factor's true
-    # order, so it reaches at least the ring path's precision.
+    # The exact step moves each term's precision by the N/D factor's true
+    # order, also next to series values, so it reaches at least the ring
+    # reference's precision, which pads each exact factor by a constant.
     t0 = se.one(12)
     got = _outcome(ratio_terms(num, den, z, sr, t0, n))
     want = _outcome(ratio_terms_by_ring(num, den, z, sr, t0, n))
@@ -198,6 +206,18 @@ def test_rational_terms_agree_with_the_ring_path(num, den, z, sr, n):
             assert g is w
         else:
             assert se.eq_to_prec(g, w)[0] and g.prec >= w.prec, (num, den, z, sr, g, w)
+
+
+def test_series_next_to_a_cancelling_nd_factor():
+    # 1 - v = 3/5 q^5 for v = 1 - 3/5 q^5: with a series z the term keeps
+    # the exact step's precision, one above the ring reference, whose
+    # factor 1 - v is built to a padded precision that binds here.
+    v = _exact(((0, 5), (5, -3)), ((0, 5),))
+    z = se.add(se.from_rational(Fraction(2, 3), 12), se.monomial(1, 2, 12))
+    args = ([], [(v, 1, 0, "den")], z, 0, se.one(10), 3)
+    got, want = list(ratio_terms(*args)), list(ratio_terms_by_ring(*args))
+    assert [t.prec for t in got] == [10, 5, 5] and [t.prec for t in want] == [10, 4, 4]
+    assert all(se.eq_to_prec(g, w)[0] for g, w in zip(got, want))
 
 
 # -- the integer gcd of _exact against the Fraction Euclid ---------------------------

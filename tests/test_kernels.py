@@ -99,8 +99,8 @@ def _qpoch_by_loop(v, n, step):
 def test_poch_series_argument_matches_the_factor_loop():
     # Series arguments of order -2..2, with leading coefficient 1 (so a
     # factor can lose its low terms) or not, and zero to precision: the
-    # ring term loop gives structurally the same product, capped or not,
-    # and the same error where O(q^-1) has no constant term 1.
+    # term loop of ratio_terms gives structurally the same product, capped
+    # or not, and the same error where O(q^-1) has no constant term 1.
     def outcome(run):
         try:
             return run()
@@ -241,8 +241,7 @@ def test_exact_monomials_match_ratio_sum():
 def test_exact_monomials_take_no_term_stream(monkeypatch):
     # A monomial c*q^e makes no exact step and no ratio_sum call, and its one
     # _make gets the block of ratio_stop's n terms, at q^(min cum_k) over
-    # cd^(n-1); an N/D argument runs the exact step, and a series argument
-    # the ring stream of ratio_sum.
+    # cd^(n-1); an N/D or a series argument runs ratio_sum, on exact steps.
     calls = {"_exact_step": [], "ratio_sum": [], "_make": []}
 
     def counted(module, name):
@@ -271,10 +270,9 @@ def test_exact_monomials_take_no_term_stream(monkeypatch):
             cums = ratio_stop([], den, arg, 1, 20)
             (lo, _, d, _), = calls["_make"]
             assert (lo, d) == (min(cums), arg.coef.denominator ** (len(cums) - 1))
-        got = run(f, nd)
-        assert got["ratio_sum"] == 1 and got["_exact_step"] > 0
-        got = run(f, x)
-        assert got["ratio_sum"] == 1 and got["_exact_step"] == 0
+        for arg in (nd, x):
+            got = run(f, arg)
+            assert got["ratio_sum"] == 1 and got["_exact_step"] > 0
 
 
 def test_pochinf_zero_series_argument_has_thetas_guard():

@@ -1,9 +1,10 @@
-"""kernels.ratio_terms on exact factors against the ring-operation reference.
+"""kernels.ratio_terms against the ring-operation reference.
 
-Exact factor values and z run on raw integer terms; the reference
-(helpers.ratio_terms_by_ring) builds every factor as a series and applies
-it with mul/divide.  The two must give structurally equal terms, with the
-same precisions, and raise the same errors at the same term.
+Exact and series factor values and z run on raw integer terms; the
+reference (helpers.ratio_terms_by_ring) builds every factor as a series
+and applies it with mul/divide.  The two must give structurally equal
+terms, with the same precisions and caps, and raise the same errors at
+the same term.
 
 A truncated sum builds each term only to the precision the sum keeps
 (ratio_terms' ``top``); it must equal the sum of the uncapped terms,
@@ -36,44 +37,61 @@ def _outcome(terms):
     return out
 
 
-def _assert_same(num, den, z, sr, t0, n):
-    got = _outcome(ratio_terms(num, den, z, sr, t0, n))
-    want = _outcome(ratio_terms_by_ring(num, den, z, sr, t0, n))
-    assert got == want, (num, den, z, sr, t0, n)
+def _assert_same(num, den, z, sr, t0, n, top=None, cums=None):
+    got = _outcome(ratio_terms(num, den, z, sr, t0, n, top, cums))
+    want = _outcome(ratio_terms_by_ring(num, den, z, sr, t0, n, top, cums))
+    assert got == want, (num, den, z, sr, t0, n, top, cums)
     return got
 
 
 _COEFS = [0, 1, -1, Fraction(2, 3), Fraction(-7, 4), 5]
+_MONOMIALS = [qmon(c, e) for c, e in itertools.product(_COEFS, range(-4, 4))]
+# Series of order -2..1 with leading coefficient 1 (a factor that loses
+# its low terms) or not, zero to precision, q^-2 + O(q^-1), whose factor
+# 1 - v*q^e has no constant term below e = 2, and q^-1 + O(q^3), whose
+# factor at e = 1 is zero to O(q^4).
+_SERIES = [se.add(se.monomial(c, d, d + 6), se.monomial(Fraction(2, 3), d + 1, d + 6))
+           for c, d in itertools.product((1, Fraction(-5, 2)), range(-2, 2))]
+_SERIES += [se.zero(-1), se.zero(0), se.zero(4), se.monomial(1, -2, -1), se.monomial(1, -1, 3)]
+_Z = [qmon(1, 1), qmon(Fraction(-3, 5), -1)]
+# A z of precision 0, and one of positive order.
+_SERIES_Z = [se.monomial(Fraction(-3, 5), -1, 0), se.add(se.monomial(1, 1, 6), se.monomial(2, 2, 6))]
 _T0 = {
     "one": se.one(9),
     "zero": se.zero(4),
     "mixed": se._make(-2, [3, 0, -2, 0, 0, 10], 2, 6),
 }
+_TOP, _CUMS = [None, 7, None, 9, 5, None], [0, -1, 1, 3, 2, 6]
 
 
-def _grid():
-    """(num, den, z, sr) over factor values c*q^e, c in _COEFS, -4 <= e < 4."""
-    for c, e in itertools.product(_COEFS, range(-4, 4)):
-        v = qmon(c, e)
+def _grid(values=_MONOMIALS, zs=_Z):
+    """(num, den, z, sr) over the factor values and z."""
+    for v in values:
         shapes = [
             ([(v, 1, 0)], []),
             ([], [(v, 1, 0, "den")]),
             ([(v, 2, 1), (qmon(2, -1), 1, 0)], [(v, 1, 1, "den"), (qmon(-1), 1, 1, "q")]),
+            # From k = 2 the first factor is an exact zero: the term is
+            # zero with its lowest exponent below its precision.
+            ([(qmon(1, -2), 1, 0), (v, 1, 0)], [(v, 1, 1, "den")]),
         ]
-        for (num, den), sr, z in itertools.product(
-                shapes, (-1, 0, 3), (qmon(1, 1), qmon(Fraction(-3, 5), -1))):
+        for (num, den), sr, z in itertools.product(shapes, (-1, 0, 3), zs):
             yield num, den, z, sr
 
 
 @pytest.mark.parametrize("t0", list(_T0.values()), ids=list(_T0))
 def test_grid_matches_ring(t0):
-    errors = 0
-    for num, den, z, sr in _grid():
+    errors = set()
+    for num, den, z, sr in itertools.chain(_grid(), _grid(_SERIES, _Z + _SERIES_Z),
+                                           _grid(_MONOMIALS[::3], _SERIES_Z)):
         got = _assert_same(num, den, z, sr, t0, 6)
-        errors += isinstance(got[-1], tuple)
+        if isinstance(got[-1], tuple):
+            errors.add(got[-1][0].__name__)
         for n in (0, 1, 2):
             assert _outcome(ratio_terms(num, den, z, sr, t0, n)) == got[:max(n, 1)]
-    assert errors > 0  # vanishing denominators are in the grid
+        _assert_same(num, den, z, sr, t0, 6, _TOP, _CUMS)
+    # Vanishing denominators, and series factors without a constant term.
+    assert errors == {"DegenerateParameterError", "PrecisionError"}
 
 
 def test_grid_stop_bounds_its_terms():
@@ -124,18 +142,42 @@ def test_exact_factors_stay_off_the_series_ring(monkeypatch):
     assert list(ratio_terms(num, den, qmon(5, 1), 1, se.one(12), 8)) == want
 
 
-def test_series_arguments_take_the_ring_loop():
+def test_series_factors_stay_off_the_series_ring(monkeypatch):
     v = se.add(se.from_rational(Fraction(2, 3), 10), se.monomial(1, 2, 10))
-    for num, den, z in [([(v, 1, 0)], [], qmon(1, 1)),
-                        ([], [(v, 1, 1, "den")], qmon(-2, 1)),
-                        ([(qmon(3), 1, 0)], [], se.monomial(1, 1, 9))]:
-        _assert_same(num, den, z, 1, se.one(10), 5)
+    cases = [([(v, 1, 0)], [(_SERIES[1], 1, 1, "den")], qmon(1, 1)),
+             ([(_SERIES[2], 2, 1)], [(v, 1, 1, "den"), (qmon(1), 1, 1, "q")], qmon(-2, 1)),
+             ([(qmon(3), 1, 0)], [], _SERIES_Z[1])]
+    want = [list(ratio_terms_by_ring(num, den, z, 1, se.one(10), 5)) for num, den, z in cases]
+
+    def refuse(*args):
+        raise AssertionError("series ring operation on series factors")
+    for name in ("mul", "divide", "scale", "mul_monomial"):
+        monkeypatch.setattr(se, name, refuse)
+    assert [list(ratio_terms(num, den, z, 1, se.one(10), 5)) for num, den, z in cases] == want
 
 
 _mon = st.builds(qmon, st.sampled_from(_COEFS + [Fraction(1, 3), Fraction(-3, 2)]),
                  st.integers(-4, 3))
-_num = st.lists(st.tuples(_mon, st.integers(1, 3), st.integers(0, 2)), max_size=3)
-_den = st.lists(st.tuples(_mon, st.integers(1, 3), st.integers(0, 2), st.just("den")),
+
+
+@st.composite
+def _ser(draw, nonzero=False):
+    """A series c_0 q^lo + ... + O(q^p), c_0 != 0 and sometimes 1, or
+    (unless nonzero) zero to O(q^p); p may leave no constant term in
+    1 - v*q^e for small e."""
+    if not nonzero and draw(st.booleans()):
+        return se.zero(draw(st.integers(-2, 5)))
+    lo = draw(st.integers(-3, 2))
+    coeffs = draw(st.lists(st.sampled_from(_COEFS + [Fraction(1, 2 ** 40)]), min_size=1, max_size=4))
+    lead = draw(st.sampled_from([1, Fraction(-3, 2), Fraction(1, 2 ** 40)]))
+    p = lo + draw(st.integers(1, len(coeffs) + 6))
+    return se.add_all([se.monomial(c, lo + i, p) for i, c in enumerate([lead] + coeffs[1:])
+                       if c and lo + i < p] + [se.zero(p)])
+
+
+_val = st.one_of(_mon, _ser())
+_num = st.lists(st.tuples(_val, st.integers(1, 3), st.integers(0, 2)), max_size=3)
+_den = st.lists(st.tuples(_val, st.integers(1, 3), st.integers(0, 2), st.just("den")),
                 max_size=4)
 
 
@@ -147,11 +189,15 @@ def _t0(draw):
                     lo + len(coeffs) + draw(st.integers(0, 8)))
 
 
-@given(_num, _den, _mon.filter(lambda z: z.coef != 0), st.integers(-2, 3), _t0(),
-       st.integers(0, 7))
-@settings(max_examples=200, deadline=2000)
-def test_hyp_matches_ring(num, den, z, sr, t0, n):
-    _assert_same(num, den, z, sr, t0, n)
+@given(_num, _den, st.one_of(_mon.filter(lambda z: z.coef != 0), _ser(nonzero=True)),
+       st.integers(-2, 3), _t0(), st.integers(0, 7), st.data())
+@settings(max_examples=300, deadline=2000)
+def test_hyp_matches_ring(num, den, z, sr, t0, n, data):
+    top = cums = None
+    if n and data.draw(st.booleans()):
+        cums = data.draw(st.lists(st.integers(-4, 10), min_size=n, max_size=n))
+        top = data.draw(st.lists(st.none() | st.integers(-2, 14), min_size=n, max_size=n))
+    _assert_same(num, den, z, sr, t0, n, top, cums)
 
 
 # -- truncated sums: capped terms against uncapped ones ------------------------
@@ -196,8 +242,8 @@ _Z = [qmon(1, 1), qmon(Fraction(-2, 3), 2), qmon(3, -1), se.shift(_SER, 1)]
 def test_capped_sum_equals_uncapped_grid():
     # Exact values of negative order make cum dip before it settles; q^-2
     # in the numerator zeroes every term from t_3 on, and in a denominator
-    # raises; series values and z take the ring path, and lead1 divides by
-    # a factor of higher order than min(0, ord v + e).
+    # raises; series values and z carry their own precision, and lead1
+    # divides by a factor of higher order than min(0, ord v + e).
     outcomes = set()
     for (v, w), z, sr in itertools.product(
             itertools.product(_VALUES.values(), repeat=2), _Z, (0, 1, 2)):
