@@ -14,12 +14,16 @@ L = -min f, so every entry is the integer polynomial
 j - e for j.)
 
 gauss_solve is a modular algorithm (von zur Gathen and Gerhard, Modern
-Computer Algebra, 3rd ed., ch. 5).  Modulo one prime P it takes det B and
-the adjugate row N of each wanted unknown (N B = det B e_t) at integer
-points, interpolates them over the exponent spans that min-plus and
-max-plus assignments of the entries' lowest and highest exponents bound,
-and lifts the symmetric residues, which is exact because P exceeds twice a
-bound on every coefficient.  The lift is then certified over Z[q]: when
+Computer Algebra, 3rd ed., ch. 5).  Its modulus P is the least prime of
+_PRIMES above twice a bound on every coefficient of det B and the
+cofactors.  Modulo P it takes det B and the adjugate row N of each wanted
+unknown (N B = det B e_t) at integer points, building B(x) from B's
+distinct entry polynomials: each entry is c q^s P_k, and each P_k is
+evaluated once per point (for build_system's B the P_k are the Gaussian
+rows [m-1,k]_q).  It interpolates the values over the exponent spans that
+min-plus and max-plus assignments of the entries' lowest and highest
+exponents bound, and lifts the symmetric residues, which is exact because
+P exceeds twice the bound.  The lift is then certified over Z[q]: when
 N B = det B e_t holds exactly with det B nonzero, N / det B is row t of
 B^-1, whatever went before.  A failed certificate raises EliminationError;
 nothing unchecked is returned.
@@ -32,7 +36,7 @@ checks the combination against the direct P_m evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, gcd
 
 from .errors import DegenerateParameterError, DomainError, EliminationError, PrecisionError
 from . import series as se
@@ -47,9 +51,23 @@ from .sums import (
 __all__ = ["PolynomialSystem", "ExactCombination", "ThetaCombination", "build_system",
            "gauss_solve", "express_pm"]
 
-# The moduli gauss_solve may use, ascending: Mersenne primes and 2^255 - 19.
-_PRIMES = tuple(sorted([2**p - 1 for p in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281,
-                                           3217, 4253, 4423)] + [2**255 - 19]))
+# The moduli gauss_solve may use, ascending: Mersenne primes, 2^255 - 19 and,
+# for k = 64, 80, ..., 1024, the largest prime 2^k - c below 2^k.  When twice
+# a height bound lies between 2^61 and 2^1024, the least of them above it is
+# at most 16 bits longer, so the row updates cost what the bound asks for.
+_PRIMES = tuple(sorted(
+    [2**p - 1 for p in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)]
+    + [2**255 - 19]
+    + [2**k - c for k, c in (
+        (64, 59), (80, 65), (96, 17), (112, 75), (128, 159), (144, 83), (160, 47),
+        (176, 233), (192, 237), (208, 299), (224, 63), (240, 467), (256, 189), (272, 237),
+        (288, 167), (304, 75), (320, 197), (336, 3), (352, 657), (368, 315), (384, 317),
+        (400, 593), (416, 435), (432, 299), (448, 203), (464, 437), (480, 47), (496, 257),
+        (512, 569), (528, 65), (544, 759), (560, 717), (576, 789), (592, 935), (608, 527),
+        (624, 117), (640, 305), (656, 143), (672, 399), (688, 759), (704, 245), (720, 395),
+        (736, 509), (752, 875), (768, 825), (784, 759), (800, 105), (816, 959), (832, 143),
+        (848, 17), (864, 243), (880, 113), (896, 213), (912, 1935), (928, 645), (944, 573),
+        (960, 167), (976, 2147), (992, 1779), (1008, 33), (1024, 105))]))
 
 
 @dataclass
@@ -219,17 +237,46 @@ def _inverses(xs, p):
     return out
 
 
-def _at_point(terms, top, x, cols, p):
+def _factor(matrix):
+    """B's entries as c q^s P_k: (polys, entries) with polys the distinct
+    primitive polynomials P_k, coefficient tuples from q^0 with a positive
+    constant term, and entries[r][col] = (c, s, k); a zero entry has c = 0."""
+    polys, index, entries = [], {}, []
+    for row in matrix:
+        out = []
+        for e in row:
+            if not e:
+                out.append((0, 0, 0))
+                continue
+            s = next(i for i, v in enumerate(e) if v)
+            c = gcd(*e) if e[s] > 0 else -gcd(*e)
+            poly = tuple(v // c for v in e[s:])
+            k = index.setdefault(poly, len(polys))
+            if k == len(polys):
+                polys.append(poly)
+            out.append((c, s, k))
+        entries.append(out)
+    return polys, entries
+
+
+def _at_point(factored, top, x, cols, p):
     """det B(x) mod p and, for each column t in cols, the adjugate row N(x)
-    with N B(x) = det e_t; (0, None) when B(x) is singular mod p.  top is
-    the highest exponent of an entry."""
-    n = len(terms)
+    with N B(x) = det e_t; (0, None) when B(x) is singular mod p.  factored
+    is B by _factor, and top the highest exponent of an entry."""
+    polys, entries = factored
+    n = len(entries)
     xp = [1]
     for _ in range(top):
-        xp.append(xp[-1] * x)
+        xp.append(xp[-1] * x % p)
+    vals = []
+    for poly in polys:
+        v = 0
+        for a in reversed(poly):
+            v = v * x + a
+        vals.append(v % p)
+    rows = [[c * xp[s] * vals[k] % p for c, s, k in row] for row in entries]
     # Rows of B(x)^T, each followed by the right-hand sides e_t.
-    A = [[sum(c * xp[i] for i, c in terms[r][col]) % p for r in range(n)]
-         + [int(col == t) for t in cols] for col in range(n)]
+    A = [list(b) + [int(col == t) for t in cols] for col, b in enumerate(zip(*rows))]
     # Forward elimination without division: a row updated at step c is
     # multiplied by the pivot, which scale records.
     sign, scale = 1, 1
@@ -277,11 +324,16 @@ def _interpolate(x0, vals, p):
     for i in range(k - 1, 0, -1):
         inv_fact.append(inv_fact[-1] * i % p)
     inv_fact.reverse()
-    poly = [c[-1] * inv_fact[-1] % p]
+    c = [v * f % p for v, f in zip(c, inv_fact)]
+    # Multiplying by q - x adds a few bits per step; reduce every 8 steps
+    # and at the last.
+    poly = [c[-1]]
     for i in range(k - 2, -1, -1):
         x = x0 + i
-        poly = ([(c[i] * inv_fact[i] - x * poly[0]) % p]
-                + [(poly[j - 1] - x * poly[j]) % p for j in range(1, len(poly))] + [poly[-1]])
+        poly = ([c[i] - x * poly[0]]
+                + [poly[j - 1] - x * poly[j] for j in range(1, len(poly))] + [poly[-1]])
+        if i % 8 == 0:
+            poly = [v % p for v in poly]
     return poly
 
 
@@ -322,10 +374,10 @@ def gauss_solve(system, want=None):
     n = len(system.matrix)
     terms = [[[(i, c) for i, c in enumerate(e) if c] for e in row] for row in system.matrix]
     ends = [[(c, e[0][0], e[-1][0]) for c, e in enumerate(row) if e] for row in terms]
-    top = max(hi for row in ends for _, _, hi in row)
     det_span = _assignments(ends, range(n), None)[-1].get((1 << n) - 1)
     if det_span is None:
         raise EliminationError("singular system: every term of det B has a zero entry")
+    top = max(hi for row in ends for _, _, hi in row)
     spans = [det_span] + [s for c in cols for s in _minor_spans(ends, c)]
     # Every coefficient of det B or a cofactor is at most the product of
     # the rows' l1 norms.
@@ -337,8 +389,9 @@ def gauss_solve(system, want=None):
     # Values at the consecutive points x0, x0 + 1, ...; a point where B is
     # singular mod p starts the run again after it.
     x0, values, misses = 1, [], 0
+    factored = _factor(system.matrix)
     while len(values) < count:
-        det, adj = _at_point(terms, top, x0 + len(values), cols, p)
+        det, adj = _at_point(factored, top, x0 + len(values), cols, p)
         if not det:
             # det B = q^lo D with deg D <= hi - lo: more roots mean D = 0 mod
             # p, hence D = 0, since p exceeds twice its coefficients.

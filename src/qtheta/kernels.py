@@ -386,12 +386,9 @@ def theta_dip(d):
     return -negord(d, -d)
 
 
-def one_minus(v, k, prec):
-    """The factor 1 - v*q^k as a series: of precision v.prec + k for a
-    series v, else exact and embedded at >= prec."""
-    if isinstance(v, LaurentSeries):
-        return se.sub(se.one(v.prec + k), se.shift(v, k))
-    return to_series(_val_add(_ONE, _val_neg(_val_shift(v, k))), prec)
+def one_minus(v, k):
+    """The factor 1 - v*q^k of a series v, of precision v.prec + k."""
+    return se.sub(se.one(v.prec + k), se.shift(v, k))
 
 
 def _check_poch_invertible(v, n, what):
@@ -410,7 +407,7 @@ def _check_poch_invertible(v, n, what):
                 % (what, v.coef, v.exp, "inf" if n is None else n)
             )
     else:
-        if one_minus(v, i, v.prec).is_zero:
+        if one_minus(v, i).is_zero:
             raise DegenerateParameterError(
                 "%s: Pochhammer factor vanishes to working precision" % what
             )

@@ -2,11 +2,13 @@
 
 Each oracle recomputes a value from its defining formula with series-core
 operations (or plain integer lists), not with the kernel or sum that it
-checks.  Some take their inputs from kernels helpers: ``to_series`` and
-``one_minus`` embed arguments, and ``qpoch_infinite_by_product`` takes
-the exact product ``qpoch_capped``.  ``ratio_terms_by_ring``, the term
-loop in ring operations, uses nothing of kernels but the value types and
-``ord_of``.
+checks.  Some take their inputs from kernels helpers: ``to_series`` embeds
+arguments, ``one_minus`` builds a series factor, and
+``qpoch_infinite_by_product`` takes the exact product ``qpoch_capped``.
+``ratio_terms_by_ring``, the term loop in ring operations, uses nothing of
+kernels but the value types and ``ord_of``.  ``bareiss_det`` and
+``adjugate_row_by_bareiss`` solve the eliminator's integer systems over
+Z[q] by fraction-free elimination, with no modulus.
 """
 
 from fractions import Fraction
@@ -238,7 +240,7 @@ def qpoch_infinite_by_product(x, prec):
             break
         if h.is_zero:
             break
-        h = se.mul(h, one_minus(v, i, v.prec + i))
+        h = se.mul(h, one_minus(v, i))
         i += 1
     return se.cap(h, prec)
 
@@ -295,3 +297,79 @@ def sum_by_terms(node, binding, prec, ienv=None):
     if acc is None:
         return se.zero(prec)
     return acc if hi is not None else se.cap(acc, prec)
+
+
+def _poly_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a, b):
+    out = list(a) + [0] * max(0, len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _poly_trim(out)
+
+
+def _poly_exact_div(a, b):
+    """a / b in Z[q] when b divides a, by long division from the top."""
+    a, quo = list(a), [0] * max(0, len(a) - len(b) + 1)
+    for k in reversed(range(len(quo))):
+        f, r = divmod(a[k + len(b) - 1], b[-1])
+        assert not r, "inexact division"
+        quo[k] = f
+        for i, c in enumerate(b):
+            a[k + i] -= f * c
+    assert not any(a), "inexact division"
+    return _poly_trim(quo)
+
+
+def bareiss_det(matrix):
+    """det of a square matrix of dense integer polynomials (q^0 first, []
+    zero) by fraction-free Bareiss elimination over Z[q]: each step's 2x2
+    update is divided exactly by the previous pivot."""
+    M = [[_poly_trim(list(e)) for e in row] for row in matrix]
+    n = len(M)
+    sign, prev = 1, [1]
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if M[i][k]), None)
+        if piv is None:
+            return []
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = _poly_exact_div(_poly_sub(poly_mul(M[k][k], M[i][j]),
+                                                    poly_mul(M[i][k], M[k][j])), prev)
+        prev = M[k][k]
+    det = M[-1][-1] if n else [1]
+    return det if sign > 0 else [-c for c in det]
+
+
+def adjugate_row_by_bareiss(matrix, t):
+    """det B and the row N with N B = det B e_t, N_r = (-1)^(r+t) times the
+    minor of B without row r and column t, each minor by bareiss_det."""
+    n = len(matrix)
+    row = [bareiss_det([[e for c, e in enumerate(matrix[i]) if c != t]
+                        for i in range(n) if i != r])
+           for r in range(n)]
+    return bareiss_det(matrix), [N if (r + t) % 2 == 0 else [-c for c in N]
+                                 for r, N in enumerate(row)]
+
+
+def poly_pair(a):
+    """A dense integer polynomial as the eliminator's (valuation,
+    coefficient tuple) pair; (0, ()) is zero."""
+    a = _poly_trim(list(a))
+    i = next((i for i, c in enumerate(a) if c), None)
+    return (0, ()) if i is None else (i, tuple(a[i:]))

@@ -1,5 +1,6 @@
 """CLI: commands, output formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -76,6 +77,18 @@ def test_express_pm_output(capsys):
     assert "theta(a):" in out and "-2" in out
     assert "theta(b):" in out and "3" in out
     assert "residual: zero to O(q^" in out
+
+
+@pytest.mark.parametrize("m, digest", [
+    # beyond the eliminate workload's m = 6; at this point m = 7 and m = 8
+    # solve modulo the 208-bit and 272-bit table primes
+    ("6", "e3c845091b9e0937a522fa6a3eee52f14879748192b411f9e9f95ae73a3ba351"),
+    ("7", "cf6ec73c1fa6938a8bc45994dedc3b7bd2355b87f2e9e7c7c6385a38825b4ac9"),
+    ("8", "880a8ae5652c2449072c4330f15b8d592058aca46a8ffc87065378bd196b619f"),
+])
+def test_express_pm_output_pinned(m, digest, capsys):
+    assert main(["express-pm", "--m", m, "--params", "a=2/3,b=-5/4", "--order", "20"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_express_pm_needs_both_params(capsys):

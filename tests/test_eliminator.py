@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtheta import eliminator, series as se
 from qtheta.errors import DegenerateParameterError, DomainError, EliminationError, PrecisionError
@@ -17,7 +18,15 @@ from qtheta.eliminator import (
 from qtheta.kernels import _val_shift, as_value
 from qtheta.sums import lam, pmsum
 
-from helpers import assert_eq_series, qmon, rand_fraction
+from helpers import (
+    adjugate_row_by_bareiss,
+    assert_eq_series,
+    bareiss_det,
+    poly_mul,
+    poly_pair,
+    qmon,
+    rand_fraction,
+)
 
 
 def test_build_system_m2_shape():
@@ -67,6 +76,13 @@ def test_singular_system_equal_parameters():
     for m in range(2, 7):
         with pytest.raises(EliminationError, match="singular"):
             express_pm(m, Fraction(2), Fraction(2), 10)
+
+
+def test_zero_matrix_is_singular():
+    system = PolynomialSystem(2, qmon(2), qmon(3), [0, 1], [[(), ()], [(), ()]],
+                              [(1,), (1,)], [("a", 0), ("b", 0)])
+    with pytest.raises(EliminationError, match="singular"):
+        gauss_solve(system)
 
 
 def test_identity_matrix_system():
@@ -342,13 +358,77 @@ def _strong_probable_prime(n, bases=(3, 5, 7)):
 
 
 def test_modulus_is_a_prime_above_twice_the_height():
-    assert list(eliminator._PRIMES) == sorted(eliminator._PRIMES)
-    assert all(_strong_probable_prime(p) for p in eliminator._PRIMES)
-    for height in (1, 2**60, 2**200, 2**254, 2**4000):
-        p = eliminator._modulus(height)
-        assert p > 2 * height and p in eliminator._PRIMES
+    primes = eliminator._PRIMES
+    assert list(primes) == sorted(primes)
+    assert all(_strong_probable_prime(p) for p in primes)
+    # The least table prime above 2h, at every power of two up to 2^1000,
+    # on both sides of each table prime's threshold, and far above.
+    heights = {2**k for k in range(1001)} | {2**4000}
+    heights.update(h for p in primes if p < 2**1001 for h in (p // 2, p // 2 + 1))
+    for height in sorted(heights):
+        assert eliminator._modulus(height) == min(p for p in primes if p > 2 * height), height
     with pytest.raises(EliminationError, match="height"):
         eliminator._modulus(2**4423)
+
+
+def test_table_primes_are_at_most_16_bits_apart_up_to_2_1024():
+    # so that, from 2^61 on, the modulus is at most 16 bits longer than
+    # twice the height bound
+    primes = [p for p in eliminator._PRIMES if p < 2**1024]
+    assert primes[0].bit_length() <= 64 and primes[-1] == 2**1024 - 105
+    assert all(q.bit_length() - p.bit_length() <= 16 for p, q in zip(primes, primes[1:]))
+
+
+def _assert_solve_matches_bareiss(system, want):
+    # det and every numer[r] of gauss_solve equal det B and N_r scale_r of
+    # the Bareiss oracle exactly, with no common factor taken out.
+    for t, combo in zip(want, gauss_solve(system, want=want)):
+        det, row = adjugate_row_by_bareiss(system.matrix, system.shifts.index(t))
+        assert combo.det == poly_pair(det)
+        assert combo.numer == [poly_pair(poly_mul(N, s)) for N, s in zip(row, system.scales)]
+
+
+@st.composite
+def _shared_entry_systems(draw):
+    # n x n systems whose nonzero entries are c q^s P for a few base
+    # polynomials P: entries repeat up to sign, content and a q-shift.
+    n = draw(st.integers(2, 4))
+    coeff = st.integers(-4, 4)
+    bases = draw(st.lists(st.lists(coeff, min_size=1, max_size=4).filter(any),
+                          min_size=1, max_size=3))
+    matrix = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            c = draw(st.integers(-3, 3))
+            s = draw(st.integers(0, 2))
+            k = draw(st.integers(0, len(bases) - 1))
+            row.append((0,) * s + tuple(c * v for v in bases[k]) if c else ())
+        matrix.append(row)
+    scales = [tuple(draw(st.lists(coeff, min_size=1, max_size=3).filter(any)))
+              for _ in range(n)]
+    return PolynomialSystem(2, qmon(2), qmon(3), list(range(n)), matrix, scales,
+                            [("a", r) for r in range(n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shared_entry_systems())
+def test_solve_of_shared_entry_systems_matches_bareiss(system):
+    if not bareiss_det(system.matrix):
+        with pytest.raises(EliminationError, match="singular"):
+            gauss_solve(system)
+        return
+    _assert_solve_matches_bareiss(system, system.shifts)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_build_system_solve_matches_bareiss(m):
+    # The certificate over Z[q] accepts lambda N with lambda det B for any
+    # lambda; this pins lambda = 1.
+    for a, b in ((Fraction(2), Fraction(3)), (Fraction(2, 3), Fraction(-5, 4)),
+                 (Fraction(3, 4), qmon(Fraction(6, 7), 1))):
+        system = build_system(m, a, b)
+        _assert_solve_matches_bareiss(system, system.shifts)
 
 
 def test_series_parameters_rejected():

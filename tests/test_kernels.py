@@ -92,7 +92,7 @@ def _qpoch_by_loop(v, n, step):
     i.e. the former series branch of kernels.qpoch_finite."""
     acc = se.one(v.prec)
     for i in range(n):
-        acc = se.mul(acc, one_minus(v, step * i, v.prec + step * i))
+        acc = se.mul(acc, one_minus(v, step * i))
     return acc
 
 

@@ -15,6 +15,7 @@ from qtheta.kernels import (
     _check_poch_invertible,
     _exact,
     _mul_value,
+    _val_add,
     _val_mul,
     _val_neg,
     _val_shift,
@@ -751,10 +752,15 @@ def _thetak_by_pads(k, a, b, prec):
         raise DegenerateParameterError("thetak needs a + b nonzero")
     one_q = se.add(se.one(p), se.monomial(1, 1, p))
 
+    def one_plus(x, j):
+        # 1 + x*q^j: one_minus of a series x, else exact and embedded at p
+        if isinstance(x, se.LaurentSeries):
+            return one_minus(_val_neg(x), j)
+        return to_series(_val_add(qmon(1), _val_shift(x, j)), p)
+
     def half(x, y):
-        c1 = se.divide(_mul_value(one_minus(_val_neg(x), k + 1, p), y),
-                       se.mul(to_series(x, p), one_q))
-        c3 = se.shift(se.divide(one_minus(_val_neg(x), k, p), apb), -(k + 1))
+        c1 = se.divide(_mul_value(one_plus(x, k + 1), y), se.mul(to_series(x, p), one_q))
+        c3 = se.shift(se.divide(one_plus(x, k), apb), -(k + 1))
         return se.add(se.mul(c1, theta_partial(_val_shift(y, k + 2), p)),
                       se.mul(c3, theta_partial(_val_shift(y, k + 1), p)))
 
