@@ -51,23 +51,16 @@ from .sums import (
 __all__ = ["PolynomialSystem", "ExactCombination", "ThetaCombination", "build_system",
            "gauss_solve", "express_pm"]
 
-# The moduli gauss_solve may use, ascending: Mersenne primes, 2^255 - 19 and,
-# for k = 64, 80, ..., 1024, the largest prime 2^k - c below 2^k.  When twice
-# a height bound lies between 2^61 and 2^1024, the least of them above it is
-# at most 16 bits longer, so the row updates cost what the bound asks for.
-_PRIMES = tuple(sorted(
-    [2**p - 1 for p in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)]
-    + [2**255 - 19]
+# The moduli gauss_solve may use, ascending: 2^61 - 1; the largest prime
+# 2^k - c below 2^k for k = 64, 80, ..., 272, so that when twice a height
+# bound lies between 2^61 and 2^272 (m = 8 at a = 2/3, b = -5/4 needs 271
+# bits) the modulus is at most 16 bits longer; and Mersenne primes above.
+_PRIMES = tuple(
+    [2**61 - 1]
     + [2**k - c for k, c in (
         (64, 59), (80, 65), (96, 17), (112, 75), (128, 159), (144, 83), (160, 47),
-        (176, 233), (192, 237), (208, 299), (224, 63), (240, 467), (256, 189), (272, 237),
-        (288, 167), (304, 75), (320, 197), (336, 3), (352, 657), (368, 315), (384, 317),
-        (400, 593), (416, 435), (432, 299), (448, 203), (464, 437), (480, 47), (496, 257),
-        (512, 569), (528, 65), (544, 759), (560, 717), (576, 789), (592, 935), (608, 527),
-        (624, 117), (640, 305), (656, 143), (672, 399), (688, 759), (704, 245), (720, 395),
-        (736, 509), (752, 875), (768, 825), (784, 759), (800, 105), (816, 959), (832, 143),
-        (848, 17), (864, 243), (880, 113), (896, 213), (912, 1935), (928, 645), (944, 573),
-        (960, 167), (976, 2147), (992, 1779), (1008, 33), (1024, 105))]))
+        (176, 233), (192, 237), (208, 299), (224, 63), (240, 467), (256, 189), (272, 237))]
+    + [2**p - 1 for p in (521, 607, 1279, 2203, 2281, 3217, 4253, 4423)])
 
 
 @dataclass
@@ -324,16 +317,11 @@ def _interpolate(x0, vals, p):
     for i in range(k - 1, 0, -1):
         inv_fact.append(inv_fact[-1] * i % p)
     inv_fact.reverse()
-    c = [v * f % p for v, f in zip(c, inv_fact)]
-    # Multiplying by q - x adds a few bits per step; reduce every 8 steps
-    # and at the last.
-    poly = [c[-1]]
+    poly = [c[-1] * inv_fact[-1] % p]
     for i in range(k - 2, -1, -1):
         x = x0 + i
-        poly = ([c[i] - x * poly[0]]
-                + [poly[j - 1] - x * poly[j] for j in range(1, len(poly))] + [poly[-1]])
-        if i % 8 == 0:
-            poly = [v % p for v in poly]
+        poly = ([(c[i] * inv_fact[i] - x * poly[0]) % p]
+                + [(poly[j - 1] - x * poly[j]) % p for j in range(1, len(poly))] + [poly[-1]])
     return poly
 
 

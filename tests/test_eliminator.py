@@ -371,11 +371,11 @@ def test_modulus_is_a_prime_above_twice_the_height():
         eliminator._modulus(2**4423)
 
 
-def test_table_primes_are_at_most_16_bits_apart_up_to_2_1024():
-    # so that, from 2^61 on, the modulus is at most 16 bits longer than
-    # twice the height bound
-    primes = [p for p in eliminator._PRIMES if p < 2**1024]
-    assert primes[0].bit_length() <= 64 and primes[-1] == 2**1024 - 105
+def test_table_primes_are_at_most_16_bits_apart_up_to_2_272():
+    # so that, from 2^61 to 2^272, the modulus is at most 16 bits longer
+    # than twice the height bound
+    primes = [p for p in eliminator._PRIMES if p < 2**272]
+    assert primes[0] == 2**61 - 1 and primes[-1] == 2**272 - 237
     assert all(q.bit_length() - p.bit_length() <= 16 for p, q in zip(primes, primes[1:]))
 
 
